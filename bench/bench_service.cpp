@@ -10,7 +10,9 @@
 //   * the shared run must form strictly fewer generations than it
 //     admitted queries (arrivals actually grouped), and
 //   * the shared run must pay strictly fewer extent passes than the
-//     private one. scripts/ci.sh --service gates on the JSON fields.
+//     private one, and
+//   * repeated query texts must hit the service's plan cache.
+// scripts/ci.sh --service gates on the JSON fields.
 //
 // Flags: --docs=N      corpus size in documents (default 400)
 //        --clients=N   closed-loop client connections (default 8)
@@ -271,14 +273,17 @@ int main(int argc, char** argv) {
     std::printf(
         "  %-8s qps=%8.1f  p50=%7.3fms  p99=%7.3fms  errors=%llu\n"
         "           generations=%llu queries=%llu late=%llu "
-        "extent_passes=%llu property_reads=%llu\n",
+        "extent_passes=%llu property_reads=%llu\n"
+        "           plan_cache_hits=%llu plan_cache_misses=%llu\n",
         name, m.qps, m.p50_ms, m.p99_ms,
         static_cast<unsigned long long>(m.errors),
         static_cast<unsigned long long>(m.stats.generations),
         static_cast<unsigned long long>(m.stats.queries_admitted),
         static_cast<unsigned long long>(m.stats.late_attached),
         static_cast<unsigned long long>(m.extent_scans),
-        static_cast<unsigned long long>(m.property_reads));
+        static_cast<unsigned long long>(m.property_reads),
+        static_cast<unsigned long long>(m.stats.plan_cache_hits),
+        static_cast<unsigned long long>(m.stats.plan_cache_misses));
   };
   report("shared", shared);
   report("private", priv);
@@ -337,8 +342,14 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(priv.extent_scans));
     std::fprintf(f, "  \"property_reads_shared\": %llu,\n",
                  static_cast<unsigned long long>(shared.property_reads));
-    std::fprintf(f, "  \"property_reads_private\": %llu\n",
+    std::fprintf(f, "  \"property_reads_private\": %llu,\n",
                  static_cast<unsigned long long>(priv.property_reads));
+    std::fprintf(f, "  \"plan_cache_hits\": %llu,\n",
+                 static_cast<unsigned long long>(
+                     shared.stats.plan_cache_hits));
+    std::fprintf(f, "  \"plan_cache_misses\": %llu\n",
+                 static_cast<unsigned long long>(
+                     shared.stats.plan_cache_misses));
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("json written to %s\n", json_path.c_str());

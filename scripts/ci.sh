@@ -310,8 +310,9 @@ fi
 # bench_service, run K closed-loop socket clients against an in-process
 # service (every reply is checked against the row-mode oracle's digest
 # inside the harness), then gate the admission counters: arrivals must
-# actually group into generations, and the shared generations must pay
-# strictly fewer extent passes than the private baseline.
+# actually group into generations, the shared generations must pay
+# strictly fewer extent passes than the private baseline, and the
+# harness's repeated query texts must hit the plan cache.
 if [[ "$SERVICE" == "1" ]]; then
   : "${BUILD_DIR:=build}"
   echo "== service: build + load-harness smoke =="
@@ -325,8 +326,10 @@ if [[ "$SERVICE" == "1" ]]; then
   SVC_GENERATIONS="$(service_field generations_shared)"
   SVC_EXT_SHARED="$(service_field extent_scans_shared)"
   SVC_EXT_PRIVATE="$(service_field extent_scans_private)"
+  SVC_PLAN_HITS="$(service_field plan_cache_hits)"
   if [[ -z "$SVC_QUERIES" || -z "$SVC_GENERATIONS" || \
-        -z "$SVC_EXT_SHARED" || -z "$SVC_EXT_PRIVATE" ]]; then
+        -z "$SVC_EXT_SHARED" || -z "$SVC_EXT_PRIVATE" || \
+        -z "$SVC_PLAN_HITS" ]]; then
     echo "ci.sh: BENCH_service.json is missing counter fields" >&2
     exit 1
   fi
@@ -340,8 +343,14 @@ if [[ "$SERVICE" == "1" ]]; then
          "not fewer than the private baseline's $SVC_EXT_PRIVATE" >&2
     exit 1
   fi
+  if (( SVC_PLAN_HITS == 0 )); then
+    echo "ci.sh: no plan-cache hits over $SVC_QUERIES queries of a" \
+         "repeating mix -- every arrival re-planned" >&2
+    exit 1
+  fi
   echo "service gate: $SVC_QUERIES queries in $SVC_GENERATIONS" \
-       "generations, $SVC_EXT_SHARED vs $SVC_EXT_PRIVATE extent passes -- ok"
+       "generations, $SVC_EXT_SHARED vs $SVC_EXT_PRIVATE extent passes," \
+       "$SVC_PLAN_HITS plan-cache hits -- ok"
   echo "== ci.sh (service): all green =="
   exit 0
 fi

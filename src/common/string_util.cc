@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <array>
 #include <cctype>
 
 namespace vodak {
@@ -24,11 +25,30 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// The word-byte class TokenizeWords and CountWords share: ASCII letters
+/// and digits, which is std::isalnum in the "C" locale the engine runs
+/// in. A fixed table keeps both (and so both sides of E5) on one
+/// boundary whatever the process locale, and lets CountWords run
+/// branch-free.
+constexpr std::array<bool, 256> kWordByte = [] {
+  std::array<bool, 256> table{};
+  for (int c = '0'; c <= '9'; ++c) table[c] = true;
+  for (int c = 'A'; c <= 'Z'; ++c) table[c] = true;
+  for (int c = 'a'; c <= 'z'; ++c) table[c] = true;
+  return table;
+}();
+
+bool IsWordByte(char c) { return kWordByte[static_cast<unsigned char>(c)]; }
+
+}  // namespace
+
 std::vector<std::string> TokenizeWords(std::string_view s) {
   std::vector<std::string> out;
   std::string cur;
   for (char c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
+    if (IsWordByte(c)) {
       cur.push_back(static_cast<char>(
           std::tolower(static_cast<unsigned char>(c))));
     } else if (!cur.empty()) {
@@ -38,6 +58,18 @@ std::vector<std::string> TokenizeWords(std::string_view s) {
   }
   if (!cur.empty()) out.push_back(std::move(cur));
   return out;
+}
+
+size_t CountWords(std::string_view s) {
+  // A word starts at every word byte that follows a non-word byte.
+  size_t count = 0;
+  bool prev = false;
+  for (char c : s) {
+    const bool cur = IsWordByte(c);
+    count += cur && !prev;
+    prev = cur;
+  }
+  return count;
 }
 
 bool ContainsSubstring(std::string_view haystack, std::string_view needle) {

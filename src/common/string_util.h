@@ -15,11 +15,16 @@ std::string Join(const std::vector<std::string>& parts,
 /// Lower-case ASCII copy.
 std::string ToLower(std::string_view s);
 
-/// Split `s` into maximal runs of alphanumeric characters, lower-cased.
+/// Split `s` into maximal runs of ASCII alphanumeric characters (every
+/// other byte, including all bytes >= 0x80, separates), lower-cased.
 /// This is the tokenizer shared by the inverted index and by the
 /// per-object `contains_string` scan so that both sides of equivalence E5
 /// agree exactly on what "contains" means.
 std::vector<std::string> TokenizeWords(std::string_view s);
+
+/// TokenizeWords(s).size() without materializing the words: the number
+/// of maximal alphanumeric runs in `s`, on the same word boundary.
+size_t CountWords(std::string_view s);
 
 /// Case-sensitive substring test used by token-granularity callers that
 /// need the raw semantics (infrastructure helper).

@@ -32,10 +32,12 @@ void Database::AddStatsProvider(opt::MethodStatsProvider provider) {
 Status Database::GenerateOptimizer(opt::OptimizerOptions options) {
   options_ = options;
   semantics::OptimizerGenerator generator(catalog_, store_, methods_);
-  VODAK_ASSIGN_OR_RETURN(module_,
-                         generator.Generate(&knowledge_, providers_,
-                                            options));
-  return Status::OK();
+  Result<semantics::GeneratedOptimizer> generated =
+      generator.Generate(&knowledge_, providers_, options);
+  if (generated.ok()) module_ = std::move(generated).value();
+  // Even a failed generation changed options_, which planning reads.
+  optimizer_generation_.fetch_add(1, std::memory_order_release);
+  return generated.status();
 }
 
 Result<vql::BoundQuery> Database::Parse(const std::string& vql) const {
@@ -356,7 +358,7 @@ std::vector<QueryOutcome> Database::Submit(
   copts.threads = exec::ResolveThreads(options.lanes);
   copts.morsel_size = options.morsel_size;
   copts.shared_scan = options.shared_scan;
-  copts.pool = EnsurePoolExact(std::min(copts.threads, plans.size()));
+  copts.pool = EnsurePool(std::min(copts.threads, plans.size()));
   const uint64_t generation = NextGenerationId();
   Result<std::vector<exec::ConcurrentQueryOutcome>> outcomes =
       exec::ExecuteConcurrentOutcomes(plans, exec_ctx, copts);
@@ -418,17 +420,11 @@ Result<std::vector<QueryResult>> Database::RunConcurrent(
 }
 
 exec::WorkerPool* Database::EnsurePool(size_t threads) {
-  if (pool_ == nullptr || pool_->parallelism() < threads) {
-    pool_ = std::make_unique<exec::WorkerPool>(threads);
-  }
-  return pool_.get();
-}
-
-exec::WorkerPool* Database::EnsurePoolExact(size_t threads) {
-  if (pool_ == nullptr || pool_->parallelism() != threads) {
-    pool_ = std::make_unique<exec::WorkerPool>(threads);
-  }
-  return pool_.get();
+  threads = exec::ResolveThreads(threads);
+  MutexLock lock(pool_mu_);
+  std::unique_ptr<exec::WorkerPool>& pool = pools_[threads];
+  if (pool == nullptr) pool = std::make_unique<exec::WorkerPool>(threads);
+  return pool.get();
 }
 
 Result<Value> Database::RunNaive(

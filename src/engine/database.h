@@ -2,6 +2,7 @@
 #define VODAK_ENGINE_DATABASE_H_
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -42,8 +43,18 @@ class Database {
 
   /// (Re)generates the optimizer module from builtin + derived rules —
   /// the §7 per-schema generation step. Must be called before Run() with
-  /// optimize=true, and again after knowledge changes.
+  /// optimize=true, and again after knowledge changes. Every call bumps
+  /// optimizer_generation(), successful or not.
   Status GenerateOptimizer(opt::OptimizerOptions options = {});
+
+  /// How many times GenerateOptimizer has run. A plan derived from the
+  /// module stays valid only while this is unchanged: the query
+  /// service's plan cache stamps its entries with it. Acquire pairs
+  /// with the release bump that follows the module swap, so a reader
+  /// that sees the new value also sees the new module.
+  uint64_t optimizer_generation() const {
+    return optimizer_generation_.load(std::memory_order_acquire);
+  }
 
   bool HasOptimizer() const { return module_.optimizer != nullptr; }
 
@@ -134,10 +145,12 @@ class Database {
   /// No-op without an attached store.
   Status RefreshSegments();
 
-  /// The session's worker pool, created lazily (and regrown) to satisfy
-  /// the largest thread count requested so far. Reused across queries so
-  /// repeated parallel Runs don't pay thread spawn latency.
-  exec::WorkerPool* EnsurePool(size_t threads);
+  /// The session's worker pool of exactly `threads` lanes, created on
+  /// first request and reused across queries so repeated parallel Runs
+  /// don't pay thread spawn latency. Pools live as long as the session:
+  /// a caller may hold the pointer (the query service's scheduler does,
+  /// for its whole lifetime) while other callers ask for other sizes.
+  exec::WorkerPool* EnsurePool(size_t threads) EXCLUDES(pool_mu_);
 
   /// The next shared-scan generation id; Submit takes one per executed
   /// batch and the query service takes one per generation it forms.
@@ -175,13 +188,6 @@ class Database {
   /// `self`. Caller holds write_mu_.
   Result<std::vector<Mutation>> BuildMutations(
       const vql::BoundWrite& write) const REQUIRES(write_mu_);
-  /// EnsurePool, but exact: ExecuteConcurrentColumns refuses a
-  /// mis-sized pool (the threads knob, not the pool, sizes a batch),
-  /// so the session pool is rebuilt at exactly `threads` lanes when it
-  /// differs. Repeated same-shape batches then reuse it; alternating
-  /// Run/RunConcurrent shapes pay one rebuild at the boundary.
-  exec::WorkerPool* EnsurePoolExact(size_t threads);
-
   const Catalog* catalog_;
   ObjectStore* store_;
   MethodRegistry* methods_;
@@ -196,7 +202,12 @@ class Database {
   std::vector<opt::MethodStatsProvider> providers_;
   semantics::GeneratedOptimizer module_;
   opt::OptimizerOptions options_;
-  std::unique_ptr<exec::WorkerPool> pool_;
+  /// Bumped (release) after every module swap in GenerateOptimizer.
+  std::atomic<uint64_t> optimizer_generation_{0};
+  /// One pool per lane count, never destroyed before the session.
+  Mutex pool_mu_;
+  std::map<size_t, std::unique_ptr<exec::WorkerPool>> pools_
+      GUARDED_BY(pool_mu_);
   /// Generation ids handed out to Submit batches and the query
   /// service's scheduler; monotone across the session so per-query
   /// stats from either path never collide. Relaxed: an id only needs

@@ -217,45 +217,53 @@ Result<Reply> ParseReplyLine(const std::string& line) {
   return reply;
 }
 
+namespace {
+
+/// The `T` line's fields in wire order: FormatStatsLine writes and
+/// ParseStatsLine requires exactly these, so the two cannot drift.
+struct StatsField {
+  const char* key;
+  uint64_t ServiceStats::*member;
+};
+constexpr StatsField kStatsFields[] = {
+    {"queries", &ServiceStats::queries_admitted},
+    {"ok", &ServiceStats::queries_ok},
+    {"cancelled", &ServiceStats::queries_cancelled},
+    {"expired", &ServiceStats::queries_expired},
+    {"failed", &ServiceStats::queries_failed},
+    {"generations", &ServiceStats::generations},
+    {"late", &ServiceStats::late_attached},
+    {"extent_passes", &ServiceStats::extent_passes},
+    {"property_reads", &ServiceStats::property_reads},
+    {"plan_cache_hits", &ServiceStats::plan_cache_hits},
+    {"plan_cache_misses", &ServiceStats::plan_cache_misses},
+};
+constexpr size_t kStatsFieldCount =
+    sizeof(kStatsFields) / sizeof(kStatsFields[0]);
+
+}  // namespace
+
 std::string FormatStatsLine(const ServiceStats& stats) {
   std::string line = "T";
-  line += " queries=" + std::to_string(stats.queries_admitted);
-  line += " ok=" + std::to_string(stats.queries_ok);
-  line += " cancelled=" + std::to_string(stats.queries_cancelled);
-  line += " expired=" + std::to_string(stats.queries_expired);
-  line += " failed=" + std::to_string(stats.queries_failed);
-  line += " generations=" + std::to_string(stats.generations);
-  line += " late=" + std::to_string(stats.late_attached);
-  line += " extent_passes=" + std::to_string(stats.extent_passes);
-  line += " property_reads=" + std::to_string(stats.property_reads);  // lint: not-atomic
+  for (const StatsField& field : kStatsFields) {
+    line += ' ';
+    line += field.key;
+    line += '=';
+    line += std::to_string(stats.*field.member);
+  }
   return line;
 }
 
 Result<ServiceStats> ParseStatsLine(const std::string& line) {
   auto tokens = SplitTokens(line);
-  if (tokens.size() != 10 || tokens[0] != "T") {
+  if (tokens.size() != kStatsFieldCount + 1 || tokens[0] != "T") {
     return Status::InvalidArgument("not a stats line: " + line);
   }
   ServiceStats stats;
-  struct FieldSlot {
-    const char* key;
-    uint64_t* slot;
-  };
-  const FieldSlot fields[] = {
-      {"queries", &stats.queries_admitted},
-      {"ok", &stats.queries_ok},
-      {"cancelled", &stats.queries_cancelled},
-      {"expired", &stats.queries_expired},
-      {"failed", &stats.queries_failed},
-      {"generations", &stats.generations},
-      {"late", &stats.late_attached},
-      {"extent_passes", &stats.extent_passes},
-      {"property_reads", &stats.property_reads},
-  };
-  for (size_t i = 0; i < 9; ++i) {
+  for (size_t i = 0; i < kStatsFieldCount; ++i) {
     std::string v;
-    if (!TakeField(tokens[i + 1], fields[i].key, &v) ||
-        !ParseU64(v, fields[i].slot)) {
+    if (!TakeField(tokens[i + 1], kStatsFields[i].key, &v) ||
+        !ParseU64(v, &(stats.*kStatsFields[i].member))) {
       return Status::InvalidArgument("bad stats field: " + tokens[i + 1]);
     }
   }

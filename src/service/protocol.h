@@ -17,6 +17,7 @@
 //       queue_ms=... plan_ms=... drain_ms=... msg=<rest of line>
 //   T queries=... ok=... cancelled=... expired=... failed=...
 //       generations=... late=... extent_passes=... property_reads=...
+//       plan_cache_hits=... plan_cache_misses=...
 //   E <message>                     protocol-level error (malformed
 //                                   line, duplicate in-flight id)
 #ifndef VODAK_SERVICE_PROTOCOL_H_
@@ -77,6 +78,10 @@ struct ServiceStats {
   /// Store-counter deltas accumulated over all generation drains.
   uint64_t extent_passes = 0;
   uint64_t property_reads = 0;  // lint: not-atomic
+  /// Query lines whose plan came from / missed the plan cache. A miss
+  /// plans; plan errors count as misses.
+  uint64_t plan_cache_hits = 0;
+  uint64_t plan_cache_misses = 0;
 };
 
 /// Formats / parses the `T ...` stats line.

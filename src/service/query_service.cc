@@ -160,7 +160,7 @@ void QueryService::HandleLine(Connection& conn, const std::string& line) {
   Request& req = parsed.value();
   switch (req.kind) {
     case Request::Kind::kStats:
-      QueueReply(conn, FormatStatsLine(scheduler_.stats()));
+      QueueReply(conn, FormatStatsLine(stats()));
       return;
     case Request::Kind::kCancel: {
       // Fire-and-forget; an unknown or already-finished id is a no-op
@@ -186,20 +186,19 @@ void QueryService::HandleLine(Connection& conn, const std::string& line) {
   // Planning runs here, serialized on the event thread — the optimizer
   // module is not built for concurrent Optimize calls, and a plan
   // error can answer immediately without touching the scheduler.
-  auto prepared =
-      db_->Prepare(req.vql, {/*optimize=*/options_.optimize,
-                             /*trace=*/false});
+  Result<const CachedPlan*> planned = PlanFor(req.vql);
   query.plan_ms = MsBetween(arrival, std::chrono::steady_clock::now());
-  if (!prepared.ok()) {
+  if (!planned.ok()) {
     engine::QueryStats stats;
     stats.plan_ms = query.plan_ms;
-    QueueReply(conn, FormatReplyLine(req.id, prepared.status(),
+    QueueReply(conn, FormatReplyLine(req.id, planned.status(),
                                      /*result=*/nullptr, stats));
     return;
   }
-  query.plan = prepared.value().planned.chosen_plan;
-  query.result_ref = prepared.value().result_ref;
-  query.scan_keys = PlanScanSourceKeys(query.plan, db_->catalog());
+  const CachedPlan& plan = *planned.value();
+  query.plan = plan.plan;
+  query.result_ref = plan.result_ref;
+  query.scan_keys = plan.scan_keys;
   query.admitted_at = std::chrono::steady_clock::now();
   conn.inflight[req.id] = query.cancel;
   const uint64_t conn_id = conn.id;
@@ -214,6 +213,35 @@ void QueryService::HandleLine(Connection& conn, const std::string& line) {
     PostReply(std::move(pending));
   };
   scheduler_.Admit(std::move(query));
+}
+
+Result<const CachedPlan*> QueryService::PlanFor(const std::string& vql) {
+  // Stamps are read before planning: a commit or regeneration racing
+  // the Prepare below leaves the entry stamped old, so the next lookup
+  // discards it rather than trusting a plan of unknown vintage.
+  const PlanStamp stamp{db_->store()->CurrentEpoch(),
+                        db_->optimizer_generation()};
+  if (const CachedPlan* hit = plan_cache_.Find(vql, stamp)) {
+    plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return hit;
+  }
+  plan_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  VODAK_ASSIGN_OR_RETURN(
+      engine::PreparedQuery prepared,
+      db_->Prepare(vql, {/*optimize=*/options_.optimize, /*trace=*/false}));
+  CachedPlan plan;
+  plan.plan = prepared.planned.chosen_plan;
+  plan.result_ref = std::move(prepared.result_ref);
+  plan.scan_keys = PlanScanSourceKeys(plan.plan, db_->catalog());
+  return plan_cache_.Insert(vql, stamp, std::move(plan));
+}
+
+ServiceStats QueryService::stats() const {
+  ServiceStats stats = scheduler_.stats();
+  stats.plan_cache_hits = plan_cache_hits_.load(std::memory_order_relaxed);
+  stats.plan_cache_misses =
+      plan_cache_misses_.load(std::memory_order_relaxed);
+  return stats;
 }
 
 void QueryService::EventLoop() {

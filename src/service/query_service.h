@@ -12,7 +12,9 @@
 // outbox drained by the loop, woken through a self-pipe. Planning runs
 // on the event-loop thread: the optimizer module is not built for
 // concurrent Optimize calls, and serializing it there keeps the
-// scheduler purely an executor.
+// scheduler purely an executor. The loop also owns the plan cache
+// (service/plan_cache.h), so a repeated query text plans once until the
+// next commit or optimizer regeneration.
 #ifndef VODAK_SERVICE_QUERY_SERVICE_H_
 #define VODAK_SERVICE_QUERY_SERVICE_H_
 
@@ -27,6 +29,7 @@
 #include "common/thread_annotations.h"
 #include "engine/database.h"
 #include "service/generation.h"
+#include "service/plan_cache.h"
 #include "service/protocol.h"
 
 namespace vodak {
@@ -42,8 +45,8 @@ struct ServiceOptions {
   bool shared_scan = true;
   /// Late-attach deadline slack (SchedulerOptions::attach_slack).
   double attach_slack = 2.0;
-  /// Run the generated optimizer on every query. Off by default: the
-  /// service is usable on a session without GenerateOptimizer().
+  /// Plan with the generated optimizer. Off by default: the service is
+  /// usable on a session without GenerateOptimizer().
   bool optimize = false;
   int listen_backlog = 16;
 };
@@ -65,7 +68,8 @@ class QueryService {
   /// The bound (possibly ephemeral) port; valid after Start().
   uint16_t port() const { return port_; }
 
-  ServiceStats stats() const { return scheduler_.stats(); }
+  /// The scheduler's counters plus the plan cache's hits and misses.
+  ServiceStats stats() const;
 
  private:
   /// One client connection. Owned and touched exclusively by the
@@ -93,6 +97,10 @@ class QueryService {
   void EventLoop();
   /// Handles one complete request line from `conn` (loop thread).
   void HandleLine(Connection& conn, const std::string& line);
+  /// The plan for `vql`: from the plan cache when an entry made under
+  /// the current stamps exists, else from Database::Prepare, caching
+  /// only a successful plan (loop thread).
+  Result<const CachedPlan*> PlanFor(const std::string& vql);
   /// Queues `line` (no newline) for `conn` and arms POLLOUT via the
   /// next poll rebuild (loop thread).
   void QueueReply(Connection& conn, const std::string& line);
@@ -122,6 +130,11 @@ class QueryService {
   /// reused; erased together with conns_.
   std::map<uint64_t, int> conn_fds_;
   uint64_t next_conn_id_ = 0;
+  PlanCache plan_cache_;
+  /// Written by the loop, read by stats() on any thread. Relaxed: pure
+  /// counters that order nothing.
+  std::atomic<uint64_t> plan_cache_hits_{0};
+  std::atomic<uint64_t> plan_cache_misses_{0};
 
   /// The worker → loop mailbox.
   Mutex out_mu_;

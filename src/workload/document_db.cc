@@ -388,11 +388,11 @@ Status DocumentDb::RegisterMethods() {
                                             self.AsOid(), "content",
                                             ctx.snapshot_epoch));
       if (!content.is_string()) return Value::Int(0);
-      return Value::Int(static_cast<int64_t>(
-          TokenizeWords(content.AsString()).size()));
+      return Value::Int(
+          static_cast<int64_t>(CountWords(content.AsString())));
     };
     // Set-at-a-time form: the body read is a single column read; the
-    // per-row tokenization remains.
+    // per-row word count remains.
     impl.native_batch = [](MethodCallContext& ctx,
                            const ValueColumn& selves, size_t n,
                            const std::vector<ValueColumn>&,
@@ -404,8 +404,8 @@ Status DocumentDb::RegisterMethods() {
       for (const Value& content : contents) {
         out->push_back(
             content.is_string()
-                ? Value::Int(static_cast<int64_t>(
-                      TokenizeWords(content.AsString()).size()))
+                ? Value::Int(
+                      static_cast<int64_t>(CountWords(content.AsString())))
                 : Value::Int(0));
       }
       return Status::OK();
@@ -491,7 +491,7 @@ Status DocumentDb::Populate(const CorpusParams& params) {
           content += kSearchWord;
         }
         paragraph_index_.Add(par, content);
-        size_t word_count = TokenizeWords(content).size();
+        size_t word_count = CountWords(content);
         VODAK_RETURN_IF_ERROR(store_.SetProperty(
             par, kParContent, Value::String(std::move(content))));
         if (word_count > params.large_paragraph_threshold) {

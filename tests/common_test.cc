@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "workload/document_db.h"
 
 namespace vodak {
 namespace {
@@ -131,6 +133,58 @@ TEST(StringUtilTest, TokenizeWords) {
   EXPECT_EQ(TokenizeWords(""), std::vector<std::string>{});
   EXPECT_EQ(TokenizeWords("a1 b2-c3"),
             (std::vector<std::string>{"a1", "b2", "c3"}));
+}
+
+TEST(StringUtilTest, CountWordsMatchesTokenizeOnEdgeCases) {
+  const std::vector<std::string> cases = {
+      "",
+      " ",
+      ",.;- \t\n",
+      "word",
+      "  leading",
+      "trailing  ",
+      "  both ends  ",
+      "a1 b2-c3",
+      "x,,y",
+      "caf\xc3\xa9 na\xc3\xaf" "ve",  // bytes >= 0x80 are separators
+      "\x80\xff",
+      "\xffmid\x80" "dle\xfe",
+  };
+  for (const std::string& s : cases) {
+    EXPECT_EQ(CountWords(s), TokenizeWords(s).size()) << '"' << s << '"';
+  }
+  EXPECT_EQ(CountWords(""), 0u);
+  EXPECT_EQ(CountWords(" - "), 0u);
+  EXPECT_EQ(CountWords("  both ends  "), 2u);
+  // Every single byte: a word exactly when std::isalnum says so in the
+  // "C" locale the engine runs in.
+  for (int c = 0; c < 256; ++c) {
+    const std::string byte(1, static_cast<char>(c));
+    const size_t want = std::isalnum(c) ? 1 : 0;
+    EXPECT_EQ(CountWords(byte), want) << c;
+    EXPECT_EQ(TokenizeWords(byte).size(), want) << c;
+  }
+}
+
+TEST(StringUtilTest, CountWordsMatchesTokenizeOnCorpusBodies) {
+  workload::DocumentDb db;
+  ASSERT_TRUE(db.Init().ok());
+  workload::CorpusParams params;
+  params.num_documents = 20;
+  ASSERT_TRUE(db.Populate(params).ok());
+  const PropertyDef* content =
+      db.catalog().FindClass("Paragraph")->FindProperty("content");
+  ASSERT_NE(content, nullptr);
+  auto extent = db.store().Extent(db.paragraph_class_id());
+  ASSERT_TRUE(extent.ok());
+  ASSERT_FALSE(extent.value().empty());
+  for (Oid oid : extent.value()) {
+    auto body = db.store().GetProperty(oid, content->slot);
+    ASSERT_TRUE(body.ok());
+    ASSERT_TRUE(body.value().is_string());
+    const std::string& text = body.value().AsString();
+    EXPECT_EQ(CountWords(text), TokenizeWords(text).size()) << text;
+  }
 }
 
 TEST(StringUtilTest, ContainsSubstring) {

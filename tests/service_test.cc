@@ -14,10 +14,12 @@
 #include <vector>
 
 #include "service/generation.h"
+#include "service/plan_cache.h"
 #include "service/protocol.h"
 #include "service/query_service.h"
 #include "vql/interpreter.h"
 #include "workload/document_db.h"
+#include "workload/document_knowledge.h"
 
 namespace vodak {
 namespace service {
@@ -95,13 +97,21 @@ TEST(ProtocolTest, StatsLineRoundTrips) {
   stats.late_attached = 2;
   stats.extent_passes = 5;
   stats.property_reads = 40;
-  auto parsed = ParseStatsLine(FormatStatsLine(stats));
-  ASSERT_TRUE(parsed.ok());
+  stats.plan_cache_hits = 6;
+  stats.plan_cache_misses = 4;
+  const std::string line = FormatStatsLine(stats);
+  auto parsed = ParseStatsLine(line);
+  ASSERT_TRUE(parsed.ok()) << line;
   EXPECT_EQ(parsed.value().queries_admitted, 10u);
   EXPECT_EQ(parsed.value().queries_ok, 7u);
   EXPECT_EQ(parsed.value().generations, 3u);
   EXPECT_EQ(parsed.value().late_attached, 2u);
   EXPECT_EQ(parsed.value().property_reads, 40u);
+  EXPECT_EQ(parsed.value().plan_cache_hits, 6u);
+  EXPECT_EQ(parsed.value().plan_cache_misses, 4u);
+  // A line missing a field (the pre-plan-cache shape) is refused.
+  EXPECT_FALSE(
+      ParseStatsLine(line.substr(0, line.find(" plan_cache_hits="))).ok());
 }
 
 TEST(ProtocolTest, DigestIsOrderInsensitiveViaCanonicalSets) {
@@ -189,6 +199,25 @@ class ServiceTest : public ::testing::Test {
     auto result = session_->RunNaive(vql, row_mode);
     EXPECT_TRUE(result.ok()) << vql;
     return result.ok() ? result.value() : Value();
+  }
+
+  /// One round trip: sends `vql` as request `id`, returns the reply.
+  static Reply Ask(LineClient& client, const std::string& id,
+                   const std::string& vql) {
+    client.Send("Q " + id + " 0 " + vql);
+    auto reply = ParseReplyLine(client.ReadLine());
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    return reply.ok() ? reply.value() : Reply{};
+  }
+
+  /// A plan-cache entry over a real (if trivial) logical plan.
+  CachedPlan PlanOf(const std::string& ref) {
+    algebra::AlgebraContext ctx(&db_.catalog());
+    CachedPlan plan;
+    plan.plan = ctx.Get(ref, "Paragraph").value();
+    plan.result_ref = ref;
+    plan.scan_keys = PlanScanSourceKeys(plan.plan, &db_.catalog());
+    return plan;
   }
 
   workload::DocumentDb db_;
@@ -313,6 +342,264 @@ TEST_F(ServiceTest, ServesMultipleConnections) {
   }
   service.Stop();
   EXPECT_EQ(service.stats().queries_ok, 4u);
+}
+
+// ------------------------------------------------------- plan cache
+
+TEST_F(ServiceTest, RepeatedTextIsPlannedOnce) {
+  QueryService service(session_.get());
+  ASSERT_TRUE(service.Start().ok());
+  LineClient client(service.port());
+  ASSERT_TRUE(client.connected());
+  const std::string query =
+      "ACCESS p.number FROM p IN Paragraph WHERE p.number >= 1";
+  const Reply first = Ask(client, "a", query);
+  const Reply second = Ask(client, "b", query);
+  ASSERT_TRUE(first.ok()) << first.message;
+  ASSERT_TRUE(second.ok()) << second.message;
+  const Value expect = Oracle(query);
+  EXPECT_EQ(first.hash, DigestHex(ResultDigest(expect)));
+  EXPECT_EQ(second.hash, first.hash);
+  EXPECT_EQ(second.rows, first.rows);
+  EXPECT_EQ(second.rows, expect.AsSet().size());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.plan_cache_misses, 1u);
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
+  // The S line carries the same counters.
+  client.Send("S");
+  auto line = ParseStatsLine(client.ReadLine());
+  ASSERT_TRUE(line.ok());
+  EXPECT_EQ(line.value().plan_cache_hits, 1u);
+  EXPECT_EQ(line.value().plan_cache_misses, 1u);
+  service.Stop();
+}
+
+TEST_F(ServiceTest, CommitBetweenRepeatsForcesAReplan) {
+  QueryService service(session_.get());
+  ASSERT_TRUE(service.Start().ok());
+  LineClient client(service.port());
+  ASSERT_TRUE(client.connected());
+  const std::string query = "ACCESS p.number FROM p IN Paragraph";
+  const Reply before = Ask(client, "a", query);
+  ASSERT_TRUE(before.ok()) << before.message;
+
+  engine::QueryRequest write;
+  write.vql = "UPDATE Paragraph SET number = 99 WHERE self.number == 1";
+  std::vector<engine::QueryOutcome> wrote = session_->Submit({write});
+  ASSERT_TRUE(wrote[0].status.ok()) << wrote[0].status.ToString();
+
+  const Reply after = Ask(client, "b", query);
+  ASSERT_TRUE(after.ok()) << after.message;
+  // No writer runs after the commit, so the latest epoch is the one the
+  // reply read.
+  const Value expect = Oracle(query);
+  EXPECT_EQ(after.hash, DigestHex(ResultDigest(expect)));
+  EXPECT_NE(after.hash, before.hash);
+  EXPECT_EQ(service.stats().plan_cache_misses, 2u);
+  EXPECT_EQ(service.stats().plan_cache_hits, 0u);
+  // Without a further commit the replanned entry serves the next repeat.
+  const Reply again = Ask(client, "c", query);
+  ASSERT_TRUE(again.ok()) << again.message;
+  EXPECT_EQ(again.hash, after.hash);
+  EXPECT_EQ(service.stats().plan_cache_hits, 1u);
+  service.Stop();
+}
+
+TEST_F(ServiceTest, RegeneratedOptimizerForcesAReplan) {
+  // The paper's knowledge without E5: contains_string stays a per-row
+  // method filter and never searches the inverted index.
+  auto made = workload::MakePaperSession(&db_, {"E1", "E2", "E3", "E4"});
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  engine::Database& paper = *made.value();
+  ServiceOptions options;
+  options.optimize = true;
+  QueryService service(&paper, options);
+  ASSERT_TRUE(service.Start().ok());
+  LineClient client(service.port());
+  ASSERT_TRUE(client.connected());
+  const std::string query =
+      "ACCESS p FROM p IN Paragraph WHERE "
+      "p->contains_string('implementation')";
+  const std::string expect = DigestHex(ResultDigest(Oracle(query)));
+
+  const uint64_t searches_before = db_.paragraph_index().search_count();
+  const Reply without = Ask(client, "a", query);
+  ASSERT_TRUE(without.ok()) << without.message;
+  EXPECT_EQ(without.hash, expect);
+  EXPECT_EQ(db_.paragraph_index().search_count(), searches_before);
+
+  // Adding E5 and regenerating changes the plan for the same text: the
+  // reply must come from the new plan (an index search), not the cache.
+  ASSERT_TRUE(
+      workload::RegisterPaperKnowledge(&paper, db_.params(), {"E5"}).ok());
+  ASSERT_TRUE(paper.GenerateOptimizer().ok());
+  const Reply with = Ask(client, "b", query);
+  ASSERT_TRUE(with.ok()) << with.message;
+  EXPECT_EQ(with.hash, expect);
+  EXPECT_GT(db_.paragraph_index().search_count(), searches_before);
+  EXPECT_EQ(service.stats().plan_cache_misses, 2u);
+  EXPECT_EQ(service.stats().plan_cache_hits, 0u);
+  service.Stop();
+}
+
+TEST_F(ServiceTest, PlanErrorsAreNeverCached) {
+  QueryService service(session_.get());
+  ASSERT_TRUE(service.Start().ok());
+  LineClient client(service.port());
+  ASSERT_TRUE(client.connected());
+  for (const std::string bad :
+       {"THIS IS NOT VQL", "ACCESS x FROM x IN NoSuchClass"}) {
+    for (const char* id : {"e1", "e2"}) {
+      const Reply reply = Ask(client, id, bad);
+      EXPECT_EQ(reply.status.find("ERROR:"), 0u) << bad << ": "
+                                                  << reply.status;
+    }
+  }
+  // Every attempt planned afresh: an error left no entry to hit.
+  EXPECT_EQ(service.stats().plan_cache_hits, 0u);
+  EXPECT_EQ(service.stats().plan_cache_misses, 4u);
+  service.Stop();
+}
+
+TEST_F(ServiceTest, ConnectionsSharingATextShareOnePlan) {
+  QueryService service(session_.get());
+  ASSERT_TRUE(service.Start().ok());
+  const std::string query = "ACCESS s FROM s IN Section WHERE s.number == 1";
+  const std::string expect = DigestHex(ResultDigest(Oracle(query)));
+  LineClient a(service.port());
+  LineClient b(service.port());
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b.connected());
+  // Both arrive back to back, so they usually land in one generation
+  // (together or by late attach); either way the second reuses the
+  // first's plan.
+  a.Send("Q a 0 " + query);
+  b.Send("Q b 0 " + query);
+  for (LineClient* client : {&a, &b}) {
+    auto reply = ParseReplyLine(client->ReadLine());
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply.value().ok()) << reply.value().message;
+    EXPECT_EQ(reply.value().hash, expect);
+  }
+  EXPECT_EQ(service.stats().plan_cache_misses, 1u);
+  EXPECT_EQ(service.stats().plan_cache_hits, 1u);
+  service.Stop();
+  EXPECT_EQ(service.stats().queries_ok, 2u);
+}
+
+TEST_F(ServiceTest, DistinctTextsBeyondCapacityStayBounded) {
+  QueryService service(session_.get());
+  ASSERT_TRUE(service.Start().ok());
+  LineClient client(service.port());
+  ASSERT_TRUE(client.connected());
+  const size_t n = PlanCache::kCapacity + 8;
+  auto text = [](size_t i) {
+    return "ACCESS p.number FROM p IN Paragraph WHERE p.number <= " +
+           std::to_string(i);
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const Reply reply = Ask(client, "q" + std::to_string(i), text(i));
+    ASSERT_TRUE(reply.ok()) << reply.message;
+    EXPECT_EQ(reply.hash, DigestHex(ResultDigest(Oracle(text(i)))));
+  }
+  EXPECT_EQ(service.stats().plan_cache_misses, n);
+  // The oldest text was evicted to stay within the cap; the newest was
+  // not.
+  ASSERT_TRUE(Ask(client, "old", text(0)).ok());
+  EXPECT_EQ(service.stats().plan_cache_misses, n + 1);
+  ASSERT_TRUE(Ask(client, "new", text(n - 1)).ok());
+  EXPECT_EQ(service.stats().plan_cache_hits, 1u);
+  service.Stop();
+}
+
+TEST_F(ServiceTest, SubmitsOfOtherSizesKeepTheServicePoolAlive) {
+  // The service's scheduler holds its lane pool for its whole life;
+  // Submits asking the session for other sizes must not replace it.
+  ServiceOptions options;
+  options.lanes = 3;
+  QueryService service(session_.get(), options);
+  ASSERT_TRUE(service.Start().ok());
+  LineClient client(service.port());
+  ASSERT_TRUE(client.connected());
+  const std::string query = "ACCESS p.number FROM p IN Paragraph";
+  const std::string expect = DigestHex(ResultDigest(Oracle(query)));
+  const Reply first = Ask(client, "a", query);
+  ASSERT_TRUE(first.ok()) << first.message;
+  EXPECT_EQ(first.hash, expect);
+
+  // A lone query on the intra-query path with 4 threads.
+  engine::RunOptions four;
+  four.threads = 4;
+  auto single = session_->Run(query, {/*optimize=*/false}, four);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  // A two-query batch on 2 lanes.
+  engine::QueryRequest request;
+  request.vql = query;
+  request.plan.optimize = false;
+  engine::SubmitOptions two;
+  two.lanes = 2;
+  for (const engine::QueryOutcome& outcome :
+       session_->Submit({request, request}, two)) {
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  }
+
+  const Reply after = Ask(client, "b", query);
+  ASSERT_TRUE(after.ok()) << after.message;
+  EXPECT_EQ(after.hash, expect);
+  service.Stop();
+  EXPECT_EQ(service.stats().queries_ok, 2u);
+}
+
+
+TEST_F(ServiceTest, PlanCacheHitSharesTheStoredPlan) {
+  PlanCache cache;
+  const PlanStamp stamp{4, 1};
+  EXPECT_EQ(cache.Find("q", stamp), nullptr);
+  const CachedPlan* stored = cache.Insert("q", stamp, PlanOf("p"));
+  const CachedPlan* first = cache.Find("q", stamp);
+  const CachedPlan* second = cache.Find("q", stamp);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(first, stored);
+  // Every hit hands out the one LogicalRef planning produced.
+  EXPECT_EQ(first->plan.get(), second->plan.get());
+  EXPECT_EQ(first->result_ref, "p");
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST_F(ServiceTest, PlanCacheEmptiesOnAnyStampChange) {
+  PlanCache cache;
+  cache.Insert("a", {4, 1}, PlanOf("p"));
+  cache.Insert("b", {4, 1}, PlanOf("p"));
+  // A commit (epoch) or a regenerated optimizer (generation) each
+  // invalidate every entry.
+  EXPECT_EQ(cache.Find("a", {5, 1}), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  cache.Insert("a", {5, 1}, PlanOf("p"));
+  EXPECT_EQ(cache.Find("a", {5, 2}), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  // Going back to an old stamp does not resurrect anything.
+  EXPECT_EQ(cache.Find("b", {4, 1}), nullptr);
+}
+
+TEST_F(ServiceTest, PlanCacheStaysWithinCapacityEvictingLru) {
+  PlanCache cache;
+  const PlanStamp stamp{1, 1};
+  const size_t n = PlanCache::kCapacity + 10;
+  for (size_t i = 0; i < n; ++i) {
+    cache.Insert("q" + std::to_string(i), stamp, PlanOf("p"));
+    if (i == 0) continue;
+    // Keep q0 hot: it must survive every eviction.
+    ASSERT_NE(cache.Find("q0", stamp), nullptr) << i;
+    EXPECT_LE(cache.size(), PlanCache::kCapacity);
+  }
+  EXPECT_EQ(cache.size(), PlanCache::kCapacity);
+  EXPECT_EQ(cache.Find("q1", stamp), nullptr);  // least recently used
+  EXPECT_NE(cache.Find("q" + std::to_string(n - 1), stamp), nullptr);
+  // Re-inserting a present text replaces it without growing.
+  cache.Insert("q0", stamp, PlanOf("r"));
+  EXPECT_EQ(cache.size(), PlanCache::kCapacity);
+  EXPECT_EQ(cache.Find("q0", stamp)->result_ref, "r");
 }
 
 // ------------------------------------------------ scheduler (direct)
