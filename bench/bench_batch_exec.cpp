@@ -1,24 +1,21 @@
-// Experiment X7: batch-at-a-time vs tuple-at-a-time physical execution,
-// extended with the morsel-driven parallel pipeline (X7b). Drives the
-// same scan+select plan (extent scan over ~100k Paragraph objects,
-// predicate on a stored property) through the row pipeline (Next), the
-// vectorized pipeline (NextBatch) and the parallel driver at a sweep of
-// thread counts, and reports throughput plus the batch/row and
-// parallel/serial speedups. Acceptance bars: >= 2x for batch over row,
-// and >= 2x at threads=4 over threads=1 (on hardware with >= 4 cores;
-// the JSON records hardware_concurrency so single-core CI runs are
-// interpretable).
+// Experiment X7: the batch-at-a-time physical pipeline and the
+// morsel-driven parallel driver. Drives one scan+select plan (extent
+// scan over ~100k Paragraph objects, predicate on a stored property)
+// through the serial NextBatch pipeline and the parallel driver at a
+// sweep of thread counts, and reports throughput plus the
+// parallel/serial speedups. Acceptance bar: >= 2x at threads=4 over
+// threads=1 (on hardware with >= 4 cores; the JSON records
+// hardware_concurrency so single-core CI runs are interpretable).
 //
 // A second section (X8) measures the set-at-a-time method ABI on the
 // paper's own workload shape — WHERE clauses calling external methods:
 // the IR predicate `p->contains_string(s)` (batch dispatch amortizes
 // the content-column read and query tokenization) and the IR retrieval
 // `p IS-IN Paragraph->retrieve_by_string(s)` (batch dispatch dedups the
-// constant argument into ONE postings intersection per ~1024-row batch,
-// where the row pipeline probes the index once per row). The method
-// corpus is capped (--method-docs) because the row-mode probe storm is
-// quadratic-ish in corpus size; the JSON records the probe counts so
-// the amortization is checkable, not just the wall clock.
+// constant argument into ONE postings intersection per ~1024-row
+// batch). The method corpus is capped (--method-docs) to keep the
+// section quick; the JSON records the probe counts so the amortization
+// is checkable, not just the wall clock.
 //
 // A third section (X9) measures the selection-vector pipeline on a
 // multi-predicate selection chain (map + three stacked filters, the
@@ -35,7 +32,7 @@
 //                        ~100k paragraphs, 3 sections x 4 paragraphs)
 //        --method-docs=N corpus size for the method workloads
 //                        (default min(docs, 800))
-//        --reps=N        timed repetitions per mode (default 5)
+//        --reps=N        timed repetitions per measurement (default 5)
 //        --json=PATH     machine-readable scan+parallel results
 //        --json-method=PATH machine-readable method-ABI results
 //        --json-selvec=PATH machine-readable selection-chain results
@@ -87,32 +84,21 @@ PlanFixture MakePlan(workload::DocumentDb* db, const std::string& vql) {
   return fixture;
 }
 
-/// One timed drain through the chosen pipeline; returns (elapsed ms,
-/// rows emitted by the plan root).
-std::pair<double, size_t> RunOnce(const PlanFixture& fixture,
-                                  exec::ExecMode mode) {
+/// One timed serial NextBatch drain; returns (elapsed ms, rows emitted
+/// by the plan root).
+std::pair<double, size_t> RunOnce(const PlanFixture& fixture) {
   auto phys = exec::BuildPhysical(fixture.plan, fixture.exec_ctx);
   VODAK_CHECK(phys.ok()) << phys.status().ToString();
   exec::PhysOperator* root = phys.value().get();
   size_t rows = 0;
   auto start = std::chrono::steady_clock::now();
   VODAK_CHECK(root->Open().ok());
-  if (mode == exec::ExecMode::kRow) {
-    exec::Row row;
-    for (;;) {
-      auto more = root->Next(&row);
-      VODAK_CHECK(more.ok()) << more.status().ToString();
-      if (!more.value()) break;
-      ++rows;
-    }
-  } else {
-    exec::RowBatch batch;
-    for (;;) {
-      auto more = root->NextBatch(&batch);
-      VODAK_CHECK(more.ok()) << more.status().ToString();
-      if (!more.value()) break;
-      rows += batch.active_rows();  // filters emit selected batches
-    }
+  exec::RowBatch batch;
+  for (;;) {
+    auto more = root->NextBatch(&batch);
+    VODAK_CHECK(more.ok()) << more.status().ToString();
+    if (!more.value()) break;
+    rows += batch.active_rows();  // filters emit selected batches
   }
   root->Close();
   return {MsSince(start), rows};
@@ -141,20 +127,18 @@ struct ParallelPoint {
   double speedup_vs_threads1 = 0.0;
 };
 
-/// Row-vs-batch timings for one method-ABI workload, plus the external
-/// index probe counts that prove the set-at-a-time amortization.
+/// Batch-drain timing for one method-ABI workload, plus the external
+/// index probe count that proves the set-at-a-time amortization.
 struct MethodPoint {
   const char* key = "";
   const char* vql = "";
-  double row_ms = 0.0;
   double batch_ms = 0.0;
   size_t hits = 0;
-  uint64_t probes_row = 0;    // IR searches during one row drain
   uint64_t probes_batch = 0;  // IR searches during one batch drain
 };
 
-/// Times one method workload through both pipelines and records the IR
-/// probe counts of a single drain of each.
+/// Times one method workload and records the IR probe count of a single
+/// drain.
 MethodPoint RunMethodWorkload(workload::DocumentDb* db, const char* key,
                               const char* vql, int reps) {
   MethodPoint point;
@@ -162,20 +146,9 @@ MethodPoint RunMethodWorkload(workload::DocumentDb* db, const char* key,
   point.vql = vql;
   PlanFixture fixture = MakePlan(db, vql);
   db->ResetCounters();
-  auto warm_row = RunOnce(fixture, exec::ExecMode::kRow);
-  point.probes_row = db->paragraph_index().search_count();
-  db->ResetCounters();
-  auto warm_batch = RunOnce(fixture, exec::ExecMode::kBatch);
+  point.hits = RunOnce(fixture).second;
   point.probes_batch = db->paragraph_index().search_count();
-  VODAK_CHECK(warm_row.second == warm_batch.second)
-      << key << ": row/batch cardinality mismatch: " << warm_row.second
-      << " vs " << warm_batch.second;
-  point.hits = warm_row.second;
-  for (int r = 0; r < reps; ++r) {
-    point.row_ms += RunOnce(fixture, exec::ExecMode::kRow).first;
-    point.batch_ms += RunOnce(fixture, exec::ExecMode::kBatch).first;
-  }
-  point.row_ms /= reps;
+  for (int r = 0; r < reps; ++r) point.batch_ms += RunOnce(fixture).first;
   point.batch_ms /= reps;
   return point;
 }
@@ -232,32 +205,19 @@ int main(int argc, char** argv) {
   PlanFixture fixture = MakePlan(
       &db, "ACCESS p FROM p IN Paragraph WHERE p.number >= 1");
 
-  // Warm-up (also validates that both modes agree on the result).
-  auto warm_row = RunOnce(fixture, exec::ExecMode::kRow);
-  auto warm_batch = RunOnce(fixture, exec::ExecMode::kBatch);
-  VODAK_CHECK(warm_row.second == warm_batch.second)
-      << "row/batch cardinality mismatch: " << warm_row.second << " vs "
-      << warm_batch.second;
+  // Warm-up; its cardinality is the reference for the parallel sweep.
+  const size_t hits = RunOnce(fixture).second;
 
-  double row_ms = 0.0;
   double batch_ms = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    row_ms += RunOnce(fixture, exec::ExecMode::kRow).first;
-    batch_ms += RunOnce(fixture, exec::ExecMode::kBatch).first;
-  }
-  row_ms /= reps;
+  for (int r = 0; r < reps; ++r) batch_ms += RunOnce(fixture).first;
   batch_ms /= reps;
 
-  const double row_mrows =
-      num_paragraphs / row_ms / 1000.0;  // million rows/s
-  const double batch_mrows = num_paragraphs / batch_ms / 1000.0;
+  const double batch_mrows =
+      num_paragraphs / batch_ms / 1000.0;  // million rows/s
   std::printf("workload: scan+select over %zu paragraphs, %zu hits\n",
-              num_paragraphs, warm_row.second);
-  std::printf("row-at-a-time   (Next):      %8.2f ms  %6.2f Mrows/s\n",
-              row_ms, row_mrows);
+              num_paragraphs, hits);
   std::printf("batch-at-a-time (NextBatch): %8.2f ms  %6.2f Mrows/s\n",
               batch_ms, batch_mrows);
-  std::printf("batch_vs_row_speedup: %.2fx\n", row_ms / batch_ms);
 
   // Morsel-driven parallel sweep. One pool sized for the largest sweep
   // point, reused across thread counts (ParallelRun claims only as many
@@ -268,9 +228,9 @@ int main(int argc, char** argv) {
   double t1_ms = 0.0;
   for (size_t threads : sweep) {
     auto warm = RunParallelOnce(fixture, threads, &pool);
-    VODAK_CHECK(warm.second == warm_row.second)
+    VODAK_CHECK(warm.second == hits)
         << "parallel cardinality mismatch at threads=" << threads
-        << ": " << warm.second << " vs " << warm_row.second;
+        << ": " << warm.second << " vs " << hits;
     double ms = 0.0;
     for (int r = 0; r < reps; ++r) {
       ms += RunParallelOnce(fixture, threads, &pool).first;
@@ -307,14 +267,11 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"workload\": \"scan+select p.number >= 1\",\n");
     std::fprintf(f, "  \"docs\": %u,\n", docs);
     std::fprintf(f, "  \"paragraphs\": %zu,\n", num_paragraphs);
-    std::fprintf(f, "  \"hits\": %zu,\n", warm_row.second);
+    std::fprintf(f, "  \"hits\": %zu,\n", hits);
     std::fprintf(f, "  \"reps\": %d,\n", reps);
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
                  std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"row_ms\": %.3f,\n", row_ms);
     std::fprintf(f, "  \"batch_ms\": %.3f,\n", batch_ms);
-    std::fprintf(f, "  \"batch_vs_row_speedup\": %.3f,\n",
-                 row_ms / batch_ms);
     std::fprintf(f, "  \"parallel\": [\n");
     for (size_t i = 0; i < points.size(); ++i) {
       std::fprintf(f,
@@ -337,8 +294,7 @@ int main(int argc, char** argv) {
   // -------- X8: set-at-a-time method dispatch on external methods.
   const size_t method_paragraphs = static_cast<size_t>(method_docs) * 3 * 4;
   // The scan corpus is reused when it already has the right size (the
-  // CI smoke shape); otherwise a capped method corpus is built — the
-  // row pipeline's one-probe-per-row storm makes larger ones pointless.
+  // CI smoke shape); otherwise a capped method corpus is built.
   workload::DocumentDb mdb_storage;
   workload::DocumentDb* mdb = &db;
   if (method_docs != docs) {
@@ -364,11 +320,11 @@ int main(int argc, char** argv) {
       "Paragraph->retrieve_by_string('implementation')",
       reps));
   for (const MethodPoint& p : method_points) {
-    std::printf("method workload %-16s %8.2f ms row  %8.2f ms batch  "
-                "%5.2fx  (IR probes: %llu row vs %llu batch)\n",
-                p.key, p.row_ms, p.batch_ms, p.row_ms / p.batch_ms,
-                static_cast<unsigned long long>(p.probes_row),
-                static_cast<unsigned long long>(p.probes_batch));
+    std::printf("method workload %-16s %8.2f ms  %zu hits  "
+                "(IR probes: %llu for %zu rows)\n",
+                p.key, p.batch_ms, p.hits,
+                static_cast<unsigned long long>(p.probes_batch),
+                method_paragraphs);
   }
 
   if (!json_method_path.empty()) {
@@ -391,12 +347,8 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           "    {\"workload\": \"%s\", \"vql\": \"%s\", \"hits\": %zu,\n"
-          "     \"row_ms\": %.3f, \"batch_ms\": %.3f, "
-          "\"batch_vs_row_speedup\": %.3f,\n"
-          "     \"ir_probes_row\": %llu, \"ir_probes_batch\": %llu}%s\n",
-          p.key, p.vql, p.hits, p.row_ms, p.batch_ms,
-          p.row_ms / p.batch_ms,
-          static_cast<unsigned long long>(p.probes_row),
+          "     \"batch_ms\": %.3f, \"ir_probes_batch\": %llu}%s\n",
+          p.key, p.vql, p.hits, p.batch_ms,
           static_cast<unsigned long long>(p.probes_batch),
           i + 1 < method_points.size() ? "," : "");
     }

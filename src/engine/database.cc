@@ -113,7 +113,7 @@ Status Database::ExecuteSingle(const QueryRequest& request,
   const size_t threads = exec::ResolveThreads(request.run.threads);
   auto start = std::chrono::steady_clock::now();
   exec::ParallelPlanStatePtr pstate;
-  if (request.run.batch && threads > 1) {
+  if (threads > 1) {
     // Probe for a parallelizable driving scan up front, so plans with
     // none (set ops on the driving path) reuse the already-built
     // serial tree instead of paying a second plan build in the driver.
@@ -139,12 +139,10 @@ Status Database::ExecuteSingle(const QueryRequest& request,
                                     result_ref, popts,
                                     std::move(pstate)));
   } else {
-    // Serial batch drains may lower the plan to the bytecode VM
-    // (exec/vm.h): the same ExecuteColumn drives either root, so the
-    // engine above cannot tell compiled from interpreted execution.
-    // Row mode stays on the tree — it is the independent oracle the VM
-    // is differentially tested against.
-    if (request.run.batch && request.run.vm != VmMode::kOff) {
+    // Serial drains may lower the plan to the bytecode VM (exec/vm.h):
+    // the same ExecuteColumn drives either root, so the engine above
+    // cannot tell compiled from interpreted execution.
+    if (request.run.vm != VmMode::kOff) {
       VODAK_ASSIGN_OR_RETURN(
           exec::VmChoice vm,
           exec::TryCompileVm(result->chosen_plan, exec_ctx,
@@ -152,11 +150,8 @@ Status Database::ExecuteSingle(const QueryRequest& request,
       result->physical_explain += vm.annotation;
       if (vm.compiled) root = std::move(vm.op);
     }
-    VODAK_ASSIGN_OR_RETURN(
-        result->result,
-        exec::ExecuteColumn(root.get(), result_ref,
-                            request.run.batch ? exec::ExecMode::kBatch
-                                              : exec::ExecMode::kRow));
+    VODAK_ASSIGN_OR_RETURN(result->result,
+                           exec::ExecuteColumn(root.get(), result_ref));
   }
   stats->drain_ms = MsSince(start);
   result->execute_ms = stats->drain_ms;
@@ -312,7 +307,6 @@ std::vector<QueryOutcome> Database::Submit(
     query.result_ref = algebra::ResultRef(bound);
     query.cancel = request.cancel;
     query.deadline = request.deadline;
-    query.batch = request.run.batch;
     runnable.push_back(i);
     plans.push_back(std::move(query));
   }
@@ -394,29 +388,6 @@ Result<QueryResult> Database::Run(const std::string& vql,
   std::vector<QueryOutcome> outcomes = Submit({request});
   VODAK_RETURN_IF_ERROR(outcomes[0].status);
   return std::move(outcomes[0].result);
-}
-
-Result<std::vector<QueryResult>> Database::RunConcurrent(
-    const std::vector<std::string>& queries, const SubmitOptions& options,
-    const PlanOptions& plan, const RunOptions& run) {
-  std::vector<QueryResult> out;
-  if (queries.empty()) return out;  // nothing to plan, no pool to spawn
-  std::vector<QueryRequest> requests;
-  requests.reserve(queries.size());
-  for (const std::string& vql : queries) {
-    QueryRequest request;
-    request.vql = vql;
-    request.plan = plan;
-    request.run = run;
-    requests.push_back(std::move(request));
-  }
-  std::vector<QueryOutcome> outcomes = Submit(requests, options);
-  out.reserve(outcomes.size());
-  for (QueryOutcome& outcome : outcomes) {
-    VODAK_RETURN_IF_ERROR(outcome.status);
-    out.push_back(std::move(outcome.result));
-  }
-  return out;
 }
 
 exec::WorkerPool* Database::EnsurePool(size_t threads) {

@@ -89,15 +89,6 @@ class Database {
                           const PlanOptions& plan = {},
                           const RunOptions& run = {});
 
-  /// Concurrent-batch shim over Submit with the all-or-nothing
-  /// contract (first failing member fails the call) kept for callers
-  /// without per-query error handling. results[i] belongs to
-  /// queries[i]; execute_ms is each query's own drain time.
-  Result<std::vector<QueryResult>> RunConcurrent(
-      const std::vector<std::string>& queries,
-      const SubmitOptions& options = {}, const PlanOptions& plan = {},
-      const RunOptions& run = {});
-
   /// Ground-truth evaluation through the naive interpreter (S9); used by
   /// the correctness property tests and as the paper's "straightforward
   /// evaluation" baseline. `options` selects the interpreter's row-mode
@@ -105,7 +96,7 @@ class Database {
   Result<Value> RunNaive(const std::string& vql,
                          const vql::Interpreter::Options& options = {}) const;
 
-  /// Naive counterpart of RunConcurrent: evaluates the query batch
+  /// Naive counterpart of a multi-query Submit: evaluates the query batch
   /// through the interpreter with a shared-scan manager installed, so
   /// the batch pays one extent pass per class (the queries themselves
   /// evaluate one after another — the naive path stays the simple

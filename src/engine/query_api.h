@@ -2,8 +2,8 @@
 // ExecOptions into PlanOptions (planning knobs) / RunOptions (one
 // query's execution knobs) / SubmitOptions (batch-level knobs), and
 // made Database::Submit(std::vector<QueryRequest>) →
-// std::vector<QueryOutcome> the one entry point that Run and
-// RunConcurrent shim over; the migration table is in
+// std::vector<QueryOutcome> the one entry point (Run is a one-query
+// shim over it); the migration table is in
 // docs/ARCHITECTURE.md §"Query service & admission control".
 #ifndef VODAK_ENGINE_QUERY_API_H_
 #define VODAK_ENGINE_QUERY_API_H_
@@ -36,8 +36,8 @@ struct PlanOptions {
 /// cost model pick VM vs operator tree (the production default); kOff
 /// pins the operator tree (the differential baseline); kForce compiles
 /// every *eligible* plan regardless of cost (the differential subject —
-/// ineligible shapes still fall back to the tree). Row-mode and
-/// parallel drains never use the VM.
+/// ineligible shapes still fall back to the tree). Parallel and
+/// shared-scan drains never use the VM.
 enum class VmMode { kAuto, kOff, kForce };
 
 /// One query's execution knobs. Batch-level knobs (lanes, shared
@@ -46,19 +46,15 @@ struct RunOptions {
   /// Execute the chosen plan; false stops after planning (used by
   /// optimizer-scaling benchmarks where execution would dominate).
   bool execute = true;
-  /// Drive the physical plan batch-at-a-time (the vectorized
-  /// pipeline); false falls back to the row-at-a-time Volcano path.
-  bool batch = true;
   /// Worker threads for *intra-query* morsel-driven parallelism when
   /// the query runs alone. 1 keeps the serial pipeline, 0 resolves to
-  /// the hardware concurrency (requires batch=true; ignored in row
-  /// mode, which exists as the independent oracle). Ignored for
-  /// multi-query Submit batches, where SubmitOptions::lanes sizes the
-  /// inter-query parallelism instead.
+  /// the hardware concurrency. Ignored for multi-query Submit batches,
+  /// where SubmitOptions::lanes sizes the inter-query parallelism
+  /// instead.
   size_t threads = 1;
   /// Upper bound on rows per morsel in the parallel path.
   size_t morsel_size = exec::kDefaultMorselSize;
-  /// Compiled execution: whether the serial batch drain may lower the
+  /// Compiled execution: whether the serial drain may lower the
   /// plan to the bytecode VM (exec/vm.h). EXPLAIN reports the choice
   /// either way as a `[vm: ...]` annotation.
   VmMode vm = VmMode::kAuto;
@@ -122,7 +118,7 @@ struct QueryResult {
   std::string physical_explain;
   /// The epoch this query read at (write requests: the epoch their
   /// batch committed as). Duplicated from QueryStats::snapshot_epoch so
-  /// the Run/RunConcurrent shims — which drop stats — still surface it.
+  /// the Run shim — which drops stats — still surfaces it.
   Epoch snapshot_epoch = kEpochLatest;
 };
 

@@ -183,10 +183,7 @@ Result<std::vector<ConcurrentQueryOutcome>> ExecuteConcurrentOutcomes(
       VODAK_ASSIGN_OR_RETURN(PhysOpPtr root,
                              BuildPhysical(queries[q].plan, member_ctx));
       VODAK_ASSIGN_OR_RETURN(
-          o.value,
-          ExecuteColumn(root.get(), queries[q].result_ref,
-                        queries[q].batch ? ExecMode::kBatch
-                                         : ExecMode::kRow));
+          o.value, ExecuteColumn(root.get(), queries[q].result_ref));
       return Status::OK();
     }();
     o.drain_ms = ms_since(drain_start);
@@ -218,25 +215,6 @@ Result<std::vector<Value>> ExecuteConcurrentColumns(
     results[i] = std::move(outcomes[i].value);
   }
   return results;
-}
-
-Result<Value> ParallelExecuteToSet(const algebra::LogicalRef& plan,
-                                   const ExecContext& ctx,
-                                   const ParallelOptions& options) {
-  VODAK_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                         ParallelDrainRows(plan, ctx, options));
-  const std::vector<std::string> refs = SchemaRefs(plan);
-  std::vector<Value> tuples;
-  tuples.reserve(rows.size());
-  for (Row& row : rows) {
-    ValueTuple fields;
-    fields.reserve(refs.size());
-    for (size_t i = 0; i < refs.size(); ++i) {
-      fields.emplace_back(refs[i], std::move(row[i]));
-    }
-    tuples.push_back(Value::Tuple(std::move(fields)));
-  }
-  return Value::Set(std::move(tuples));
 }
 
 Result<Value> ParallelExecuteColumn(const algebra::LogicalRef& plan,

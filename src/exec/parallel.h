@@ -47,12 +47,6 @@ Result<std::vector<Row>> ParallelDrainRows(
     const ParallelOptions& options, bool* parallelized = nullptr,
     ParallelPlanStatePtr prepared = nullptr);
 
-/// Parallel counterpart of ExecuteToSet: drains the plan in parallel
-/// and canonicalizes the merged rows into a set of tuples.
-Result<Value> ParallelExecuteToSet(const algebra::LogicalRef& plan,
-                                   const ExecContext& ctx,
-                                   const ParallelOptions& options);
-
 /// Parallel counterpart of ExecuteColumn: drains the plan in parallel
 /// and canonicalizes one reference's column into a value set.
 Result<Value> ParallelExecuteColumn(const algebra::LogicalRef& plan,
@@ -63,8 +57,8 @@ Result<Value> ParallelExecuteColumn(const algebra::LogicalRef& plan,
 
 /// One query of a concurrent batch: its plan plus the reference whose
 /// column is the query result (algebra::ResultRef of the bound query),
-/// and the per-query execution knobs — cancellation, deadline, drain
-/// mode — that used to leak into the batch-level options.
+/// and the per-query execution knobs — cancellation and deadline — that
+/// used to leak into the batch-level options.
 struct ConcurrentQuery {
   algebra::LogicalRef plan;
   std::string result_ref;
@@ -72,10 +66,6 @@ struct ConcurrentQuery {
   /// checked before the drain opens and at every scan-leaf batch.
   const CancellationToken* cancel = nullptr;
   Deadline deadline;
-  /// Drain this query batch-at-a-time (the vectorized pipeline); false
-  /// drains row-at-a-time — the same oracle knob as
-  /// engine::RunOptions::batch, honored per query.
-  bool batch = true;
 };
 
 /// Knobs for the shared-scan multi-query driver.

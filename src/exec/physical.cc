@@ -28,21 +28,6 @@ int PhysOperator::RefIndex(const std::string& name) const {
   return -1;
 }
 
-Result<bool> PhysOperator::NextBatch(RowBatch* batch) {
-  // Every NextBatch entry — this adapter and the native overrides —
-  // counts one virtual batch hand-off, the per-operator cost the VM
-  // backend (exec/vm.h) fuses away; ci.sh --vm gates on the ratio.
-  VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
-  batch->Reset(refs_.size());
-  Row row;
-  while (batch->num_rows() < kDefaultBatchSize) {
-    VODAK_ASSIGN_OR_RETURN(bool more, Next(&row));
-    if (!more) break;
-    batch->AppendRow(row);
-  }
-  return batch->num_rows() > 0;
-}
-
 namespace {
 
 std::vector<std::string> RefsOf(const LogicalRef& node) {
@@ -50,12 +35,6 @@ std::vector<std::string> RefsOf(const LogicalRef& node) {
   refs.reserve(node->schema().size());
   for (const auto& [name, type] : node->schema()) refs.push_back(name);
   return refs;  // map order = sorted
-}
-
-Env EnvFromRow(const std::vector<std::string>& refs, const Row& row) {
-  Env env;
-  for (size_t i = 0; i < refs.size(); ++i) env[refs[i]] = row[i];
-  return env;
 }
 
 /// Batch environment over a batch's live rows: dense when the batch is
@@ -469,39 +448,22 @@ class ScanOp : public PhysOperator {
         cancel_(ctx.cancel),
         deadline_(ctx.deadline) {}
 
-  Status Open() override {
-    row_pos_ = 0;
-    row_batch_.Reset(1);
-    return source_->Open();
-  }
-  Result<bool> Next(Row* row) override {
-    // The row path drains the source batch-wise through a private
-    // buffer; scan leaves have no per-row evaluation, so this is the
-    // same value stream the dedicated row cursors produced.
-    while (row_pos_ >= row_batch_.num_rows()) {
-      VODAK_RETURN_IF_ERROR(CheckQueryAlive(cancel_, deadline_));
-      VODAK_ASSIGN_OR_RETURN(bool more, source_->NextBatch(&row_batch_));
-      if (!more) return false;
-      row_pos_ = 0;
-    }
-    row->assign(1, row_batch_.column(0)[row_pos_++]);
-    ++rows_produced_;
-    return true;
-  }
+  Status Open() override { return source_->Open(); }
   Result<bool> NextBatch(RowBatch* batch) override {
+    // Every NextBatch entry counts one virtual batch hand-off, the
+    // per-operator cost the VM backend (exec/vm.h) fuses away; ci.sh
+    // --vm gates on the ratio.
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     // The executor's cancellation point: every pipeline drains through
     // its scan leaves (blocking join builds included), so one check per
-    // leaf batch bounds cancel latency at ~a batch of rows everywhere.
+    // leaf batch bounds cancel latency at ~a batch of rows — except
+    // under a nested-loop join's fan-out, which polls on its own.
     VODAK_RETURN_IF_ERROR(CheckQueryAlive(cancel_, deadline_));
     VODAK_ASSIGN_OR_RETURN(bool more, source_->NextBatch(batch));
     if (more) rows_produced_ += batch->num_rows();
     return more;
   }
-  void Close() override {
-    source_->Close();
-    row_batch_.Reset(0);
-  }
+  void Close() override { source_->Close(); }
   std::string name() const override { return source_->name(); }
   std::string params() const override {
     return refs_[0] + " IN " + source_->describe() + " " +
@@ -515,8 +477,6 @@ class ScanOp : public PhysOperator {
   BatchSourcePtr source_;
   const CancellationToken* cancel_;
   Deadline deadline_;
-  RowBatch row_batch_;
-  size_t row_pos_ = 0;
 };
 
 /// Physical select<condition>. Density contract (operator-contract
@@ -535,19 +495,6 @@ class Filter : public PhysOperator {
         compacts_(ctx.filter_compacts) {}
 
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* row) override {
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-      if (!more) return false;
-      VODAK_ASSIGN_OR_RETURN(
-          bool keep,
-          evaluator_.EvalPredicate(cond_, EnvFromRow(refs_, *row)));
-      if (keep) {
-        ++rows_produced_;
-        return true;
-      }
-    }
-  }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     // refs_ == child refs, so the child's batch is filtered in place:
@@ -583,7 +530,15 @@ class Filter : public PhysOperator {
   std::vector<char> keep_;
 };
 
-/// Nested-loop join with arbitrary condition (inner side materialized).
+/// Nested-loop join with an arbitrary condition; the inner (right) side
+/// is materialized in Open. Density contract (operator-contract table,
+/// docs/ARCHITECTURE.md §"Selection vectors"): the left input is
+/// iterated through its selection view, the inner side compacts at the
+/// density boundary, and each output batch of candidate pairs is
+/// emitted *selected* — the condition marks the surviving pairs. A left
+/// row whose pairs overflow one batch resumes in the next. One batch of
+/// pairs can stand for a whole left batch times the inner side, so the
+/// join polls cancel/deadline itself, once per output batch.
 class NestedLoopJoin : public PhysOperator {
  public:
   NestedLoopJoin(const ExecContext& ctx, PhysOpPtr left, PhysOpPtr right,
@@ -595,8 +550,16 @@ class NestedLoopJoin : public PhysOperator {
         left_(std::move(left)),
         right_(std::move(right)),
         cond_(std::move(cond)),
-        shared_(shared) {
-    BuildOutputMap();
+        cross_product_(cond_->kind() == ExprKind::kConst &&
+                       cond_->value().is_bool() && cond_->value().AsBool()),
+        shared_(shared),
+        cancel_(ctx.cancel),
+        deadline_(ctx.deadline) {
+    for (const std::string& ref : refs_) {
+      int li = left_->RefIndex(ref);
+      from_left_.push_back(li);
+      from_right_.push_back(li >= 0 ? -1 : right_->RefIndex(ref));
+    }
   }
 
   Status Open() override {
@@ -614,36 +577,70 @@ class NestedLoopJoin : public PhysOperator {
       VODAK_RETURN_IF_ERROR(MaterializeInner(&own_rows_));
       right_rows_ = &own_rows_;
     }
+    left_batch_.Reset(0);
+    left_pos_ = 0;
     right_pos_ = 0;
-    left_valid_ = false;
+    left_done_ = false;
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row) override {
-    for (;;) {
-      if (!left_valid_) {
-        VODAK_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
-        if (!more) return false;
-        left_valid_ = true;
-        right_pos_ = 0;
-      }
-      while (right_pos_ < right_rows_->size()) {
-        const Row& right_row = (*right_rows_)[right_pos_++];
-        Merge(left_row_, right_row, row);
-        VODAK_ASSIGN_OR_RETURN(
-            bool keep,
-            evaluator_.EvalPredicate(cond_, EnvFromRow(refs_, *row)));
-        if (keep) {
-          ++rows_produced_;
-          return true;
+  Result<bool> NextBatch(RowBatch* batch) override {
+    VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
+    const std::vector<Row>& inner = *right_rows_;
+    while (!left_done_ && !inner.empty()) {
+      VODAK_RETURN_IF_ERROR(CheckQueryAlive(cancel_, deadline_));
+      batch->Reset(refs_.size());
+      size_t n = 0;
+      while (n < kDefaultBatchSize) {
+        if (left_pos_ >= left_batch_.active_rows()) {
+          VODAK_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_batch_));
+          if (!more) {
+            left_done_ = true;
+            break;
+          }
+          left_pos_ = 0;
+        }
+        // The current left row crossed with the next run of inner rows.
+        const size_t l = left_batch_.RowAt(left_pos_);
+        const size_t take =
+            std::min(kDefaultBatchSize - n, inner.size() - right_pos_);
+        for (size_t c = 0; c < refs_.size(); ++c) {
+          std::vector<Value>& col = batch->column(c);
+          if (from_left_[c] >= 0) {
+            col.insert(col.end(), take,
+                       left_batch_.column(from_left_[c])[l]);
+          } else {
+            for (size_t i = right_pos_; i < right_pos_ + take; ++i) {
+              col.push_back(inner[i][from_right_[c]]);
+            }
+          }
+        }
+        n += take;
+        right_pos_ += take;
+        if (right_pos_ == inner.size()) {
+          right_pos_ = 0;
+          ++left_pos_;
         }
       }
-      left_valid_ = false;
+      if (n == 0) break;
+      batch->set_num_rows(n);
+      if (!cross_product_) {
+        VODAK_RETURN_IF_ERROR(evaluator_.EvalPredicateBatch(
+            cond_, EnvOfBatch(refs_, *batch), &keep_));
+        n = batch->IntersectSelection(keep_);
+      }
+      if (n > 0) {
+        rows_produced_ += n;
+        return true;
+      }
     }
+    batch->Reset(refs_.size());
+    return false;
   }
   void Close() override {
     left_->Close();
     own_rows_.clear();
+    left_batch_.Reset(0);
   }
   std::string name() const override { return "NestedLoopJoin"; }
   std::string params() const override { return cond_->ToString(); }
@@ -652,29 +649,19 @@ class NestedLoopJoin : public PhysOperator {
   }
 
  private:
-  void BuildOutputMap() {
-    for (const std::string& ref : refs_) {
-      int li = left_->RefIndex(ref);
-      int ri = right_->RefIndex(ref);
-      from_left_.push_back(li);
-      from_right_.push_back(li >= 0 ? -1 : ri);
-    }
-  }
-  void Merge(const Row& left, const Row& right, Row* out) const {
-    out->resize(refs_.size());
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      (*out)[i] = from_left_[i] >= 0 ? left[from_left_[i]]
-                                     : right[from_right_[i]];
-    }
-  }
-
   Status MaterializeInner(std::vector<Row>* out) {
     VODAK_RETURN_IF_ERROR(right_->Open());
+    RowBatch build;
     Row row;
     for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
+      VODAK_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&build));
       if (!more) break;
-      out->push_back(row);
+      // Density boundary, as in the hash-join build.
+      build.Compact();
+      for (size_t r = 0; r < build.num_rows(); ++r) {
+        build.CopyRowTo(r, &row);
+        out->push_back(row);
+      }
     }
     right_->Close();
     return Status::OK();
@@ -684,14 +671,19 @@ class NestedLoopJoin : public PhysOperator {
   PhysOpPtr left_;
   PhysOpPtr right_;
   ExprRef cond_;
+  bool cross_product_;  // constant TRUE condition: no evaluation
   SharedInnerRows* shared_;
+  const CancellationToken* cancel_;
+  Deadline deadline_;
   std::vector<Row> own_rows_;
   const std::vector<Row>* right_rows_ = nullptr;
-  size_t right_pos_ = 0;
-  Row left_row_;
-  bool left_valid_ = false;
+  RowBatch left_batch_;
+  size_t left_pos_ = 0;   // live-row index into left_batch_
+  size_t right_pos_ = 0;  // next inner row for the current left row
+  bool left_done_ = false;
   std::vector<int> from_left_;
   std::vector<int> from_right_;
+  std::vector<char> keep_;
 };
 
 /// Hash join on key references; implements natural_join (keys = shared
@@ -732,98 +724,55 @@ class HashJoin : public PhysOperator {
     own_table_.clear();
     table_ = nullptr;
     built_ = false;
-    VODAK_RETURN_IF_ERROR(left_->Open());
-    left_valid_ = false;
-    bucket_ = nullptr;
-    return Status::OK();
+    return left_->Open();
   }
 
-  /// Drains the build (right) side into `out` in the requested pipeline
-  /// mode, so a row-mode drain stays purely row-at-a-time and a
-  /// batch-mode drain builds batch-at-a-time.
-  Status BuildInto(JoinTable* out, bool batch_mode) {
+  /// Drains the build (right) side into `out`.
+  Status BuildInto(JoinTable* out) {
     VODAK_RETURN_IF_ERROR(right_->Open());
+    RowBatch build;
     Row row;
     Row key;
-    auto insert = [&]() {
-      key.clear();
-      key.reserve(right_key_idx_.size());
-      for (int i : right_key_idx_) key.push_back(row[i]);
-      (*out)[key].push_back(row);
-    };
-    if (batch_mode) {
-      RowBatch build;
-      for (;;) {
-        VODAK_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&build));
-        if (!more) break;
-        // Density boundary: rows leave the batch representation for the
-        // table, so the selected rows are gathered dense once here.
-        build.Compact();
-        for (size_t r = 0; r < build.num_rows(); ++r) {
-          build.CopyRowTo(r, &row);
-          insert();
-        }
-      }
-    } else {
-      for (;;) {
-        VODAK_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
-        if (!more) break;
-        insert();
+    for (;;) {
+      VODAK_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&build));
+      if (!more) break;
+      // Density boundary: rows leave the batch representation for the
+      // table, so the selected rows are gathered dense once here.
+      build.Compact();
+      for (size_t r = 0; r < build.num_rows(); ++r) {
+        build.CopyRowTo(r, &row);
+        key.clear();
+        key.reserve(right_key_idx_.size());
+        for (int i : right_key_idx_) key.push_back(row[i]);
+        (*out)[key].push_back(row);
       }
     }
     right_->Close();
     return Status::OK();
   }
 
-  /// Deferred build on the first Next/NextBatch call. With a shared
-  /// build, the call_once winner builds the table once from its own
+  /// Deferred build on the first NextBatch call. With a shared build,
+  /// the call_once winner builds the table once from its own
   /// (deterministic) build subtree and every worker probes it
   /// read-only thereafter.
-  Status BuildTable(bool batch_mode) {
+  Status BuildTable() {
     if (shared_ != nullptr) {
       std::call_once(shared_->once, [&] {
-        shared_->status = BuildInto(&shared_->table, batch_mode);
+        shared_->status = BuildInto(&shared_->table);
       });
       VODAK_RETURN_IF_ERROR(shared_->status);
       table_ = &shared_->table;
     } else {
-      VODAK_RETURN_IF_ERROR(BuildInto(&own_table_, batch_mode));
+      VODAK_RETURN_IF_ERROR(BuildInto(&own_table_));
       table_ = &own_table_;
     }
     built_ = true;
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row) override {
-    if (!built_) VODAK_RETURN_IF_ERROR(BuildTable(/*batch_mode=*/false));
-    for (;;) {
-      if (!left_valid_) {
-        VODAK_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
-        if (!more) return false;
-        left_valid_ = true;
-        Row key;
-        key.reserve(left_key_idx_.size());
-        for (int i : left_key_idx_) key.push_back(left_row_[i]);
-        auto it = table_->find(key);
-        bucket_ = it == table_->end() ? nullptr : &it->second;
-        bucket_pos_ = 0;
-      }
-      if (bucket_ != nullptr && bucket_pos_ < bucket_->size()) {
-        const Row& right_row = (*bucket_)[bucket_pos_++];
-        row->resize(refs_.size());
-        for (size_t i = 0; i < refs_.size(); ++i) {
-          (*row)[i] = from_left_[i] >= 0 ? left_row_[from_left_[i]]
-                                         : right_row[from_right_[i]];
-        }
-        ++rows_produced_;
-        return true;
-      }
-      left_valid_ = false;
-    }
-  }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
-    if (!built_) VODAK_RETURN_IF_ERROR(BuildTable(/*batch_mode=*/true));
+    if (!built_) VODAK_RETURN_IF_ERROR(BuildTable());
     Row key;
     for (;;) {
       VODAK_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&probe_batch_));
@@ -884,11 +833,7 @@ class HashJoin : public PhysOperator {
   SharedJoinBuild* shared_;
   JoinTable own_table_;
   const JoinTable* table_ = nullptr;
-  Row left_row_;
-  bool left_valid_ = false;
   bool built_ = false;
-  const std::vector<Row>* bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
   RowBatch probe_batch_;
   std::vector<int> from_left_;
   std::vector<int> from_right_;
@@ -918,22 +863,6 @@ class MapOp : public PhysOperator {
   }
 
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* row) override {
-    Row child_row;
-    VODAK_ASSIGN_OR_RETURN(bool more, child_->Next(&child_row));
-    if (!more) return false;
-    VODAK_ASSIGN_OR_RETURN(
-        Value v, evaluator_.Eval(
-                     expr_, EnvFromRow(child_->refs(), child_row)));
-    row->resize(refs_.size());
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      (*row)[i] = child_index_[i] >= 0 ? child_row[child_index_[i]]
-                                       : Value::Null();
-    }
-    (*row)[out_index_] = std::move(v);
-    ++rows_produced_;
-    return true;
-  }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     VODAK_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&child_batch_));
@@ -1012,39 +941,7 @@ class FlatOp : public PhysOperator {
     }
   }
 
-  Status Open() override {
-    elem_pos_ = 0;
-    elements_.clear();
-    return child_->Open();
-  }
-  Result<bool> Next(Row* row) override {
-    for (;;) {
-      if (elem_pos_ < elements_.size()) {
-        row->resize(refs_.size());
-        for (size_t i = 0; i < refs_.size(); ++i) {
-          (*row)[i] = child_index_[i] >= 0 ? child_row_[child_index_[i]]
-                                           : Value::Null();
-        }
-        (*row)[out_index_] = elements_[elem_pos_++];
-        ++rows_produced_;
-        return true;
-      }
-      VODAK_ASSIGN_OR_RETURN(bool more, child_->Next(&child_row_));
-      if (!more) return false;
-      VODAK_ASSIGN_OR_RETURN(
-          Value set, evaluator_.Eval(
-                         expr_, EnvFromRow(child_->refs(), child_row_)));
-      if (set.is_null()) {
-        elements_.clear();
-      } else if (set.is_set()) {
-        elements_ = set.AsSet();
-      } else {
-        return Status::ExecError("flat expression evaluated to non-set " +
-                                 set.ToString());
-      }
-      elem_pos_ = 0;
-    }
-  }
+  Status Open() override { return child_->Open(); }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     for (;;) {
@@ -1102,9 +999,6 @@ class FlatOp : public PhysOperator {
   ExprRef expr_;
   int out_index_ = -1;
   std::vector<int> child_index_;
-  Row child_row_;
-  ValueSet elements_;
-  size_t elem_pos_ = 0;
   RowBatch child_batch_;
 };
 
@@ -1124,21 +1018,6 @@ class ProjectDedup : public PhysOperator {
   Status Open() override {
     seen_.clear();
     return child_->Open();
-  }
-  Result<bool> Next(Row* row) override {
-    Row child_row;
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, child_->Next(&child_row));
-      if (!more) return false;
-      row->resize(refs_.size());
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        (*row)[i] = child_row[child_index_[i]];
-      }
-      if (seen_.insert(*row).second) {
-        ++rows_produced_;
-        return true;
-      }
-    }
   }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
@@ -1182,7 +1061,12 @@ class ProjectDedup : public PhysOperator {
   RowBatch child_batch_;
 };
 
-/// union / diff with set semantics (right side materialized).
+/// union / diff with set semantics; the right side is materialized into
+/// a set in Open. Density contract (operator-contract table,
+/// docs/ARCHITECTURE.md §"Selection vectors"): both inputs are read
+/// through their selection views; output batches are dense — first the
+/// new left rows that qualify (union: all, difference: those not in the
+/// right set), then, for a union, the right rows not yet emitted.
 class SetOp : public PhysOperator {
  public:
   SetOp(PhysOpPtr left, PhysOpPtr right, bool is_union,
@@ -1201,15 +1085,12 @@ class SetOp : public PhysOperator {
     right_set_.clear();
     emitted_.clear();
     VODAK_RETURN_IF_ERROR(right_->Open());
-    Row row;
     for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
+      VODAK_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&input_));
       if (!more) break;
-      Row aligned(refs_.size());
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        aligned[i] = row[right_index_[i]];
+      for (size_t i = 0; i < input_.active_rows(); ++i) {
+        right_set_.insert(Aligned(input_, input_.RowAt(i), right_index_));
       }
-      right_set_.insert(std::move(aligned));
     }
     right_->Close();
     right_it_ = right_set_.begin();
@@ -1217,41 +1098,35 @@ class SetOp : public PhysOperator {
     return left_->Open();
   }
 
-  Result<bool> Next(Row* row) override {
+  Result<bool> NextBatch(RowBatch* batch) override {
+    VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
+    batch->Reset(refs_.size());
     while (!left_done_) {
-      Row child_row;
-      VODAK_ASSIGN_OR_RETURN(bool more, left_->Next(&child_row));
+      VODAK_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&input_));
       if (!more) {
         left_done_ = true;
         break;
       }
-      row->resize(refs_.size());
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        (*row)[i] = child_row[left_index_[i]];
+      for (size_t i = 0; i < input_.active_rows(); ++i) {
+        Row row = Aligned(input_, input_.RowAt(i), left_index_);
+        if (!is_union_ && right_set_.count(row) > 0) continue;
+        if (emitted_.insert(row).second) batch->AppendRow(row);
       }
-      bool in_right = right_set_.count(*row) > 0;
-      if (is_union_ || !in_right) {
-        if (emitted_.insert(*row).second) {
-          ++rows_produced_;
-          return true;
-        }
-      }
+      if (!batch->empty()) break;
     }
-    if (is_union_) {
-      while (right_it_ != right_set_.end()) {
-        *row = *right_it_++;
-        if (emitted_.insert(*row).second) {
-          ++rows_produced_;
-          return true;
-        }
-      }
+    while (left_done_ && is_union_ && right_it_ != right_set_.end() &&
+           batch->num_rows() < kDefaultBatchSize) {
+      if (emitted_.insert(*right_it_).second) batch->AppendRow(*right_it_);
+      ++right_it_;
     }
-    return false;
+    rows_produced_ += batch->num_rows();
+    return !batch->empty();
   }
   void Close() override {
     left_->Close();
     right_set_.clear();
     emitted_.clear();
+    input_.Reset(0);
   }
   std::string name() const override {
     return is_union_ ? "Union" : "Difference";
@@ -1261,6 +1136,16 @@ class SetOp : public PhysOperator {
   }
 
  private:
+  /// Physical row `r` of `batch`, reordered into this operator's refs.
+  Row Aligned(const RowBatch& batch, size_t r,
+              const std::vector<int>& index) const {
+    Row row(refs_.size());
+    for (size_t c = 0; c < refs_.size(); ++c) {
+      row[c] = batch.column(index[c])[r];
+    }
+    return row;
+  }
+
   PhysOpPtr left_;
   PhysOpPtr right_;
   bool is_union_;
@@ -1270,6 +1155,7 @@ class SetOp : public PhysOperator {
   std::unordered_set<Row, RowHash, RowEq> emitted_;
   std::unordered_set<Row, RowHash, RowEq>::iterator right_it_;
   bool left_done_ = false;
+  RowBatch input_;
 };
 
 /// Sargable predicates visible at each scan leaf, keyed by leaf node
@@ -1341,47 +1227,19 @@ Result<PhysOpPtr> BuildPhysicalImpl(const LogicalRef& plan,
                                     ParallelPlanState* state,
                                     const LeafPredMap* leaf_preds) {
   switch (plan->op()) {
-    case LogicalOp::kGet: {
-      const ClassDef* cls = ctx.catalog->FindClass(plan->class_name());
-      if (cls == nullptr) {
-        return Status::PlanError("unknown class '" + plan->class_name() +
-                                 "'");
-      }
-      const std::vector<storage::SlotPredicate>& preds =
-          LeafPredsFor(leaf_preds, plan.get());
-      BatchSourcePtr source;
-      if (state != nullptr && plan.get() == state->driving_leaf) {
-        source = std::make_unique<MorselBatchSource>(plan->class_name(),
-                                                     state);
-      } else if (ctx.shared_scans != nullptr) {
-        source = std::make_unique<SharedBatchSource>(
-            ctx, plan->class_name(), cls->class_id(), preds);
-      } else {
-        storage::SegmentVersionRef version =
-            ctx.segments == nullptr
-                ? nullptr
-                : ctx.segments->VersionAt(cls->class_id(),
-                                          ctx.snapshot_epoch);
-        if (version != nullptr) {
-          source = std::make_unique<SegmentBatchSource>(
-              ctx, plan->class_name(), cls->class_id(), std::move(version),
-              preds);
-        } else {
-          source = std::make_unique<ExtentBatchSource>(
-              ctx, plan->class_name(), cls->class_id());
-        }
-      }
-      return PhysOpPtr(new ScanOp(ctx, plan->ref(), std::move(source)));
-    }
+    case LogicalOp::kGet:
     case LogicalOp::kExprSource: {
       BatchSourcePtr source;
       if (state != nullptr && plan.get() == state->driving_leaf) {
         source = std::make_unique<MorselBatchSource>(
-            plan->expr()->ToString(), state);
-      } else if (ctx.shared_scans != nullptr) {
-        source = std::make_unique<SharedBatchSource>(ctx, plan->expr());
+            plan->op() == LogicalOp::kGet ? plan->class_name()
+                                          : plan->expr()->ToString(),
+            state);
       } else {
-        source = std::make_unique<ExprBatchSource>(ctx, plan->expr());
+        VODAK_ASSIGN_OR_RETURN(
+            source, MakeLeafBatchSource(*plan, ctx,
+                                        &LeafPredsFor(leaf_preds,
+                                                      plan.get())));
       }
       return PhysOpPtr(new ScanOp(ctx, plan->ref(), std::move(source)));
     }
@@ -1502,11 +1360,6 @@ Result<PhysOpPtr> BuildPhysical(const LogicalRef& plan,
   LeafPredMap leaf_preds;
   CollectLeafPreds(plan, *ctx.catalog, {}, &leaf_preds);
   return BuildPhysicalImpl(plan, ctx, /*state=*/nullptr, &leaf_preds);
-}
-
-Result<BatchSourcePtr> MakeLeafBatchSource(const LogicalNode& leaf,
-                                           const ExecContext& ctx) {
-  return MakeLeafBatchSource(leaf, ctx, /*preds=*/nullptr);
 }
 
 Result<BatchSourcePtr> MakeLeafBatchSource(
@@ -1667,46 +1520,31 @@ Result<ParallelPlanStatePtr> PrepareParallelPlan(const LogicalRef& plan,
   return state;
 }
 
-Result<Value> ExecuteToSet(PhysOperator* root, ExecMode mode) {
+Result<Value> ExecuteToSet(PhysOperator* root) {
   VODAK_RETURN_IF_ERROR(root->Open());
   std::vector<Value> tuples;
   const std::vector<std::string>& refs = root->refs();
-  if (mode == ExecMode::kRow) {
-    Row row;
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, root->Next(&row));
-      if (!more) break;
+  RowBatch batch;
+  for (;;) {
+    VODAK_ASSIGN_OR_RETURN(bool more, root->NextBatch(&batch));
+    if (!more) break;
+    // Final set emit is a density boundary: every column crosses into
+    // the tuple representation, so the selected rows compact once.
+    batch.Compact();
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
       ValueTuple fields;
       fields.reserve(refs.size());
-      for (size_t i = 0; i < refs.size(); ++i) {
-        fields.emplace_back(refs[i], row[i]);
+      for (size_t c = 0; c < refs.size(); ++c) {
+        fields.emplace_back(refs[c], batch.column(c)[r]);
       }
       tuples.push_back(Value::Tuple(std::move(fields)));
-    }
-  } else {
-    RowBatch batch;
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, root->NextBatch(&batch));
-      if (!more) break;
-      // Final set emit is a density boundary: every column crosses into
-      // the tuple representation, so the selected rows compact once.
-      batch.Compact();
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        ValueTuple fields;
-        fields.reserve(refs.size());
-        for (size_t c = 0; c < refs.size(); ++c) {
-          fields.emplace_back(refs[c], batch.column(c)[r]);
-        }
-        tuples.push_back(Value::Tuple(std::move(fields)));
-      }
     }
   }
   root->Close();
   return Value::Set(std::move(tuples));
 }
 
-Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref,
-                            ExecMode mode) {
+Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref) {
   int index = root->RefIndex(ref);
   if (index < 0) {
     return Status::PlanError("result reference '" + ref +
@@ -1714,24 +1552,15 @@ Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref,
   }
   VODAK_RETURN_IF_ERROR(root->Open());
   std::vector<Value> values;
-  if (mode == ExecMode::kRow) {
-    Row row;
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, root->Next(&row));
-      if (!more) break;
-      values.push_back(row[index]);
-    }
-  } else {
-    RowBatch batch;
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, root->NextBatch(&batch));
-      if (!more) break;
-      // Single-column extraction reads through the selection view — no
-      // reason to compact every column to consume one.
-      auto& col = batch.column(index);
-      for (size_t i = 0; i < batch.active_rows(); ++i) {
-        values.push_back(std::move(col[batch.RowAt(i)]));
-      }
+  RowBatch batch;
+  for (;;) {
+    VODAK_ASSIGN_OR_RETURN(bool more, root->NextBatch(&batch));
+    if (!more) break;
+    // Single-column extraction reads through the selection view — no
+    // reason to compact every column to consume one.
+    auto& col = batch.column(index);
+    for (size_t i = 0; i < batch.active_rows(); ++i) {
+      values.push_back(std::move(col[batch.RowAt(i)]));
     }
   }
   root->Close();

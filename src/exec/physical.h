@@ -1,9 +1,7 @@
-// Physical operators: the batch-at-a-time (NextBatch) pipeline with
-// the row-at-a-time Volcano path kept as the semantic oracle. The
-// operator-by-operator batch behavior, the batch/row drain exclusivity
-// rule and the parallel worker-clone machinery are documented in
-// docs/ARCHITECTURE.md §"The NextBatch pipeline" and §"Morsel-driven
-// parallelism". Each operator's density contract — whether it accepts
+// Physical operators: the batch-at-a-time (NextBatch) pipeline. The
+// operator-by-operator batch behavior and the parallel worker-clone
+// machinery are documented in docs/ARCHITECTURE.md §"The NextBatch
+// pipeline" and §"Morsel-driven parallelism". Each operator's density contract — whether it accepts
 // and emits selected or compacted batches — is the operator-contract
 // table in docs/ARCHITECTURE.md §"Selection vectors"; the per-operator
 // comments in physical.cc name their row.
@@ -31,11 +29,9 @@ class SharedScanManager;
 /// The paper's physical algebra, grown from the classic Volcano
 /// open/next/close iterator into a batch-at-a-time pipeline: NextBatch
 /// moves ~kDefaultBatchSize rows per virtual call and evaluates operator
-/// parameters through the batched expression entry points, while Next
-/// remains as the row-at-a-time compatibility path. Every operator
-/// carries its output reference list and basic runtime counters for the
-/// benchmark harness. Within one Open()..Close() cycle a plan must be
-/// drained through either Next or NextBatch, not a mix of both.
+/// parameters through the batched expression entry points. Every
+/// operator carries its output reference list and basic runtime
+/// counters for the benchmark harness.
 class PhysOperator {
  public:
   explicit PhysOperator(std::vector<std::string> refs)
@@ -43,16 +39,12 @@ class PhysOperator {
   virtual ~PhysOperator() = default;
 
   virtual Status Open() = 0;
-  /// Produces the next row; returns false at end of stream.
-  virtual Result<bool> Next(Row* row) = 0;
   /// Produces the next batch of rows; returns false at end of stream. A
   /// true return means the batch holds at least one *live* row — the
   /// batch may carry a selection vector (filters mark survivors instead
   /// of moving values), so consumers iterate active_rows()/RowAt() or
-  /// Compact() at a density boundary. The default adapter loops Next()
-  /// (always dense); hot operators override it with native
-  /// column-at-a-time implementations.
-  virtual Result<bool> NextBatch(RowBatch* batch);
+  /// Compact() at a density boundary.
+  virtual Result<bool> NextBatch(RowBatch* batch) = 0;
   virtual void Close() = 0;
 
   const std::vector<std::string>& refs() const { return refs_; }
@@ -131,8 +123,9 @@ struct ExecContext {
   PropertyColumnCache* property_cache = nullptr;
   /// This query's cancel flag (null: not cancellable) and deadline
   /// (default: none). Polled at batch boundaries — every scan leaf's
-  /// NextBatch/refill — so a cancel or an expired deadline surfaces as
-  /// kCancelled / kDeadlineExceeded within ~one batch. Worker clones
+  /// NextBatch/refill and every nested-loop join output batch — so a
+  /// cancel or an expired deadline surfaces as kCancelled /
+  /// kDeadlineExceeded within ~one batch. Worker clones
   /// copy the context, so all lanes of one query observe the same flag.
   const CancellationToken* cancel = nullptr;
   Deadline deadline;
@@ -160,34 +153,23 @@ struct ExecContext {
 Result<PhysOpPtr> BuildPhysical(const algebra::LogicalRef& plan,
                                 const ExecContext& ctx);
 
-/// Builds the private batch source for a scan leaf (kGet → extent
-/// cursor, kExprSource → method/expression scan), honoring the
-/// context's shared-scan attachment exactly like BuildPhysical's leaf
-/// construction. This is how the VM backend (exec/vm.h) obtains the
-/// same scan leaves the operator tree would read — same cursor kinds,
-/// same pinned snapshot epoch.
-Result<BatchSourcePtr> MakeLeafBatchSource(const algebra::LogicalNode& leaf,
-                                           const ExecContext& ctx);
-
-/// As above, with the query's sargable predicates over this leaf's scan
-/// variable (normalized `col op const` conjuncts, extracted by
-/// exec/sargable.h) so a segment-backed source can zone-map-skip.
-/// `preds` may be null or empty; non-segment sources ignore it.
+/// Builds the private batch source for a scan leaf (kGet → segment or
+/// extent cursor, kExprSource → method/expression scan), honoring the
+/// context's shared-scan attachment. BuildPhysical's leaves and the VM
+/// backend (exec/vm.h) both come through here — same cursor kinds, same
+/// pinned snapshot epoch. `preds` are the query's sargable predicates
+/// over this leaf's scan variable (normalized `col op const` conjuncts,
+/// extracted by exec/sargable.h) so a segment-backed source can
+/// zone-map-skip; may be null or empty, non-segment sources ignore it.
 Result<BatchSourcePtr> MakeLeafBatchSource(
     const algebra::LogicalNode& leaf, const ExecContext& ctx,
     const std::vector<storage::SlotPredicate>* preds);
 
-/// How a plan is drained: batch-at-a-time (default) or the
-/// row-at-a-time compatibility path.
-enum class ExecMode { kRow, kBatch };
-
 /// Drains the operator tree into a set of tuples (the algebra's result).
-Result<Value> ExecuteToSet(PhysOperator* root,
-                           ExecMode mode = ExecMode::kBatch);
+Result<Value> ExecuteToSet(PhysOperator* root);
 
 /// Drains the tree and projects one reference, returning a value set.
-Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref,
-                            ExecMode mode = ExecMode::kBatch);
+Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref);
 
 /// Shared, per-query state behind the morsel-driven parallel pipeline
 /// (exec/parallel.h): the materialized driving scan with its atomic

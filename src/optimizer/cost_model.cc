@@ -268,7 +268,7 @@ double CostModel::EstimateCardinality(
 double CostModel::LocalCost(const LogicalNode& node,
                             const std::vector<double>& child_cards) const {
   // Batch-aware operator pricing: per-row emit work priced by how the
-  // batched operator emits (mark / scatter / dense build / row path),
+  // batched operator emits (mark / scatter / dense build / per pair),
   // plus kBatchOverheadCost per NextBatch call the operator makes over
   // its input (BatchCount of the consumed rows). See the class comment
   // and docs/ARCHITECTURE.md §"Cost model".
@@ -312,7 +312,7 @@ double CostModel::LocalCost(const LogicalNode& node,
                kBatchOverheadCost *
                    (BatchCount(child_cards[0]) + BatchCount(child_cards[1]));
       }
-      // Nested loop stays on the row path: per-pair pricing.
+      // Nested loop: per-pair pricing.
       double per_pair = cond->kind() == ExprKind::kConst
                             ? kOpCost
                             : ExprCost(cond) + kOpCost;
@@ -325,7 +325,7 @@ double CostModel::LocalCost(const LogicalNode& node,
                  (BatchCount(child_cards[0]) + BatchCount(child_cards[1]));
     case LogicalOp::kUnion:
     case LogicalOp::kDiff:
-      // Row-path operators (default batch adapter): per-row pricing.
+      // Set ops: per-row pricing.
       return 1.2 * (child_cards[0] + child_cards[1]);
     case LogicalOp::kMap:
       // Scatter of the computed column + wholesale pass-through moves.

@@ -60,8 +60,8 @@ using MethodStatsProvider = std::function<std::optional<MethodStats>(
 /// kCompactMoveCost per surviving row per filter — why it is the
 /// baseline, not the production path). A hash-join build crosses a
 /// density boundary, so its build rows pay one kCompactMoveCost on top
-/// of the hash insert. Row-path operators (nested-loop join, set ops)
-/// keep plain per-row pricing.
+/// of the hash insert. Nested-loop joins and set ops keep plain
+/// per-pair / per-row pricing.
 class CostModel {
  public:
   /// Rows the executor's NextBatch pipeline typically moves per batch

@@ -275,9 +275,8 @@ QueryReply GenerationScheduler::ExecuteMember(
     ctx.segments = db_->segment_store();
     VODAK_ASSIGN_OR_RETURN(exec::PhysOpPtr root,
                            exec::BuildPhysical(query.plan, ctx));
-    VODAK_ASSIGN_OR_RETURN(
-        reply.result, exec::ExecuteColumn(root.get(), query.result_ref,
-                                          exec::ExecMode::kBatch));
+    VODAK_ASSIGN_OR_RETURN(reply.result,
+                           exec::ExecuteColumn(root.get(), query.result_ref));
     return Status::OK();
   }();
   reply.stats.drain_ms = MsSince(drain_start);

@@ -1,13 +1,18 @@
-// Batch/row parity for the vectorized executor: every physical plan must
-// produce the identical row multiset whether it is drained through the
-// row-at-a-time Next() path or the batch-at-a-time NextBatch() path, and
-// both must agree with the naive logical evaluator. Randomized VQL
-// queries sweep scans, filters, maps, flattens and both join algorithms.
+// Batch-pipeline parity for the vectorized executor: every physical
+// plan, drained through NextBatch, must agree with the naive logical
+// evaluator (algebra::EvalLogical, the independent oracle) and honor
+// the never-empty-batch invariant. Randomized VQL queries sweep scans,
+// filters, maps, flattens and both join algorithms; targeted cases pin
+// the nested-loop join and set-operator batch edges (selected inputs,
+// inner sides wider than a batch, empty sides, the TRUE cross product,
+// overlapping set-op inputs) and the join's cancel/deadline polling.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <chrono>
+#include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algebra/eval.h"
@@ -16,110 +21,79 @@
 #include "vql/parser.h"
 #include "workload/document_db.h"
 
+#include "drain_util.h"
 #include "test_seed.h"
 
 namespace vodak {
 namespace exec {
 namespace {
 
-bool RowLess(const Row& a, const Row& b) {
-  for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-    int c = Value::Compare(a[i], b[i]);
-    if (c != 0) return c < 0;
-  }
-  return a.size() < b.size();
-}
-
-bool RowsEqual(const Row& a, const Row& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (Value::Compare(a[i], b[i]) != 0) return false;
-  }
-  return true;
-}
+using vodak::testing::BatchDrainSorted;
+using vodak::testing::RowsToSet;
 
 class ExecBatchTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ASSERT_TRUE(db_.Init().ok());
+  void SetUp() override { Populate(8); }
+
+  /// (Re)builds the corpus: `documents` documents of 2 sections x 3
+  /// paragraphs (paragraph numbers 0..2, section numbers 0..1).
+  void Populate(uint32_t documents) {
+    db_ = std::make_unique<workload::DocumentDb>();
+    ASSERT_TRUE(db_->Init().ok());
     workload::CorpusParams params;
-    params.num_documents = 8;
+    params.num_documents = documents;
     params.sections_per_document = 2;
     params.paragraphs_per_section = 3;
     params.implementation_fraction = 0.3;
-    ASSERT_TRUE(db_.Populate(params).ok());
-    ctx_ = std::make_unique<algebra::AlgebraContext>(&db_.catalog());
-    eval_ = std::make_unique<ExprEvaluator>(&db_.catalog(), &db_.store(),
-                                            &db_.methods());
-    exec_ctx_ = ExecContext{&db_.catalog(), &db_.store(), &db_.methods()};
+    ASSERT_TRUE(db_->Populate(params).ok());
+    ctx_ = std::make_unique<algebra::AlgebraContext>(&db_->catalog());
+    eval_ = std::make_unique<ExprEvaluator>(&db_->catalog(), &db_->store(),
+                                            &db_->methods());
+    exec_ctx_ =
+        ExecContext{&db_->catalog(), &db_->store(), &db_->methods()};
   }
 
-  /// Drains a freshly opened tree into a sorted row multiset.
-  std::vector<Row> DrainSorted(PhysOperator* root, ExecMode mode) {
-    std::vector<Row> rows;
-    auto open = root->Open();
-    EXPECT_TRUE(open.ok()) << open.ToString();
-    if (mode == ExecMode::kRow) {
-      Row row;
-      for (;;) {
-        auto more = root->Next(&row);
-        EXPECT_TRUE(more.ok()) << more.status().ToString();
-        if (!more.ok() || !more.value()) break;
-        rows.push_back(row);
-      }
-    } else {
-      RowBatch batch;
-      Row row;
-      for (;;) {
-        auto more = root->NextBatch(&batch);
-        EXPECT_TRUE(more.ok()) << more.status().ToString();
-        if (!more.ok() || !more.value()) break;
-        EXPECT_GT(batch.active_rows(), 0u)
-            << "NextBatch returned true with an empty batch";
-        // The batch may carry a selection vector (filter roots emit
-        // selected batches); row hand-off is a density boundary.
-        batch.Compact();
-        for (size_t r = 0; r < batch.num_rows(); ++r) {
-          batch.CopyRowTo(r, &row);
-          rows.push_back(row);
-        }
-      }
-    }
-    root->Close();
-    std::sort(rows.begin(), rows.end(), RowLess);
-    return rows;
+  ExprRef Parse(const std::string& text) {
+    auto e = vql::ParseExpr(text);
+    EXPECT_TRUE(e.ok()) << text << ": " << e.status().ToString();
+    return e.value();
+  }
+  algebra::LogicalRef Get(const std::string& ref, const std::string& cls) {
+    return ctx_->Get(ref, cls).value();
+  }
+  algebra::LogicalRef Select(const std::string& cond,
+                             algebra::LogicalRef input) {
+    return ctx_->Select(Parse(cond), std::move(input)).value();
   }
 
-  /// Runs the plan through both pipelines and the logical oracle and
-  /// demands identical results.
-  void CheckParity(const algebra::LogicalRef& plan,
-                   const std::string& label) {
+  /// Drains the plan through the batch pipeline and demands set-level
+  /// agreement with the naive §4.1 evaluator, both for the raw batch
+  /// multiset and for ExecuteToSet. Returns the drained multiset size.
+  size_t CheckParity(const algebra::LogicalRef& plan,
+                     const std::string& label) {
     auto phys = BuildPhysical(plan, exec_ctx_);
-    ASSERT_TRUE(phys.ok()) << label << ": " << phys.status().ToString();
+    EXPECT_TRUE(phys.ok()) << label << ": " << phys.status().ToString();
+    if (!phys.ok()) return 0;
+    std::vector<Row> rows = BatchDrainSorted(phys.value().get());
 
-    std::vector<Row> row_rows = DrainSorted(phys.value().get(),
-                                            ExecMode::kRow);
-    std::vector<Row> batch_rows = DrainSorted(phys.value().get(),
-                                              ExecMode::kBatch);
-    ASSERT_EQ(row_rows.size(), batch_rows.size()) << label;
-    for (size_t i = 0; i < row_rows.size(); ++i) {
-      ASSERT_TRUE(RowsEqual(row_rows[i], batch_rows[i]))
-          << label << ": row " << i << " differs between Next and "
-          << "NextBatch";
-    }
-
-    // Set-level agreement with the naive §4.1 evaluator.
-    auto batch_set = ExecuteToSet(phys.value().get(), ExecMode::kBatch);
-    ASSERT_TRUE(batch_set.ok()) << label;
     auto oracle = algebra::EvalLogical(plan, *eval_);
-    ASSERT_TRUE(oracle.ok()) << label << ": " << oracle.status().ToString();
-    EXPECT_EQ(batch_set.value(), oracle.value()) << label;
+    EXPECT_TRUE(oracle.ok()) << label << ": "
+                             << oracle.status().ToString();
+    if (!oracle.ok()) return rows.size();
+    EXPECT_EQ(RowsToSet(phys.value()->refs(), rows), oracle.value())
+        << label << " (batch multiset vs EvalLogical)";
+    auto batch_set = ExecuteToSet(phys.value().get());
+    EXPECT_TRUE(batch_set.ok()) << label;
+    if (batch_set.ok()) {
+      EXPECT_EQ(batch_set.value(), oracle.value()) << label;
+    }
+    return rows.size();
   }
 
   void CheckQueryParity(const std::string& text) {
     auto q = vql::ParseQuery(text);
     ASSERT_TRUE(q.ok()) << text;
-    vql::Binder binder(&db_.catalog());
+    vql::Binder binder(&db_->catalog());
     auto bound = binder.Bind(q.value());
     ASSERT_TRUE(bound.ok()) << text << ": " << bound.status().ToString();
     auto plan = algebra::TranslateQuery(*ctx_, bound.value());
@@ -127,7 +101,17 @@ class ExecBatchTest : public ::testing::Test {
     CheckParity(plan.value(), text);
   }
 
-  workload::DocumentDb db_;
+  /// The nested-loop join of the cancel/deadline checks: paragraphs
+  /// against sections on a non-equality condition, so a single left
+  /// batch fans out into many output batches.
+  algebra::LogicalRef WideJoin() {
+    return ctx_
+        ->Join(Parse("p.number < s.number"), Get("p", "Paragraph"),
+               Get("s", "Section"))
+        .value();
+  }
+
+  std::unique_ptr<workload::DocumentDb> db_;
   std::unique_ptr<algebra::AlgebraContext> ctx_;
   std::unique_ptr<ExprEvaluator> eval_;
   ExecContext exec_ctx_;
@@ -200,7 +184,7 @@ std::string RandomQuery(std::mt19937* rng) {
          (where.empty() ? "" : " WHERE " + where);
 }
 
-TEST_F(ExecBatchTest, RandomizedQueriesRowBatchParity) {
+TEST_F(ExecBatchTest, RandomizedQueriesOracleParity) {
   // Seeded from --seed= / VODAK_TEST_SEED (tests/test_seed.h); the
   // fallback reproduces the historical fixed sweep.
   std::mt19937 rng(static_cast<std::mt19937::result_type>(
@@ -212,7 +196,7 @@ TEST_F(ExecBatchTest, RandomizedQueriesRowBatchParity) {
   }
 }
 
-TEST_F(ExecBatchTest, PaperQueriesRowBatchParity) {
+TEST_F(ExecBatchTest, PaperQueriesOracleParity) {
   const std::vector<std::string> queries = {
       "ACCESS p FROM p IN Paragraph WHERE "
       "p->contains_string('implementation') AND "
@@ -233,7 +217,7 @@ TEST_F(ExecBatchTest, PaperQueriesRowBatchParity) {
   }
 }
 
-TEST_F(ExecBatchTest, SetOperatorsRowBatchParity) {
+TEST_F(ExecBatchTest, SetOperatorsOracleParity) {
   auto low = ctx_->Select(vql::ParseExpr("p.number == 0").value(),
                           ctx_->Get("p", "Paragraph").value())
                  .value();
@@ -250,7 +234,7 @@ TEST_F(ExecBatchTest, SetOperatorsRowBatchParity) {
               "project-over-natural-join");
 }
 
-TEST_F(ExecBatchTest, FlattenAndMapRowBatchParity) {
+TEST_F(ExecBatchTest, FlattenAndMapOracleParity) {
   auto docs = ctx_->Get("d", "Document").value();
   auto flat = ctx_->Flat("p", vql::ParseExpr("d->paragraphs()").value(),
                          docs)
@@ -275,12 +259,12 @@ TEST_F(ExecBatchTest, ConstOperandSetOpsDoNotTakeComparisonFastPath) {
 
   auto phys = BuildPhysical(plan, exec_ctx_);
   ASSERT_TRUE(phys.ok());
-  auto result = ExecuteToSet(phys.value().get(), ExecMode::kBatch);
+  auto result = ExecuteToSet(phys.value().get());
   ASSERT_TRUE(result.ok());
   // 2 of the 3 paragraph numbers per section match across the corpus.
   EXPECT_EQ(result.value().AsSet().size(), 8u * 2u * 2u);
 
-  // And a well-typed constant-base IS-IN agrees across pipelines.
+  // And a well-typed constant-base IS-IN agrees with the oracle.
   CheckQueryParity(
       "ACCESS p FROM p IN Paragraph WHERE "
       "p IS-IN Paragraph->retrieve_by_string('implementation')");
@@ -308,6 +292,153 @@ TEST_F(ExecBatchTest, ScanBatchesRespectDefaultBatchSize) {
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(again.value());
   EXPECT_TRUE(batch.empty());
+}
+
+// ------------------------------------------- nested-loop join batches
+
+TEST_F(ExecBatchTest, NestedLoopJoinOverSelectedLeftInput) {
+  // The left input is a filter (a selected batch): only its live rows
+  // may pair up.
+  auto left = Select("p.number == 0", Get("p", "Paragraph"));
+  EXPECT_GT(CheckParity(ctx_->Join(Parse("p.number < s.number"), left,
+                                   Get("s", "Section"))
+                            .value(),
+                        "nlj over selected left"),
+            0u);
+  // Both sides selected, condition over both.
+  auto right = Select("s.number == 1", Get("s", "Section"));
+  CheckParity(
+      ctx_->Join(Parse("p.section.document == s.document"), left, right)
+          .value(),
+      "nlj over selected left and right");
+}
+
+TEST_F(ExecBatchTest, NestedLoopJoinInnerSideWiderThanABatch) {
+  Populate(200);  // 1200 paragraphs: the inner side spans two batches
+  ASSERT_GT(200u * 2u * 3u, kDefaultBatchSize);
+  // Each left row's pairs cross an output-batch boundary; the join
+  // must resume mid-row.
+  auto docs = Select("d.title == 'Title 1' OR d.title == 'Title 2'",
+                     Get("d", "Document"));
+  EXPECT_EQ(CheckParity(ctx_->Join(Parse("p.section.document == d"), docs,
+                                   Get("p", "Paragraph"))
+                            .value(),
+                        "nlj, inner > batch"),
+            2u * 2u * 3u);
+  EXPECT_EQ(CheckParity(ctx_->Join(Parse("TRUE"), docs,
+                                   Get("p", "Paragraph"))
+                            .value(),
+                        "cross product, inner > batch"),
+            2u * 1200u);
+}
+
+TEST_F(ExecBatchTest, NestedLoopJoinEmptySides) {
+  auto none = Select("s.number == 99", Get("s", "Section"));
+  EXPECT_EQ(CheckParity(ctx_->Join(Parse("p.number < s.number"),
+                                   Get("p", "Paragraph"), none)
+                            .value(),
+                        "nlj, empty inner"),
+            0u);
+  auto no_paragraphs = Select("p.number == 99", Get("p", "Paragraph"));
+  EXPECT_EQ(CheckParity(ctx_->Join(Parse("TRUE"), no_paragraphs,
+                                   Get("s", "Section"))
+                            .value(),
+                        "cross product, empty left"),
+            0u);
+}
+
+TEST_F(ExecBatchTest, NestedLoopJoinTrueCrossProduct) {
+  auto left = Select("p.number == 0", Get("p", "Paragraph"));
+  EXPECT_EQ(CheckParity(ctx_->Join(Parse("TRUE"), left,
+                                   Get("s", "Section"))
+                            .value(),
+                        "cross product"),
+            (8u * 2u) * (8u * 2u));
+}
+
+TEST_F(ExecBatchTest, NestedLoopJoinPollsCancelPerOutputBatch) {
+  // One left batch (1024 paragraphs) pairs with 400 sections: hundreds
+  // of output batches between two scan-leaf polls. The join itself
+  // must observe a cancel on its very next batch.
+  Populate(200);
+  CancellationToken cancel;
+  ExecContext ctx = exec_ctx_;
+  ctx.cancel = &cancel;
+  auto phys = BuildPhysical(WideJoin(), ctx);
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  ASSERT_TRUE(phys.value()->Open().ok());
+  RowBatch batch;
+  auto first = phys.value()->NextBatch(&batch);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value());
+  cancel.Cancel();
+  auto next = phys.value()->NextBatch(&batch);
+  ASSERT_FALSE(next.ok()) << "join emitted a batch after Cancel()";
+  EXPECT_EQ(next.status().code(), StatusCode::kCancelled)
+      << next.status().ToString();
+  phys.value()->Close();
+}
+
+TEST_F(ExecBatchTest, NestedLoopJoinPollsDeadlinePerOutputBatch) {
+  Populate(200);
+  ExecContext ctx = exec_ctx_;
+  ctx.deadline = Deadline::After(500);
+  auto phys = BuildPhysical(WideJoin(), ctx);
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  ASSERT_TRUE(phys.value()->Open().ok());
+  RowBatch batch;
+  auto first = phys.value()->NextBatch(&batch);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value());
+  std::this_thread::sleep_until(ctx.deadline.at +
+                                std::chrono::milliseconds(5));
+  auto next = phys.value()->NextBatch(&batch);
+  ASSERT_FALSE(next.ok()) << "join emitted a batch past its deadline";
+  EXPECT_EQ(next.status().code(), StatusCode::kDeadlineExceeded)
+      << next.status().ToString();
+  phys.value()->Close();
+}
+
+// ------------------------------------------------- set-operator batches
+
+TEST_F(ExecBatchTest, SetOperatorsOverSharedAndOverlappingRows) {
+  auto low = Select("p.number <= 1", Get("p", "Paragraph"));
+  auto high = Select("p.number >= 1", Get("p", "Paragraph"));
+  auto all = Get("p", "Paragraph");
+  const size_t paragraphs = 8u * 2u * 3u;
+  // Every right row duplicates a left row: the right tail adds nothing.
+  EXPECT_EQ(CheckParity(ctx_->Union(low, low).value(), "low u low"),
+            paragraphs * 2 / 3);
+  EXPECT_EQ(CheckParity(ctx_->Diff(low, low).value(), "low - low"), 0u);
+  // Overlap on p.number == 1: emitted once.
+  EXPECT_EQ(CheckParity(ctx_->Union(low, high).value(), "low u high"),
+            paragraphs);
+  EXPECT_EQ(CheckParity(ctx_->Diff(low, high).value(), "low - high"),
+            paragraphs / 3);
+  EXPECT_EQ(CheckParity(ctx_->Diff(all, high).value(), "all - high"),
+            paragraphs / 3);
+  // Empty sides.
+  auto none = Select("p.number == 99", Get("p", "Paragraph"));
+  EXPECT_EQ(CheckParity(ctx_->Union(none, high).value(), "0 u high"),
+            paragraphs * 2 / 3);
+  EXPECT_EQ(CheckParity(ctx_->Diff(high, none).value(), "high - 0"),
+            paragraphs * 2 / 3);
+}
+
+TEST_F(ExecBatchTest, SetOperatorsSpanSeveralBatches) {
+  Populate(200);  // 1200 paragraphs: both sides span two scan batches
+  auto low = Select("p.number <= 1", Get("p", "Paragraph"));
+  auto high = Select("p.number >= 1", Get("p", "Paragraph"));
+  auto top = Select("p.number == 2", Get("p", "Paragraph"));
+  EXPECT_EQ(CheckParity(ctx_->Union(low, high).value(), "low u high"),
+            1200u);
+  // The whole result comes from the right tail, over two batches.
+  auto none = Select("p.number == 99", Get("p", "Paragraph"));
+  EXPECT_EQ(CheckParity(ctx_->Union(none, Get("p", "Paragraph")).value(),
+                        "0 u all"),
+            1200u);
+  EXPECT_EQ(CheckParity(ctx_->Diff(high, top).value(), "high - top"),
+            400u);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Morsel-driven parallel execution: every parallelizable plan must
 // produce, at threads ∈ {1, 2, 4, 8}, the same row multiset as the
-// serial row-at-a-time drain (the independent oracle the batch pipeline
-// is checked against), and the same value set as the naive interpreter
-// running in row mode (which shares no batched-evaluation code with the
-// executor at all). Plus unit tests for the worker pool and the morsel
-// source, and the morsel boundary edge cases: empty extent, extent
-// smaller than one morsel, morsel size 1.
+// serial NextBatch drain, the same set as the naive logical evaluator
+// (algebra::EvalLogical), and the same value set as the naive
+// interpreter running in row mode (which shares no batched-evaluation
+// code with the executor at all). Plus unit tests for the worker pool
+// and the morsel source, and the morsel boundary edge cases: empty
+// extent, extent smaller than one morsel, morsel size 1.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "algebra/eval.h"
 #include "algebra/translate.h"
 #include "engine/database.h"
 #include "exec/parallel.h"
@@ -25,13 +26,13 @@
 #include "vql/parser.h"
 #include "workload/document_db.h"
 
+#include "drain_util.h"
+
 namespace vodak {
 namespace exec {
 namespace {
 
-bool RowsEqual(const Row& a, const Row& b) {
-  return !RowLess(a, b) && !RowLess(b, a);
-}
+using vodak::testing::ExpectSameRows;
 
 class ExecParallelTest : public ::testing::Test {
  protected:
@@ -44,26 +45,26 @@ class ExecParallelTest : public ::testing::Test {
     params.implementation_fraction = 0.3;
     ASSERT_TRUE(db_.Populate(params).ok());
     ctx_ = std::make_unique<algebra::AlgebraContext>(&db_.catalog());
+    eval_ = std::make_unique<ExprEvaluator>(&db_.catalog(), &db_.store(),
+                                            &db_.methods());
     exec_ctx_ = ExecContext{&db_.catalog(), &db_.store(), &db_.methods()};
   }
 
-  /// The independent oracle: serial row-at-a-time drain, sorted.
-  std::vector<Row> RowModeDrainSorted(const algebra::LogicalRef& plan) {
+  /// The multiset reference: the serial NextBatch drain, sorted, itself
+  /// checked against the naive logical evaluator at set level.
+  std::vector<Row> SerialDrainSorted(const algebra::LogicalRef& plan) {
     auto phys = BuildPhysical(plan, exec_ctx_);
     EXPECT_TRUE(phys.ok()) << phys.status().ToString();
-    std::vector<Row> rows;
-    if (!phys.ok()) return rows;
-    PhysOperator* root = phys.value().get();
-    EXPECT_TRUE(root->Open().ok());
-    Row row;
-    for (;;) {
-      auto more = root->Next(&row);
-      EXPECT_TRUE(more.ok()) << more.status().ToString();
-      if (!more.ok() || !more.value()) break;
-      rows.push_back(row);
+    if (!phys.ok()) return {};
+    std::vector<Row> rows =
+        vodak::testing::BatchDrainSorted(phys.value().get());
+    auto oracle = algebra::EvalLogical(plan, *eval_);
+    EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+    if (oracle.ok()) {
+      EXPECT_EQ(vodak::testing::RowsToSet(phys.value()->refs(), rows),
+                oracle.value())
+          << "serial drain vs EvalLogical";
     }
-    root->Close();
-    SortRows(&rows);
     return rows;
   }
 
@@ -82,22 +83,21 @@ class ExecParallelTest : public ::testing::Test {
   }
 
   /// Parallel drains at every thread count must reproduce the serial
-  /// row-mode multiset exactly.
-  void CheckThreadSweep(const algebra::LogicalRef& plan,
+  /// batch multiset exactly. Returns whether threads=4 parallelized.
+  bool CheckThreadSweep(const algebra::LogicalRef& plan,
                         const std::string& label,
                         size_t morsel_size = kDefaultMorselSize) {
-    std::vector<Row> oracle = RowModeDrainSorted(plan);
+    std::vector<Row> reference = SerialDrainSorted(plan);
+    bool parallelized = false;
     for (size_t threads : {1u, 2u, 4u, 8u}) {
-      std::vector<Row> got = ParallelDrainSorted(plan, threads,
-                                                 morsel_size);
-      ASSERT_EQ(oracle.size(), got.size())
-          << label << " at threads=" << threads;
-      for (size_t i = 0; i < oracle.size(); ++i) {
-        ASSERT_TRUE(RowsEqual(oracle[i], got[i]))
-            << label << " at threads=" << threads << ": row " << i
-            << " differs from the serial row-mode drain";
-      }
+      bool ran_parallel = false;
+      std::vector<Row> got =
+          ParallelDrainSorted(plan, threads, morsel_size, &ran_parallel);
+      if (threads == 4) parallelized = ran_parallel;
+      ExpectSameRows(reference, got,
+                     label + " at threads=" + std::to_string(threads));
     }
+    return parallelized;
   }
 
   algebra::LogicalRef Translate(const std::string& text,
@@ -114,7 +114,7 @@ class ExecParallelTest : public ::testing::Test {
   }
 
   /// Full-stack parity for one VQL query: thread-sweep multiset parity
-  /// against the row-mode drain, plus value-set parity between the
+  /// against the serial drain, plus value-set parity between the
   /// parallel column driver and the row-mode naive interpreter.
   void CheckQuery(const std::string& text,
                   size_t morsel_size = kDefaultMorselSize) {
@@ -139,6 +139,7 @@ class ExecParallelTest : public ::testing::Test {
 
   workload::DocumentDb db_;
   std::unique_ptr<algebra::AlgebraContext> ctx_;
+  std::unique_ptr<ExprEvaluator> eval_;
   ExecContext exec_ctx_;
 };
 
@@ -313,11 +314,7 @@ TEST_F(ExecParallelTest, ProjectDedupMergesAcrossWorkers) {
   EXPECT_TRUE(parallelized);
   std::vector<Row> got = std::move(rows).value();
   SortRows(&got);
-  std::vector<Row> oracle = RowModeDrainSorted(plan);
-  ASSERT_EQ(oracle.size(), got.size());
-  for (size_t i = 0; i < oracle.size(); ++i) {
-    ASSERT_TRUE(RowsEqual(oracle[i], got[i])) << "row " << i;
-  }
+  ExpectSameRows(SerialDrainSorted(plan), got, "project-dedup merge");
 }
 
 TEST_F(ExecParallelTest, SharedHashJoinBuildThreadSweep) {
@@ -358,8 +355,30 @@ TEST_F(ExecParallelTest, SetOperatorsFallBackToSerial) {
   EXPECT_FALSE(parallelized) << "set ops must take the serial fallback";
   std::vector<Row> got = std::move(rows).value();
   SortRows(&got);
-  std::vector<Row> oracle = RowModeDrainSorted(plan);
-  ASSERT_EQ(oracle.size(), got.size());
+  ExpectSameRows(SerialDrainSorted(plan), got, "union fallback");
+}
+
+TEST_F(ExecParallelTest, NestedLoopJoinOnDrivingPathThreadSweep) {
+  // The join probes from the morsel-driven outer side while the worker
+  // clones share one materialized inner side (SharedInnerRows).
+  auto sections = ctx_->Get("s", "Section").value();
+  auto join = [&](algebra::LogicalRef left, const std::string& cond) {
+    return ctx_->Join(vql::ParseExpr(cond).value(), std::move(left),
+                      sections)
+        .value();
+  };
+  auto paragraphs = ctx_->Get("p", "Paragraph").value();
+  EXPECT_TRUE(CheckThreadSweep(join(paragraphs, "p.number < s.number"),
+                               "nlj", /*morsel_size=*/4));
+  // A selected (filtered) outer input.
+  auto low = ctx_->Select(vql::ParseExpr("p.number <= 1").value(),
+                          paragraphs)
+                 .value();
+  EXPECT_TRUE(CheckThreadSweep(join(low, "p.section == s"),
+                               "nlj over filtered outer",
+                               /*morsel_size=*/4));
+  EXPECT_TRUE(CheckThreadSweep(join(low, "TRUE"), "cross product",
+                               /*morsel_size=*/4));
 }
 
 // ------------------------------------------------ engine + interpreter

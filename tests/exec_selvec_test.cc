@@ -5,8 +5,9 @@
 // Compact() boundaries. These tests pin the edge cases — empty and full
 // selections, selections surviving through hash-join probe and
 // project-dedup, multiset parity of the marking pipeline against the
-// row-mode oracle and the compacting baseline (serially and under
-// threads {1, 4}), the copy-counter invariant the BENCH_selvec bench
+// compacting baseline and set parity against the naive logical
+// evaluator (serially and under threads {1, 4}), the copy-counter
+// invariant the BENCH_selvec bench
 // records, and the tripwire that batch method bodies only ever see
 // selected rows.
 #include <gtest/gtest.h>
@@ -15,21 +16,21 @@
 #include <string>
 #include <vector>
 
+#include "algebra/eval.h"
 #include "algebra/translate.h"
 #include "common/copy_stats.h"
 #include "exec/parallel.h"
 #include "exec/physical.h"
-#include "exec/row_hash.h"
 #include "vql/parser.h"
 #include "workload/document_db.h"
+
+#include "drain_util.h"
 
 namespace vodak {
 namespace exec {
 namespace {
 
-bool RowsEqual(const Row& a, const Row& b) {
-  return !RowLess(a, b) && !RowLess(b, a);
-}
+using vodak::testing::ExpectSameRows;
 
 class ExecSelvecTest : public ::testing::Test {
  protected:
@@ -42,6 +43,8 @@ class ExecSelvecTest : public ::testing::Test {
     params.implementation_fraction = 0.3;
     ASSERT_TRUE(db_.Populate(params).ok());
     ctx_ = std::make_unique<algebra::AlgebraContext>(&db_.catalog());
+    eval_ = std::make_unique<ExprEvaluator>(&db_.catalog(), &db_.store(),
+                                            &db_.methods());
     exec_ctx_ = ExecContext{&db_.catalog(), &db_.store(), &db_.methods()};
     compact_ctx_ = exec_ctx_;
     compact_ctx_.filter_compacts = true;
@@ -64,71 +67,40 @@ class ExecSelvecTest : public ::testing::Test {
     return ctx_->Select(Parse("n <= 1"), f1).value();
   }
 
-  /// Drains a plan through Next (the row-mode oracle), sorted.
-  std::vector<Row> RowDrainSorted(const algebra::LogicalRef& plan) {
-    auto phys = BuildPhysical(plan, exec_ctx_);
-    EXPECT_TRUE(phys.ok()) << phys.status().ToString();
-    std::vector<Row> rows;
-    if (!phys.ok()) return rows;
-    EXPECT_TRUE(phys.value()->Open().ok());
-    Row row;
-    for (;;) {
-      auto more = phys.value()->Next(&row);
-      EXPECT_TRUE(more.ok()) << more.status().ToString();
-      if (!more.ok() || !more.value()) break;
-      rows.push_back(row);
-    }
-    phys.value()->Close();
-    SortRows(&rows);
-    return rows;
-  }
-
   /// Drains a plan through NextBatch under the given context (marking
   /// pipeline or compacting baseline), sorted.
   std::vector<Row> BatchDrainSorted(const algebra::LogicalRef& plan,
                                     const ExecContext& ctx) {
     auto phys = BuildPhysical(plan, ctx);
     EXPECT_TRUE(phys.ok()) << phys.status().ToString();
-    std::vector<Row> rows;
-    if (!phys.ok()) return rows;
-    EXPECT_TRUE(phys.value()->Open().ok());
-    RowBatch batch;
-    Row row;
-    for (;;) {
-      auto more = phys.value()->NextBatch(&batch);
-      EXPECT_TRUE(more.ok()) << more.status().ToString();
-      if (!more.ok() || !more.value()) break;
-      EXPECT_GT(batch.active_rows(), 0u)
-          << "NextBatch returned true with no live rows";
-      batch.Compact();
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        batch.CopyRowTo(r, &row);
-        rows.push_back(row);
-      }
-    }
-    phys.value()->Close();
-    SortRows(&rows);
-    return rows;
+    if (!phys.ok()) return {};
+    return vodak::testing::BatchDrainSorted(phys.value().get());
   }
 
-  /// Row oracle vs marking batch pipeline vs compacting baseline.
+  /// The naive logical evaluator's result, as a set of tuples.
+  Value Oracle(const algebra::LogicalRef& plan) {
+    auto oracle = algebra::EvalLogical(plan, *eval_);
+    EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+    return oracle.ok() ? oracle.value() : Value::Null();
+  }
+
+  /// Marking pipeline vs compacting baseline (multiset) vs the naive
+  /// logical evaluator (set).
   void CheckThreeWayParity(const algebra::LogicalRef& plan,
                            const std::string& label) {
-    std::vector<Row> oracle = RowDrainSorted(plan);
     std::vector<Row> marked = BatchDrainSorted(plan, exec_ctx_);
     std::vector<Row> compacted = BatchDrainSorted(plan, compact_ctx_);
-    ASSERT_EQ(oracle.size(), marked.size()) << label;
-    ASSERT_EQ(oracle.size(), compacted.size()) << label;
-    for (size_t i = 0; i < oracle.size(); ++i) {
-      ASSERT_TRUE(RowsEqual(oracle[i], marked[i]))
-          << label << ": row " << i << " differs (marking pipeline)";
-      ASSERT_TRUE(RowsEqual(oracle[i], compacted[i]))
-          << label << ": row " << i << " differs (compacting baseline)";
-    }
+    ExpectSameRows(marked, compacted, label + " (compacting baseline)");
+    auto phys = BuildPhysical(plan, exec_ctx_);
+    ASSERT_TRUE(phys.ok());
+    EXPECT_EQ(vodak::testing::RowsToSet(phys.value()->refs(), marked),
+              Oracle(plan))
+        << label << " (marking pipeline vs EvalLogical)";
   }
 
   workload::DocumentDb db_;
   std::unique_ptr<algebra::AlgebraContext> ctx_;
+  std::unique_ptr<ExprEvaluator> eval_;
   ExecContext exec_ctx_;
   ExecContext compact_ctx_;
 };
@@ -199,7 +171,7 @@ TEST_F(ExecSelvecTest, EmptySelectionEndsTheStream) {
   ASSERT_TRUE(more.ok());
   EXPECT_FALSE(more.value());
   phys.value()->Close();
-  auto result = ExecuteToSet(phys.value().get(), ExecMode::kBatch);
+  auto result = ExecuteToSet(phys.value().get());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().AsSet().empty());
 }
@@ -294,21 +266,21 @@ TEST_F(ExecSelvecTest, SelectionSurvivesJoinProbeAndProjectDedup) {
 
 TEST_F(ExecSelvecTest, ParallelChainParityAtThreads1And4) {
   const algebra::LogicalRef plan = ChainPlan();
-  std::vector<Row> oracle = RowDrainSorted(plan);
-  ASSERT_FALSE(oracle.empty());
+  const Value oracle = Oracle(plan);
+  ASSERT_FALSE(oracle.AsSet().empty());
+  auto phys = BuildPhysical(plan, exec_ctx_);
+  ASSERT_TRUE(phys.ok());
   for (size_t threads : {1u, 4u}) {
     ParallelOptions options;
     options.threads = threads;
     auto rows = ParallelDrainRows(plan, exec_ctx_, options);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    std::vector<Row> got = std::move(rows).value();
-    SortRows(&got);
-    ASSERT_EQ(oracle.size(), got.size()) << "threads=" << threads;
-    for (size_t i = 0; i < oracle.size(); ++i) {
-      ASSERT_TRUE(RowsEqual(oracle[i], got[i]))
-          << "threads=" << threads << ": row " << i
-          << " differs from the row-mode oracle";
-    }
+    // The chain's rows are distinct, so the multiset has the set's size.
+    ASSERT_EQ(rows.value().size(), oracle.AsSet().size())
+        << "threads=" << threads;
+    EXPECT_EQ(vodak::testing::RowsToSet(phys.value()->refs(), rows.value()),
+              oracle)
+        << "threads=" << threads << " vs EvalLogical";
   }
 }
 
@@ -321,7 +293,7 @@ TEST_F(ExecSelvecTest, MarkingMovesStrictlyFewerValuesThanCompacting) {
     auto phys = BuildPhysical(plan, ctx);
     EXPECT_TRUE(phys.ok());
     BatchCopyStats::Reset();
-    auto result = ExecuteColumn(phys.value().get(), "p", ExecMode::kBatch);
+    auto result = ExecuteColumn(phys.value().get(), "p");
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return BatchCopyStats::TotalMoves();
   };
@@ -352,7 +324,7 @@ TEST_F(ExecSelvecTest, BatchMethodBodiesOnlySeeSelectedRows) {
   auto phys = BuildPhysical(mapped, exec_ctx_);
   ASSERT_TRUE(phys.ok());
   db_.ResetCounters();
-  auto result = ExecuteToSet(phys.value().get(), ExecMode::kBatch);
+  auto result = ExecuteToSet(phys.value().get());
   ASSERT_TRUE(result.ok());
   const uint64_t batch_rows = db_.methods().batch_row_count(
       "Paragraph", "contains_string", MethodLevel::kInstance);
@@ -360,10 +332,8 @@ TEST_F(ExecSelvecTest, BatchMethodBodiesOnlySeeSelectedRows) {
       << "the method body saw masked-out rows";
   EXPECT_LT(batch_rows, scanned);
 
-  // And the row-mode oracle agrees on the result.
-  auto oracle = ExecuteToSet(phys.value().get(), ExecMode::kRow);
-  ASSERT_TRUE(oracle.ok());
-  EXPECT_EQ(result.value(), oracle.value());
+  // And the naive logical evaluator agrees on the result.
+  EXPECT_EQ(result.value(), Oracle(mapped));
 }
 
 TEST_F(ExecSelvecTest, SelectionViewAccessorsUnit) {

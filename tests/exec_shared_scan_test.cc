@@ -420,52 +420,43 @@ TEST_F(ExecSharedScanTest, MethodScanMaterializesOnceForTheBatch) {
 
 // ------------------------------------------------ engine + interpreter
 
-TEST_F(ExecSharedScanTest, EngineRunConcurrentMatchesRunAndNaive) {
+TEST_F(ExecSharedScanTest, EngineSubmitBatchMatchesRunAndNaive) {
   engine::Database session(&db_.catalog(), &db_.store(), &db_.methods());
   const std::vector<std::string> texts = {
       "ACCESS p FROM p IN Paragraph WHERE p.number >= 1",
       "ACCESS d.title FROM d IN Document",
       "ACCESS s FROM s IN Section WHERE s.number == 1",
   };
-  engine::PlanOptions plan;
-  plan.optimize = false;
+  std::vector<engine::QueryRequest> requests(texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) {
+    requests[i].vql = texts[i];
+    requests[i].plan.optimize = false;
+  }
   engine::SubmitOptions options;
   options.lanes = 4;
-  auto batch = session.RunConcurrent(texts, options, plan);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch.value().size(), texts.size());
+  auto batch = session.Submit(requests, options);
+  ASSERT_EQ(batch.size(), texts.size());
   for (size_t i = 0; i < texts.size(); ++i) {
-    auto alone = session.Run(texts[i], plan);
+    ASSERT_TRUE(batch[i].status.ok()) << batch[i].status.ToString();
+    auto alone = session.Run(texts[i], requests[i].plan);
     ASSERT_TRUE(alone.ok()) << texts[i];
-    EXPECT_EQ(alone.value().result, batch.value()[i].result) << texts[i];
+    EXPECT_EQ(alone.value().result, batch[i].result.result) << texts[i];
     auto naive = session.RunNaive(texts[i]);
     ASSERT_TRUE(naive.ok());
-    EXPECT_EQ(naive.value(), batch.value()[i].result) << texts[i];
+    EXPECT_EQ(naive.value(), batch[i].result.result) << texts[i];
   }
 
   // The baseline flag runs the same batch over private cursors.
   options.shared_scan = false;
-  auto baseline = session.RunConcurrent(texts, options, plan);
-  ASSERT_TRUE(baseline.ok());
+  auto baseline = session.Submit(requests, options);
+  ASSERT_EQ(baseline.size(), texts.size());
   for (size_t i = 0; i < texts.size(); ++i) {
-    EXPECT_EQ(batch.value()[i].result, baseline.value()[i].result);
-  }
-
-  // batch=false is honored per query (the row-at-a-time oracle mode),
-  // composing with shared scans.
-  options.shared_scan = true;
-  engine::RunOptions row_run;
-  row_run.batch = false;
-  auto row_mode = session.RunConcurrent(texts, options, plan, row_run);
-  ASSERT_TRUE(row_mode.ok());
-  for (size_t i = 0; i < texts.size(); ++i) {
-    EXPECT_EQ(batch.value()[i].result, row_mode.value()[i].result);
+    ASSERT_TRUE(baseline[i].status.ok());
+    EXPECT_EQ(batch[i].result.result, baseline[i].result.result);
   }
 
   // An empty batch is a no-op, not a pool spawn.
-  auto empty = session.RunConcurrent({}, options, plan);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty.value().empty());
+  EXPECT_TRUE(session.Submit({}, options).empty());
 }
 
 TEST_F(ExecSharedScanTest, NaiveConcurrentSharesTheExtentPass) {

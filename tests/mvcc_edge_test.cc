@@ -240,7 +240,7 @@ TEST_F(MvccEdgeTest, ReclaimRacesTheLastUnpin) {
 }
 
 // --------------------------------------------- snapshot_epoch surface
-// Run / RunConcurrent / Submit all surface the epoch a query actually
+// Run and Submit (single and multi-query) surface the epoch a query actually
 // executed against — readers report their pinned admission snapshot,
 // writes the epoch their batch committed as.
 TEST_F(MvccEdgeTest, RunShimsSurfaceSnapshotEpoch) {
@@ -262,12 +262,15 @@ TEST_F(MvccEdgeTest, RunShimsSurfaceSnapshotEpoch) {
   EXPECT_EQ(outcomes[0].result.snapshot_epoch, commit);
   EXPECT_EQ(outcomes[0].result.result, Value::Int(8));
 
-  // ...and the read shims pin the post-write world and say so.
-  auto batch = session.RunConcurrent({read, read}, {}, {/*optimize=*/false});
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  for (const auto& result : batch.value()) {
-    EXPECT_EQ(result.snapshot_epoch, commit);
-    for (const Value& v : result.result.AsSet()) {
+  // ...and a multi-query read batch pins the post-write world and says so.
+  engine::QueryRequest r;
+  r.vql = read;
+  r.plan.optimize = false;
+  auto batch = session.Submit({r, r});
+  for (const auto& outcome : batch) {
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    EXPECT_EQ(outcome.result.snapshot_epoch, commit);
+    for (const Value& v : outcome.result.result.AsSet()) {
       EXPECT_EQ(v, Value::Int(42));
     }
   }

@@ -187,19 +187,23 @@ class MvccStressTest : public ::testing::Test {
           const std::string sibling = BucketQuery(pick(kBuckets));
           engine::SubmitOptions options;
           options.lanes = 2;
-          auto results =
-              session.RunConcurrent({query, sibling}, options, no_opt);
-          ASSERT_TRUE(results.ok()) << results.status().ToString();
-          for (size_t q = 0; q < results.value().size(); ++q) {
+          std::vector<engine::QueryRequest> requests(2);
+          requests[0].vql = query;
+          requests[1].vql = sibling;
+          for (engine::QueryRequest& r : requests) r.plan = no_opt;
+          auto results = session.Submit(requests, options);
+          for (size_t q = 0; q < results.size(); ++q) {
+            ASSERT_TRUE(results[q].status.ok())
+                << results[q].status.ToString();
             records->push_back({id, iter, "shared-scan",
-                                q == 0 ? query : sibling,
-                                results.value()[q].snapshot_epoch,
-                                results.value()[q].result});
+                                requests[q].vql,
+                                results[q].result.snapshot_epoch,
+                                results[q].result.result});
           }
           log->push_back(
               "reader=" + std::to_string(id) + " iter=" +
               std::to_string(iter) + " path=shared-scan epoch=" +
-              std::to_string(results.value()[0].snapshot_epoch));
+              std::to_string(results[0].result.snapshot_epoch));
           break;
         }
         default: {  // generation scheduler: the service path

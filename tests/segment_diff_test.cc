@@ -240,19 +240,24 @@ TEST_F(SegmentDiffTest, SharedScanBatchesAgreeWithOracle) {
     for (int i = 0; i < kSharedBatchSize; ++i) {
       queries.push_back(gen.NextQuery());
     }
-    auto seg = seg_session->RunConcurrent(queries, submit, no_opt);
-    ASSERT_TRUE(seg.ok()) << seg.status().ToString() << "\n  seed: "
-                          << seed;
-    auto ext = ext_session.RunConcurrent(queries, submit, no_opt);
-    ASSERT_TRUE(ext.ok()) << ext.status().ToString() << "\n  seed: "
-                          << seed;
+    std::vector<engine::QueryRequest> requests(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      requests[i].vql = queries[i];
+      requests[i].plan = no_opt;
+    }
+    auto seg = seg_session->Submit(requests, submit);
+    auto ext = ext_session.Submit(requests, submit);
     for (int i = 0; i < kSharedBatchSize; ++i) {
+      ASSERT_TRUE(seg[i].status.ok())
+          << seg[i].status.ToString() << "\n  seed: " << seed;
+      ASSERT_TRUE(ext[i].status.ok())
+          << ext[i].status.ToString() << "\n  seed: " << seed;
       auto oracle = seg_session->RunNaive(queries[i], row);
       ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-      ASSERT_EQ(seg.value()[i].result, oracle.value())
+      ASSERT_EQ(seg[i].result.result, oracle.value())
           << "shared segment drain diverged from the oracle"
           << "\n  query: " << queries[i] << "\n  seed: " << seed;
-      ASSERT_EQ(ext.value()[i].result, oracle.value())
+      ASSERT_EQ(ext[i].result.result, oracle.value())
           << "shared extent drain diverged from the oracle"
           << "\n  query: " << queries[i] << "\n  seed: " << seed;
     }
