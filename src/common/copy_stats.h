@@ -2,10 +2,10 @@
 // selection-vector pipeline optimizes: compaction moves (values
 // physically relocated inside a RowBatch) and gather copies (values
 // copied out of a batch to build a dense selection/mask view for the
-// expression evaluator). bench_batch_exec's selection-chain section
-// records both per pipeline mode into BENCH_selvec.json, and
-// scripts/ci.sh fails the build when the selection path regresses to
-// more copies than rows. See docs/ARCHITECTURE.md §"Selection vectors".
+// expression evaluator). exec_selvec_test's
+// SelectionChainMovesAtMostOneValuePerScannedRow fails when a selection
+// chain moves more values than it scanned rows. See
+// docs/ARCHITECTURE.md §"Selection vectors".
 #ifndef VODAK_COMMON_COPY_STATS_H_
 #define VODAK_COMMON_COPY_STATS_H_
 
@@ -18,7 +18,7 @@ namespace vodak {
 /// (not per value) from parallel morsel workers, and read only by the
 /// benchmark/test harness while no query is in flight.
 struct BatchCopyStats {
-  /// Values physically moved by RowBatch::Compact / CompactRows.
+  /// Values physically moved by RowBatch::Compact.
   static inline std::atomic<uint64_t> compact_moves{0};
   /// Values copied into dense gathered sub-batches (selection views and
   /// AND/OR mask gathers in expr/expr_eval_batch.cc).

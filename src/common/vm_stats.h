@@ -3,9 +3,10 @@
 // dispatches replaced how many virtual NextBatch hand-offs in the
 // operator tree, how often compilation fell back, and whether the
 // per-query arena reached its zero-allocation steady state.
-// bench_vm records them into BENCH_vm.json and scripts/ci.sh --vm
-// gates `vm_dispatches < operator_handoffs` on the fused chain and
-// zero arena growth after warmup. See docs/ARCHITECTURE.md
+// vm_test asserts `0 < vm_dispatches < operator_handoffs` on a fused
+// chain (FusedDispatchesStayBelowOperatorHandoffs) and zero arena
+// growth after warmup (ArenaResetsBetweenQueriesAndStaysAllocationFree).
+// See docs/ARCHITECTURE.md
 // §"Compiled execution — the batch VM".
 #ifndef VODAK_COMMON_VM_STATS_H_
 #define VODAK_COMMON_VM_STATS_H_

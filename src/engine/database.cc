@@ -298,10 +298,6 @@ std::vector<QueryOutcome> Database::Submit(
       continue;
     }
     o.result = std::move(planned).value();
-    if (!request.run.execute) {
-      o.result.result = Value::Set({});
-      continue;
-    }
     exec::ConcurrentQuery query;
     query.plan = o.result.chosen_plan;
     query.result_ref = algebra::ResultRef(bound);
@@ -404,30 +400,6 @@ Result<Value> Database::RunNaive(
   VODAK_ASSIGN_OR_RETURN(vql::BoundQuery bound, Parse(vql));
   vql::Interpreter interpreter(catalog_, store_, methods_);
   return interpreter.Run(bound, options);
-}
-
-Result<std::vector<Value>> Database::RunNaiveConcurrent(
-    const std::vector<std::string>& queries,
-    vql::Interpreter::Options options) const {
-  // Pin one snapshot for the whole batch (unless the caller already
-  // chose one) so the shared extents and the per-query property reads
-  // agree even when a writer commits mid-batch.
-  EpochPin pin(store_);
-  if (options.snapshot_epoch == kEpochLatest) {
-    options.snapshot_epoch = pin.epoch();
-  }
-  exec::SharedScanManager manager(store_, options.morsel_size,
-                                  options.snapshot_epoch, segments_);
-  options.shared_scans = &manager;
-  vql::Interpreter interpreter(catalog_, store_, methods_);
-  std::vector<Value> out;
-  out.reserve(queries.size());
-  for (const std::string& vql : queries) {
-    VODAK_ASSIGN_OR_RETURN(vql::BoundQuery bound, Parse(vql));
-    VODAK_ASSIGN_OR_RETURN(Value result, interpreter.Run(bound, options));
-    out.push_back(std::move(result));
-  }
-  return out;
 }
 
 Result<std::string> Database::Explain(const std::string& vql,

@@ -96,16 +96,6 @@ class Database {
   Result<Value> RunNaive(const std::string& vql,
                          const vql::Interpreter::Options& options = {}) const;
 
-  /// Naive counterpart of a multi-query Submit: evaluates the query batch
-  /// through the interpreter with a shared-scan manager installed, so
-  /// the batch pays one extent pass per class (the queries themselves
-  /// evaluate one after another — the naive path stays the simple
-  /// oracle). results[i] belongs to queries[i]; `options` keeps its
-  /// usual meaning per query (row_mode composes with the sharing).
-  Result<std::vector<Value>> RunNaiveConcurrent(
-      const std::vector<std::string>& queries,
-      vql::Interpreter::Options options = {}) const;
-
   /// Human-readable optimization report: original plan, chosen plan,
   /// costs, and with `plan.trace` the full rewrite storyboard.
   Result<std::string> Explain(const std::string& vql,

@@ -43,9 +43,6 @@ enum class VmMode { kAuto, kOff, kForce };
 /// One query's execution knobs. Batch-level knobs (lanes, shared
 /// scans) live in SubmitOptions — they never made sense per query.
 struct RunOptions {
-  /// Execute the chosen plan; false stops after planning (used by
-  /// optimizer-scaling benchmarks where execution would dominate).
-  bool execute = true;
   /// Worker threads for *intra-query* morsel-driven parallelism when
   /// the query runs alone. 1 keeps the serial pipeline, 0 resolves to
   /// the hardware concurrency. Ignored for multi-query Submit batches,

@@ -451,8 +451,8 @@ class ScanOp : public PhysOperator {
   Status Open() override { return source_->Open(); }
   Result<bool> NextBatch(RowBatch* batch) override {
     // Every NextBatch entry counts one virtual batch hand-off, the
-    // per-operator cost the VM backend (exec/vm.h) fuses away; ci.sh
-    // --vm gates on the ratio.
+    // per-operator cost the VM backend (exec/vm.h) fuses away; vm_test's
+    // FusedDispatchesStayBelowOperatorHandoffs checks the ratio.
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     // The executor's cancellation point: every pipeline drains through
     // its scan leaves (blocking join builds included), so one check per
@@ -482,8 +482,7 @@ class ScanOp : public PhysOperator {
 /// Physical select<condition>. Density contract (operator-contract
 /// table, docs/ARCHITECTURE.md §"Selection vectors"): accepts selected
 /// or dense batches, emits *selected* batches — survivors are marked in
-/// the selection vector, never moved. ExecContext::filter_compacts
-/// restores the compacting baseline for measurement.
+/// the selection vector, never moved.
 class Filter : public PhysOperator {
  public:
   Filter(const ExecContext& ctx, PhysOpPtr child, ExprRef cond)
@@ -491,8 +490,7 @@ class Filter : public PhysOperator {
         evaluator_(ctx.catalog, ctx.store, ctx.methods,
                    ctx.property_cache, ctx.snapshot_epoch),
         child_(std::move(child)),
-        cond_(std::move(cond)),
-        compacts_(ctx.filter_compacts) {}
+        cond_(std::move(cond)) {}
 
   Status Open() override { return child_->Open(); }
   Result<bool> NextBatch(RowBatch* batch) override {
@@ -508,7 +506,6 @@ class Filter : public PhysOperator {
       VODAK_RETURN_IF_ERROR(
           evaluator_.EvalPredicateBatch(cond_, env, &keep_));
       size_t kept = batch->IntersectSelection(keep_);
-      if (compacts_) batch->Compact();
       if (kept > 0) {
         rows_produced_ += kept;
         return true;
@@ -526,7 +523,6 @@ class Filter : public PhysOperator {
   ExprEvaluator evaluator_;
   PhysOpPtr child_;
   ExprRef cond_;
-  bool compacts_;
   std::vector<char> keep_;
 };
 

@@ -103,12 +103,6 @@ struct ExecContext {
   const Catalog* catalog = nullptr;
   ObjectStore* store = nullptr;
   MethodRegistry* methods = nullptr;
-  /// When true, Filter::NextBatch physically compacts surviving rows
-  /// after every predicate (the pre-selection-vector behavior). Kept as
-  /// the measurable baseline for bench_batch_exec's selection-chain
-  /// section and the selection tests; production paths leave it false
-  /// and filter by marking the batch's selection vector instead.
-  bool filter_compacts = false;
   /// Cross-query shared-scan attachment point. When set, every scan
   /// leaf (extent and method scan) attaches to this manager's shared
   /// cursors instead of opening a private one, so the K queries of a

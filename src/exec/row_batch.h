@@ -182,18 +182,6 @@ class RowBatch {
     }
   }
 
-  /// Keeps exactly the live rows with keep[i] != 0 and densifies,
-  /// preserving order; returns the surviving row count. Equivalent to
-  /// IntersectSelection(keep) + Compact() — the compacting-filter
-  /// baseline the selection-vector pipeline replaces (kept for the
-  /// measurable baseline mode and the interpreter's oracle-adjacent
-  /// paths).
-  size_t CompactRows(const std::vector<char>& keep) {
-    IntersectSelection(keep);
-    Compact();
-    return num_rows_;
-  }
-
  private:
   size_t num_rows_ = 0;
   std::vector<std::vector<Value>> columns_;

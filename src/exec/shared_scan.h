@@ -148,9 +148,8 @@ class SharedScanConsumer {
 /// PropertyColumnCache, so attached queries share column reads as well
 /// as the scan pass.
 ///
-/// Lifetime: created per ExecuteConcurrent call (or per
-/// RunNaiveConcurrent batch / generation drain); queries must not
-/// outlive the manager.
+/// Lifetime: created per ExecuteConcurrent call (or per generation
+/// drain); queries must not outlive the manager.
 ///
 /// Version-aware: a manager is constructed against one snapshot epoch
 /// (the epoch its batch or generation pinned at admission) and
@@ -179,9 +178,7 @@ class SharedScanManager {
   SharedScanManager& operator=(const SharedScanManager&) = delete;
 
   /// The materialize-once extent of `class_id` (one store Extent()
-  /// call per class per manager). Shared with the naive interpreter's
-  /// concurrent runs, which want the extent itself rather than a
-  /// morsel ring.
+  /// call per class per manager), as the ring's consumers see it.
   Result<std::shared_ptr<const std::vector<Oid>>> SharedExtent(
       uint32_t class_id) EXCLUDES(mu_);
 

@@ -185,7 +185,7 @@ Result<bool> VmExec::NextBatch(RowBatch* batch) {
     VODAK_ASSIGN_OR_RETURN(bool more, source_->NextBatch(&scan_batch_));
     if (!more) return false;
     // One fused dispatch covers the whole compiled chain for this
-    // batch — the observable ci.sh --vm gates against the tree's
+    // batch — the observable vm_test checks against the tree's
     // per-operator hand-off count.
     VmStats::vm_dispatches.fetch_add(1, std::memory_order_relaxed);
     const size_t n = scan_batch_.num_rows();

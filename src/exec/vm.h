@@ -114,7 +114,8 @@ struct VmProgram {
 /// flag vectors, physical scatter columns) live here and are *reused
 /// across batches* — after the first batch warms the capacities, the
 /// steady-state batch loop allocates nothing (VmStats counts every
-/// capacity growth, and bench_vm / ci.sh --vm gate it at zero).
+/// capacity growth; vm_test's
+/// ArenaResetsBetweenQueriesAndStaysAllocationFree asserts zero).
 /// ResetForQuery() between queries keeps the capacities and clears the
 /// contents.
 class QueryArena {

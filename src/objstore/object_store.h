@@ -18,7 +18,7 @@
 
 namespace vodak {
 
-/// Counters exposed by the store. Benchmarks and the cost-model
+/// Counters exposed by the store. perfbench, tests and the cost-model
 /// calibration read these to *measure* property accesses and extent scans
 /// instead of guessing, which is how we validate the paper's claims about
 /// access cost asymmetry between attributes and methods. Relaxed atomics:
@@ -32,8 +32,8 @@ struct StoreStats {
   std::atomic<uint64_t> objects_deleted{0};
   std::atomic<uint64_t> extent_scans{0};
   /// Reads resolved at an explicitly pinned epoch (not kEpochLatest):
-  /// the count of work actually served from a snapshot, which is what
-  /// the mixed read/write bench gates on.
+  /// the count of work actually served from a snapshot.
+  /// mvcc_stress_test requires at least one per completed read.
   std::atomic<uint64_t> snapshot_reads{0};
   /// Version records appended by the copy-on-write path (Apply, or a
   /// legacy write forced to version because readers hold pins).

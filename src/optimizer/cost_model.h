@@ -55,10 +55,9 @@ using MethodStatsProvider = std::function<std::optional<MethodStats>(
 /// per NextBatch call it makes, i.e. per ceil(rows / kAssumedBatchRows)
 /// — plus per-row emit work priced by *how* the batched operator
 /// actually emits. A Filter marks survivors in the selection vector
-/// (kMarkCostPerRow, far below a tuple emit; the compacting baseline
-/// behind ExecContext::filter_compacts would instead pay
-/// kCompactMoveCost per surviving row per filter — why it is the
-/// baseline, not the production path). A hash-join build crosses a
+/// (kMarkCostPerRow, far below a tuple emit; a compacting filter would
+/// instead pay kCompactMoveCost per surviving row per filter). A
+/// hash-join build crosses a
 /// density boundary, so its build rows pay one kCompactMoveCost on top
 /// of the hash insert. Nested-loop joins and set ops keep plain
 /// per-pair / per-row pricing.

@@ -70,8 +70,9 @@ struct SchedulerOptions {
   /// Worker lanes per generation drain; 0 = hardware concurrency.
   size_t lanes = 0;
   size_t morsel_size = exec::kDefaultMorselSize;
-  /// False drains every member with private cursors — the measurable
-  /// baseline the service benchmark compares against.
+  /// False drains every member with private cursors — the baseline
+  /// service_test's ClosedLoopClientsShareGenerationsScansAndPlans
+  /// compares extent passes against.
   bool shared_scan = true;
   /// Late attach requires deadline slack of at least this multiple of
   /// the drain-time estimate (EWMA over sealed generations).

@@ -1,8 +1,9 @@
 // Wire protocol of the query service: newline-framed text lines over a
 // TCP stream, one request or reply per line (docs/ARCHITECTURE.md
 // §"Query service & admission control"). Kept dependency-free on the
-// socket layer so the same parse/format code serves the service, the
-// load-harness clients in bench/bench_service.cpp and the tests.
+// socket layer so the same parse/format code serves the service,
+// perfbench's socket clients and the tests (service_test's
+// ClosedLoopClientsShareGenerationsScansAndPlans drives K of them).
 //
 // Requests:
 //   Q <id> <deadline_ms> <vql...>   submit; <id> is a client-chosen
@@ -19,7 +20,9 @@
 //       generations=... late=... extent_passes=... property_reads=...
 //       plan_cache_hits=... plan_cache_misses=...
 //   E <message>                     protocol-level error (malformed
-//                                   line, duplicate in-flight id)
+//                                   line, duplicate in-flight id, or a
+//                                   line over kMaxLineBytes, after
+//                                   which the connection closes)
 #ifndef VODAK_SERVICE_PROTOCOL_H_
 #define VODAK_SERVICE_PROTOCOL_H_
 
@@ -32,6 +35,11 @@
 
 namespace vodak {
 namespace service {
+
+/// Longest request line the service buffers, newline excluded. A longer
+/// line gets one `E` reply and its connection is closed, so no client
+/// can grow the process's memory by withholding the newline.
+constexpr size_t kMaxLineBytes = size_t{1} << 20;
 
 /// One parsed request line.
 struct Request {

@@ -281,7 +281,7 @@ void QueryService::EventLoop() {
     fds.push_back({listen_fd_, POLLIN, 0});
     fds.push_back({wake_read_fd_, POLLIN, 0});
     for (auto& [fd, conn] : conns_) {
-      short events = POLLIN;
+      short events = conn->closing ? 0 : POLLIN;
       if (!conn->outbuf.empty()) events |= POLLOUT;
       fds.push_back({fd, events, 0});
     }
@@ -325,6 +325,8 @@ void QueryService::EventLoop() {
           const ssize_t n = read(conn.fd, buf, sizeof(buf));
           if (n > 0) {
             conn.inbuf.append(buf, static_cast<size_t>(n));
+            // The rest stays in the socket until these lines are parsed.
+            if (conn.inbuf.size() > kMaxLineBytes) break;
           } else if (n == 0) {
             eof = true;
             break;
@@ -334,15 +336,26 @@ void QueryService::EventLoop() {
           }
         }
         size_t start = 0;
+        bool overlong = false;
         for (;;) {
           const size_t nl = conn.inbuf.find('\n', start);
           if (nl == std::string::npos) break;
+          if (nl - start > kMaxLineBytes) {
+            overlong = true;
+            break;
+          }
           std::string line = conn.inbuf.substr(start, nl - start);
           if (!line.empty() && line.back() == '\r') line.pop_back();
           HandleLine(conn, line);
           start = nl + 1;
         }
         conn.inbuf.erase(0, start);
+        if (overlong || conn.inbuf.size() > kMaxLineBytes) {
+          QueueReply(conn, "E request line exceeds " +
+                               std::to_string(kMaxLineBytes) + " bytes");
+          conn.inbuf.clear();
+          conn.closing = true;
+        }
         if (eof) {
           doomed.push_back(conn.fd);
           continue;
@@ -355,8 +368,10 @@ void QueryService::EventLoop() {
           conn.outbuf.erase(0, static_cast<size_t>(n));
         } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
           doomed.push_back(conn.fd);
+          continue;
         }
       }
+      if (conn.closing && conn.outbuf.empty()) doomed.push_back(conn.fd);
     }
     for (int fd : doomed) {
       auto it = conns_.find(fd);

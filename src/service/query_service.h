@@ -41,7 +41,8 @@ struct ServiceOptions {
   /// Worker lanes per generation drain; 0 = hardware concurrency.
   size_t lanes = 0;
   size_t morsel_size = exec::kDefaultMorselSize;
-  /// False drains with private cursors (the benchmark baseline).
+  /// False drains with private cursors (the baseline service_test's
+  /// ClosedLoopClientsShareGenerationsScansAndPlans compares against).
   bool shared_scan = true;
   /// Late-attach deadline slack (SchedulerOptions::attach_slack).
   double attach_slack = 2.0;
@@ -77,13 +78,17 @@ class QueryService {
   struct Connection {
     uint64_t id = 0;
     int fd = -1;
-    /// Bytes received but not yet newline-terminated.
+    /// Bytes received but not yet newline-terminated; at most
+    /// kMaxLineBytes plus one read.
     std::string inbuf;
     /// Formatted reply bytes not yet accepted by the socket.
     std::string outbuf;
     /// In-flight queries by request id; the target of `C <id>` and of
     /// the cancel-on-disconnect sweep.
     std::map<std::string, std::shared_ptr<exec::CancellationToken>> inflight;
+    /// Set once a line exceeded kMaxLineBytes: nothing more is read, and
+    /// the connection closes as soon as its `E` reply is sent.
+    bool closing = false;
   };
 
   /// A finished query's formatted reply, posted by a generation worker

@@ -5,8 +5,9 @@
 // page is wired in memory — the clock hand skips it — so readers hold
 // stable pointers across a batch without copying; eviction writes
 // dirty frames back before reuse. Hit/miss/evict/writeback counters
-// are the CI-gated signal for bench_storage (1-core container:
-// counters, not wall clock, per BENCHMARKS.md policy).
+// are the checked signal: segment_diff_test's
+// SelectiveReRunsHitTheSmallCache requires more hits than misses when
+// a selective query re-runs through a deliberately small cache.
 #ifndef VODAK_STORAGE_PAGER_H_
 #define VODAK_STORAGE_PAGER_H_
 
@@ -27,14 +28,14 @@ struct PagerOptions {
   /// Bytes per page. Segment column blobs span whole pages, so ~64 KiB
   /// keeps the directory small while a blob still streams in few pins.
   size_t page_size = 64 * 1024;
-  /// Buffer-cache capacity in pages. The bench deliberately caps this
-  /// far below the data size to make the replacement policy observable.
+  /// Buffer-cache capacity in pages. Tests cap this far below the data
+  /// size to make the replacement policy observable.
   size_t cache_pages = 64;
 };
 
 /// Relaxed counters: concurrent readers bump them under no lock beyond
-/// the pager mutex they already hold for the frame table, and the
-/// benches read them quiescently. Orders are spelled per the lint.py
+/// the pager mutex they already hold for the frame table, and tests
+/// read them quiescently. Orders are spelled per the lint.py
 /// atomics contract.
 struct PagerStats {
   std::atomic<uint64_t> cache_hits{0};

@@ -117,7 +117,9 @@ struct IngestOptions {
 };
 
 /// Pruning totals since construction/reset. Relaxed atomics read
-/// quiescently by benches and the cost model's survival-rate learning.
+/// quiescently by tests (segment_diff_test's
+/// SegmentScansAgreeAcrossAllDrains requires scanned > 0 and
+/// skipped > 0) and the cost model's survival-rate learning.
 struct SegmentStoreStats {
   std::atomic<uint64_t> segments_scanned{0};
   std::atomic<uint64_t> segments_skipped{0};

@@ -77,9 +77,10 @@ Status Interpreter::RunRanges(const BoundQuery& query,
     if (cls == nullptr) {
       return Status::BindError("unknown class '" + range.class_name + "'");
     }
-    VODAK_ASSIGN_OR_RETURN(auto extent,
-                           ExtentFor(options, cls->class_id()));
-    for (Oid oid : *extent) {
+    VODAK_ASSIGN_OR_RETURN(
+        std::vector<Oid> extent,
+        evaluator_.store()->Extent(cls->class_id(), options.snapshot_epoch));
+    for (Oid oid : extent) {
       (*env)[range.var] = Value::OfOid(oid);
       VODAK_RETURN_IF_ERROR(
           RunRanges(query, options, index + 1, env, pending, out));
@@ -172,17 +173,6 @@ Status Interpreter::RunParallel(const BoundQuery& query,
   return Status::OK();
 }
 
-Result<std::shared_ptr<const std::vector<Oid>>> Interpreter::ExtentFor(
-    const Options& options, uint32_t class_id) const {
-  if (options.shared_scans != nullptr) {
-    return options.shared_scans->SharedExtent(class_id);
-  }
-  VODAK_ASSIGN_OR_RETURN(
-      std::vector<Oid> extent,
-      evaluator_.store()->Extent(class_id, options.snapshot_epoch));
-  return std::make_shared<const std::vector<Oid>>(std::move(extent));
-}
-
 Result<Value> Interpreter::Run(const BoundQuery& query,
                                const Options& options) const {
   std::vector<Value> results;
@@ -194,10 +184,11 @@ Result<Value> Interpreter::Run(const BoundQuery& query,
     if (cls == nullptr) {
       return Status::BindError("unknown class '" + outer.class_name + "'");
     }
-    VODAK_ASSIGN_OR_RETURN(auto extent,
-                           ExtentFor(options, cls->class_id()));
+    VODAK_ASSIGN_OR_RETURN(
+        std::vector<Oid> extent,
+        evaluator_.store()->Extent(cls->class_id(), options.snapshot_epoch));
     VODAK_RETURN_IF_ERROR(
-        RunParallel(query, options, *extent, threads, &results));
+        RunParallel(query, options, extent, threads, &results));
   } else {
     VODAK_RETURN_IF_ERROR(RunFrom(query, options, 0, Env(), &results));
   }

@@ -4,7 +4,6 @@
 #include "common/result.h"
 #include "exec/morsel_source.h"
 #include "exec/row_batch.h"
-#include "exec/shared_scan.h"
 #include "exec/worker_pool.h"
 #include "expr/expr_eval.h"
 #include "vql/ast.h"
@@ -46,14 +45,6 @@ class Interpreter {
     size_t morsel_size = exec::kDefaultMorselSize;
     /// Reusable pool; when null an ephemeral pool is created.
     exec::WorkerPool* pool = nullptr;
-    /// Cross-query shared scans: when set, every extent range reads its
-    /// class extension through the manager's materialize-once
-    /// SharedExtent instead of a private store Extent() call, so a
-    /// batch of concurrent naive runs pays one extent pass per class
-    /// (engine::Database::RunNaiveConcurrent installs this). Owned by
-    /// the caller; evaluation semantics are unchanged — row_mode with a
-    /// manager installed is still the row-at-a-time oracle.
-    exec::SharedScanManager* shared_scans = nullptr;
     /// The epoch every store read resolves at — the query's pinned
     /// snapshot. The kEpochLatest default reads live state, which is
     /// only safe while no writer runs; Database::Submit and the oracle
@@ -95,11 +86,6 @@ class Interpreter {
   Status RunParallel(const BoundQuery& query, const Options& options,
                      const std::vector<Oid>& extent, size_t threads,
                      std::vector<Value>* out) const;
-  /// The extent of `class_id` — through the shared-scan manager when
-  /// Options::shared_scans is set (materialize-once across queries),
-  /// a private store scan otherwise.
-  Result<std::shared_ptr<const std::vector<Oid>>> ExtentFor(
-      const Options& options, uint32_t class_id) const;
 
   ExprEvaluator evaluator_;
 };

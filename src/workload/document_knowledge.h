@@ -28,7 +28,7 @@ namespace workload {
 ///            p IS-IN (p→document()).largeParagraphs
 ///
 /// `only` restricts registration to a subset of {"E1".."E5","LARGE"}
-/// (used by the ablation benchmark); empty means all.
+/// (knowledge ablations in tests); empty means all.
 Status RegisterPaperKnowledge(engine::Database* session,
                               const CorpusParams& params,
                               const std::set<std::string>& only = {});

@@ -4,12 +4,10 @@
 // selection view, and density is restored only at the explicit
 // Compact() boundaries. These tests pin the edge cases — empty and full
 // selections, selections surviving through hash-join probe and
-// project-dedup, multiset parity of the marking pipeline against the
-// compacting baseline and set parity against the naive logical
-// evaluator (serially and under threads {1, 4}), the copy-counter
-// invariant the BENCH_selvec bench
-// records, and the tripwire that batch method bodies only ever see
-// selected rows.
+// project-dedup, set parity against the naive logical evaluator
+// (serially and under threads {1, 4}), the copy-counter bound on a
+// selection chain (no more value moves than scanned rows), and the
+// tripwire that batch method bodies only ever see selected rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,8 +28,6 @@ namespace vodak {
 namespace exec {
 namespace {
 
-using vodak::testing::ExpectSameRows;
-
 class ExecSelvecTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -46,8 +42,6 @@ class ExecSelvecTest : public ::testing::Test {
     eval_ = std::make_unique<ExprEvaluator>(&db_.catalog(), &db_.store(),
                                             &db_.methods());
     exec_ctx_ = ExecContext{&db_.catalog(), &db_.store(), &db_.methods()};
-    compact_ctx_ = exec_ctx_;
-    compact_ctx_.filter_compacts = true;
   }
 
   ExprRef Parse(const std::string& text) {
@@ -56,10 +50,9 @@ class ExecSelvecTest : public ::testing::Test {
     return e.value();
   }
 
-  /// The selection chain shape of the BENCH_selvec bench: a mapped
-  /// column followed by a stack of cheap predicates, each its own
-  /// Filter operator (the shape the semantic optimizer's method
-  /// rewriting produces).
+  /// A selection chain: a mapped column followed by a stack of cheap
+  /// predicates, each its own Filter operator (the shape the semantic
+  /// optimizer's method rewriting produces).
   algebra::LogicalRef ChainPlan() {
     auto get = ctx_->Get("p", "Paragraph").value();
     auto mapped = ctx_->Map("n", Parse("p.number"), get).value();
@@ -67,11 +60,9 @@ class ExecSelvecTest : public ::testing::Test {
     return ctx_->Select(Parse("n <= 1"), f1).value();
   }
 
-  /// Drains a plan through NextBatch under the given context (marking
-  /// pipeline or compacting baseline), sorted.
-  std::vector<Row> BatchDrainSorted(const algebra::LogicalRef& plan,
-                                    const ExecContext& ctx) {
-    auto phys = BuildPhysical(plan, ctx);
+  /// Drains a plan through NextBatch, sorted.
+  std::vector<Row> BatchDrainSorted(const algebra::LogicalRef& plan) {
+    auto phys = BuildPhysical(plan, exec_ctx_);
     EXPECT_TRUE(phys.ok()) << phys.status().ToString();
     if (!phys.ok()) return {};
     return vodak::testing::BatchDrainSorted(phys.value().get());
@@ -84,13 +75,10 @@ class ExecSelvecTest : public ::testing::Test {
     return oracle.ok() ? oracle.value() : Value::Null();
   }
 
-  /// Marking pipeline vs compacting baseline (multiset) vs the naive
-  /// logical evaluator (set).
-  void CheckThreeWayParity(const algebra::LogicalRef& plan,
-                           const std::string& label) {
-    std::vector<Row> marked = BatchDrainSorted(plan, exec_ctx_);
-    std::vector<Row> compacted = BatchDrainSorted(plan, compact_ctx_);
-    ExpectSameRows(marked, compacted, label + " (compacting baseline)");
+  /// The marking pipeline vs the naive logical evaluator (set).
+  void CheckOracleParity(const algebra::LogicalRef& plan,
+                         const std::string& label) {
+    std::vector<Row> marked = BatchDrainSorted(plan);
     auto phys = BuildPhysical(plan, exec_ctx_);
     ASSERT_TRUE(phys.ok());
     EXPECT_EQ(vodak::testing::RowsToSet(phys.value()->refs(), marked),
@@ -102,7 +90,6 @@ class ExecSelvecTest : public ::testing::Test {
   std::unique_ptr<algebra::AlgebraContext> ctx_;
   std::unique_ptr<ExprEvaluator> eval_;
   ExecContext exec_ctx_;
-  ExecContext compact_ctx_;
 };
 
 TEST_F(ExecSelvecTest, RowBatchSelectionUnit) {
@@ -219,33 +206,23 @@ TEST_F(ExecSelvecTest, FilterEmitsMarkedNotMovedBatches) {
     EXPECT_GE(batch.column(0)[batch.RowAt(i)].AsOid().local, 0u);
   }
   phys.value()->Close();
-
-  // The compacting baseline produces a dense batch with the same rows.
-  auto baseline = BuildPhysical(plan, compact_ctx_);
-  ASSERT_TRUE(baseline.ok());
-  ASSERT_TRUE(baseline.value()->Open().ok());
-  RowBatch dense;
-  ASSERT_TRUE(baseline.value()->NextBatch(&dense).value());
-  EXPECT_FALSE(dense.has_selection());
-  EXPECT_EQ(dense.num_rows(), batch.active_rows());
-  baseline.value()->Close();
 }
 
 TEST_F(ExecSelvecTest, SelectionChainParity) {
-  CheckThreeWayParity(ChainPlan(), "map + two-filter chain");
+  CheckOracleParity(ChainPlan(), "map + two-filter chain");
 
   // Property-predicate chain without the map (each filter gathers the
   // receiver column through the selection).
   auto get = ctx_->Get("p", "Paragraph").value();
   auto f1 = ctx_->Select(Parse("p.number >= 1"), get).value();
   auto f2 = ctx_->Select(Parse("p.number <= 1"), f1).value();
-  CheckThreeWayParity(f2, "property-predicate chain");
+  CheckOracleParity(f2, "property-predicate chain");
 
   // Chain feeding a flatten (selection consumed by fan-out).
   auto docs = ctx_->Get("d", "Document").value();
   auto fd = ctx_->Select(Parse("d.title == 'Title 1'"), docs).value();
   auto flat = ctx_->Flat("p", Parse("d->paragraphs()"), fd).value();
-  CheckThreeWayParity(flat, "filter into flatten");
+  CheckOracleParity(flat, "filter into flatten");
 }
 
 TEST_F(ExecSelvecTest, SelectionSurvivesJoinProbeAndProjectDedup) {
@@ -259,8 +236,8 @@ TEST_F(ExecSelvecTest, SelectionSurvivesJoinProbeAndProjectDedup) {
                            ctx_->Get("p", "Paragraph").value())
                   .value();
   auto join = ctx_->NaturalJoin(low, impl).value();
-  CheckThreeWayParity(join, "join over filtered inputs");
-  CheckThreeWayParity(ctx_->Project({"p"}, join).value(),
+  CheckOracleParity(join, "join over filtered inputs");
+  CheckOracleParity(ctx_->Project({"p"}, join).value(),
                       "project-dedup over join");
 }
 
@@ -284,26 +261,55 @@ TEST_F(ExecSelvecTest, ParallelChainParityAtThreads1And4) {
   }
 }
 
-TEST_F(ExecSelvecTest, MarkingMovesStrictlyFewerValuesThanCompacting) {
-  // The invariant BENCH_selvec records and CI enforces: over the same
-  // selection chain, the marking pipeline moves strictly fewer values
-  // than the per-filter compacting baseline.
-  const algebra::LogicalRef plan = ChainPlan();
-  auto drain_moves = [&](const ExecContext& ctx) -> uint64_t {
-    auto phys = BuildPhysical(plan, ctx);
-    EXPECT_TRUE(phys.ok());
-    BatchCopyStats::Reset();
-    auto result = ExecuteColumn(phys.value().get(), "p");
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return BatchCopyStats::TotalMoves();
-  };
-  const uint64_t marking = drain_moves(exec_ctx_);
-  const uint64_t compacting = drain_moves(compact_ctx_);
-  EXPECT_LT(marking, compacting);
-  // Bare-variable predicates read the selection view in place: the
-  // marking chain moves nothing at all here.
-  EXPECT_EQ(marking, 0u);
-  EXPECT_GT(compacting, 0u);
+TEST_F(ExecSelvecTest, BareVariableChainMovesNothing) {
+  // Bare-variable predicates read the selection view in place and
+  // ExecuteColumn reads the live rows through it: the marking chain
+  // moves no value at all.
+  auto phys = BuildPhysical(ChainPlan(), exec_ctx_);
+  ASSERT_TRUE(phys.ok());
+  BatchCopyStats::Reset();
+  auto result = ExecuteColumn(phys.value().get(), "p");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result.value().AsSet().empty());
+  EXPECT_EQ(BatchCopyStats::TotalMoves(), 0u);
+}
+
+TEST_F(ExecSelvecTest, SelectionChainMovesAtMostOneValuePerScannedRow) {
+  // The copy-tax bound: a chain carrying three columns (p, n, s) through
+  // three filters (75% / 50% / 25% cumulative survivors over paragraph
+  // numbers 0..3), compacted once per batch at the drain boundary, moves
+  // no more values than the paragraphs it scanned. A filter that
+  // compacted its survivors would pay a move per carried column per
+  // surviving row at every predicate and break the bound.
+  workload::DocumentDb db;
+  ASSERT_TRUE(db.Init().ok());
+  workload::CorpusParams params;
+  params.num_documents = 100;
+  params.sections_per_document = 3;
+  params.paragraphs_per_section = 4;
+  ASSERT_TRUE(db.Populate(params).ok());
+  const uint64_t paragraphs = 100u * 3u * 4u;
+
+  algebra::AlgebraContext ctx(&db.catalog());
+  auto chain = ctx.Get("p", "Paragraph").value();
+  chain = ctx.Map("n", Parse("p.number"), chain).value();
+  chain = ctx.Map("s", Parse("p.section"), chain).value();
+  chain = ctx.Select(Parse("n >= 1"), chain).value();
+  chain = ctx.Select(Parse("n <= 2"), chain).value();
+  chain = ctx.Select(Parse("n >= 2"), chain).value();
+  ExecContext chain_ctx;
+  chain_ctx.catalog = &db.catalog();
+  chain_ctx.store = &db.store();
+  chain_ctx.methods = &db.methods();
+  auto phys = BuildPhysical(chain, chain_ctx);
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+
+  BatchCopyStats::Reset();
+  const std::vector<Row> rows =
+      vodak::testing::BatchDrainSorted(phys.value().get());
+  const uint64_t moves = BatchCopyStats::TotalMoves();
+  EXPECT_EQ(rows.size(), paragraphs / 4);
+  EXPECT_LE(moves, paragraphs);
 }
 
 TEST_F(ExecSelvecTest, BatchMethodBodiesOnlySeeSelectedRows) {
@@ -388,12 +394,6 @@ TEST_F(ExecSelvecTest, SelectionViewAccessorsUnit) {
   EXPECT_FALSE(batch.has_selection());
   EXPECT_EQ(batch.active_rows(), 3u);
 
-  // CompactRows == IntersectSelection + Compact in one step.
-  EXPECT_EQ(batch.CompactRows({0, 1, 1}), 2u);
-  EXPECT_FALSE(batch.has_selection());
-  EXPECT_EQ(batch.num_rows(), 2u);
-  EXPECT_EQ(batch.column(0)[0].AsInt(), 2);
-
   // Reset drops rows and any selection but keeps the column count it
   // was given (capacity retention is what the VM's steady-state
   // zero-allocation claim stands on).
@@ -423,9 +423,9 @@ TEST_F(ExecSelvecTest, NeverEmptyInvariantDirect) {
   // zero live rows (BatchDrainSorted checks per batch).
   auto get = ctx_->Get("p", "Paragraph").value();
   auto none = ctx_->Select(Parse("p.number == 99"), get).value();
-  EXPECT_TRUE(BatchDrainSorted(none, exec_ctx_).empty());
+  EXPECT_TRUE(BatchDrainSorted(none).empty());
   auto some = ctx_->Select(Parse("p.number == 2"), get).value();
-  EXPECT_EQ(BatchDrainSorted(some, exec_ctx_).size(), 8u * 2u);
+  EXPECT_EQ(BatchDrainSorted(some).size(), 8u * 2u);
 }
 
 }  // namespace

@@ -236,6 +236,27 @@ class MvccStressTest : public ::testing::Test {
     }
   }
 
+  /// The mixed-load counter conditions: every completed read resolved
+  /// through a pinned snapshot (snapshot reads >= reads completed), and
+  /// committed write batches created copy-on-write versions under epoch
+  /// bumps. Read before any oracle replay, whose own pinned reads would
+  /// count too.
+  void ExpectMixedLoadCounters(
+      const std::vector<std::vector<ReadRecord>>& records,
+      const std::vector<std::string>& commit_log) {
+    uint64_t reads_completed = 0;
+    for (const std::vector<ReadRecord>& reader : records) {
+      reads_completed += reader.size();
+    }
+    const StoreStats& stats = store_.stats();
+    EXPECT_GE(stats.snapshot_reads.load(std::memory_order_relaxed),
+              reads_completed);
+    if (!commit_log.empty()) {
+      EXPECT_GT(stats.versions_created.load(std::memory_order_relaxed), 0u);
+      EXPECT_GT(stats.epochs_committed.load(std::memory_order_relaxed), 0u);
+    }
+  }
+
   /// In-snapshot consistency: no recorded result may contain a torn
   /// pair, and invariant queries must be empty.
   void CheckRecordConsistency(const ReadRecord& record) {
@@ -302,6 +323,7 @@ TEST_F(MvccStressTest, DifferentialOracleReplay) {
     for (auto& t : threads) t.join();
   }
   scheduler.Stop();
+  ExpectMixedLoadCounters(records, commit_log);
 
   // Serial differential replay: the row-mode interpreter shares no
   // batched-evaluation, shared-scan or cache code with any of the
@@ -374,6 +396,7 @@ TEST_F(MvccStressTest, ReclaimRacingReaders) {
   }
   scheduler.Stop();
   store_.StopBackgroundReclaim();
+  ExpectMixedLoadCounters(records, commit_log);
 
   for (int r = 0; r < kReaders; ++r) {
     for (const ReadRecord& record : records[r]) {

@@ -218,6 +218,33 @@ TEST_F(SegmentDiffTest, SegmentScansAgreeAcrossAllDrains) {
   EXPECT_GT(skipped, 0u) << "no segment was ever skipped; seed: " << seed;
 }
 
+// The buffer-cache condition: a selective query re-run through the
+// deliberately small cache (16 pages, below the corpus's segment pages)
+// keeps its surviving segment's pages resident, so the re-runs hit the
+// cache more often than they miss.
+TEST_F(SegmentDiffTest, SelectiveReRunsHitTheSmallCache) {
+  auto seg_session = SegmentSession();
+  engine::PlanOptions no_opt;
+  no_opt.optimize = false;
+  engine::RunOptions tree;
+  tree.vm = engine::VmMode::kOff;
+
+  // A full pass first drags every segment through the cache.
+  ASSERT_TRUE(seg_session->Run("ACCESS a FROM a IN Item", no_opt, tree).ok());
+  storage::PagerStats* pager = segments_->pager()->mutable_stats();
+  pager->Reset();
+  for (int rep = 0; rep < 4; ++rep) {
+    auto got = seg_session->Run("ACCESS a FROM a IN Item WHERE a.v1 < 64",
+                                no_opt, tree);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().result.AsSet().size(), 64u);
+  }
+  const uint64_t hits = pager->cache_hits.load(std::memory_order_relaxed);
+  const uint64_t misses =
+      pager->cache_misses.load(std::memory_order_relaxed);
+  EXPECT_GT(hits, misses);
+}
+
 // Phase 2: shared-scan Submit batches. The segment session's batches
 // drain over a segment-backed fan-out ring (with per-consumer morsel
 // skipping); the extent session's over the in-memory extent; both must

@@ -7,10 +7,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "service/generation.h"
@@ -145,15 +149,34 @@ class LineClient {
 
   bool connected() const { return connected_; }
 
-  void Send(const std::string& line) {
-    const std::string framed = line + "\n";
+  /// Makes reads give up after `seconds` without data.
+  void SetReadTimeout(int seconds) {
+    timeval tv{};
+    tv.tv_sec = seconds;
+    setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+
+  /// True when the peer has closed the connection (EOF or reset);
+  /// false when data arrives or a read timeout expires first.
+  bool PeerClosed() {
+    if (!buf_.empty()) return false;
+    char c;
+    const ssize_t n = recv(fd_, &c, 1, 0);
+    return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+  }
+
+  void Send(const std::string& line) { ASSERT_TRUE(SendBytes(line + "\n")); }
+
+  /// Sends raw bytes; false once the peer has closed the connection.
+  bool SendBytes(const std::string& bytes) const {
     size_t sent = 0;
-    while (sent < framed.size()) {
-      const ssize_t n =
-          send(fd_, framed.data() + sent, framed.size() - sent, 0);
-      ASSERT_GT(n, 0);
+    while (sent < bytes.size()) {
+      const ssize_t n = send(fd_, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+      if (n <= 0) return false;
       sent += static_cast<size_t>(n);
     }
+    return true;
   }
 
   /// Blocks until one full line arrives.
@@ -342,6 +365,108 @@ TEST_F(ServiceTest, ServesMultipleConnections) {
   }
   service.Stop();
   EXPECT_EQ(service.stats().queries_ok, 4u);
+}
+
+TEST_F(ServiceTest, OverlongLineGetsOneErrorAndItsConnectionCloses) {
+  QueryService service(session_.get());
+  ASSERT_TRUE(service.Start().ok());
+  LineClient hostile(service.port());
+  ASSERT_TRUE(hostile.connected());
+  hostile.SetReadTimeout(10);  // a missing reply fails instead of hanging
+  // 2 MiB without a newline, from a second thread: the service closes
+  // the connection before it has read all of it, so the send may fail.
+  std::thread sender(
+      [&hostile] { (void)hostile.SendBytes(std::string(2u << 20, 'x')); });
+  const std::string error = hostile.ReadLine();
+  const bool closed = hostile.PeerClosed();
+  sender.join();
+  ASSERT_FALSE(error.empty()) << "no reply to the overlong line";
+  EXPECT_EQ(error[0], 'E') << error;
+  EXPECT_TRUE(closed) << "connection still open after the E reply";
+
+  // Another connection is still served correctly.
+  LineClient client(service.port());
+  ASSERT_TRUE(client.connected());
+  const std::string query = "ACCESS d.title FROM d IN Document";
+  const Reply reply = Ask(client, "after", query);
+  ASSERT_TRUE(reply.ok()) << reply.message;
+  EXPECT_EQ(reply.hash, DigestHex(ResultDigest(Oracle(query))));
+  service.Stop();
+}
+
+TEST_F(ServiceTest, ClosedLoopClientsShareGenerationsScansAndPlans) {
+  // K closed-loop socket clients over a repeating mix, once with
+  // shared-scan generations and once with private cursors. Every reply
+  // must equal the row-mode oracle's digest; the shared run must group
+  // arrivals (fewer generations than queries), pay fewer extent passes
+  // than the private run, and plan repeated texts from the plan cache.
+  const std::vector<std::string> mix = {
+      "ACCESS p.number FROM p IN Paragraph",
+      "ACCESS p FROM p IN Paragraph WHERE p.number >= 1",
+      "ACCESS p FROM p IN Paragraph WHERE p.number == 0",
+      "ACCESS s FROM s IN Section WHERE s.number == 1",
+      "ACCESS d.title FROM d IN Document",
+  };
+  std::vector<std::string> oracle;
+  for (const std::string& query : mix) {
+    oracle.push_back(DigestHex(ResultDigest(Oracle(query))));
+  }
+  constexpr size_t kClients = 8;
+  constexpr size_t kRequests = 25;
+
+  struct ModeRun {
+    ServiceStats stats;
+    uint64_t extent_passes = 0;
+    size_t wrong = 0;
+  };
+  auto run_mode = [&](bool shared_scan) {
+    ServiceOptions options;
+    options.shared_scan = shared_scan;
+    QueryService service(session_.get(), options);
+    EXPECT_TRUE(service.Start().ok());
+    ModeRun run;
+    const std::atomic<uint64_t>& extent_scans =
+        db_.store().stats().extent_scans;
+    const uint64_t before = extent_scans.load(std::memory_order_relaxed);
+    std::vector<size_t> wrong(kClients, 0);
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        LineClient client(service.port());
+        for (size_t r = 0; r < kRequests; ++r) {
+          const size_t q = (c + r) % mix.size();
+          const std::string id =
+              "c" + std::to_string(c) + "r" + std::to_string(r);
+          if (!client.SendBytes("Q " + id + " 0 " + mix[q] + "\n")) {
+            ++wrong[c];
+            continue;
+          }
+          auto reply = ParseReplyLine(client.ReadLine());
+          if (!reply.ok() || !reply.value().ok() ||
+              reply.value().id != id || reply.value().hash != oracle[q]) {
+            ++wrong[c];
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    // The generation count is bumped after a drain's replies are out.
+    service.Stop();
+    run.stats = service.stats();
+    run.extent_passes = extent_scans.load(std::memory_order_relaxed) - before;
+    for (size_t w : wrong) run.wrong += w;
+    return run;
+  };
+  const ModeRun shared = run_mode(/*shared_scan=*/true);
+  const ModeRun priv = run_mode(/*shared_scan=*/false);
+
+  EXPECT_EQ(shared.wrong, 0u);
+  EXPECT_EQ(priv.wrong, 0u);
+  EXPECT_EQ(shared.stats.queries_ok, kClients * kRequests);
+  EXPECT_EQ(priv.stats.queries_ok, kClients * kRequests);
+  EXPECT_LT(shared.stats.generations, shared.stats.queries_admitted);
+  EXPECT_LT(shared.extent_passes, priv.extent_passes);
+  EXPECT_GT(shared.stats.plan_cache_hits, 0u);
 }
 
 // ------------------------------------------------------- plan cache

@@ -4,7 +4,7 @@
 // against the operator tree and the naive logical evaluator, the
 // fallback-eligibility edges, the engine's RunOptions::vm knob with
 // its EXPLAIN annotation, and the dispatch-vs-handoff counter relation
-// that ci.sh --vm gates on. The randomized corpus lives in
+// (the compiled-execution gate, run by ci.sh --vm under TSan). The randomized corpus lives in
 // tests/vm_diff_test.cc; everything here is seed-free and exact.
 #include <gtest/gtest.h>
 
@@ -239,7 +239,7 @@ TEST_F(VmTest, ArenaResetsBetweenQueriesAndStaysAllocationFree) {
   EXPECT_GT(vm->arena().RetainedBytes(), 0u);
 
   // Second drain (fresh Open) reuses them: zero capacity growth — the
-  // steady-state claim bench_vm and ci.sh --vm gate process-wide.
+  // steady-state arena gate.
   const uint64_t resets_before =
       VmStats::arena_resets.load(std::memory_order_relaxed);
   const uint64_t allocs_before =
@@ -339,7 +339,7 @@ TEST_F(VmTest, EngineKnobAndExplainAnnotation) {
 }
 
 TEST_F(VmTest, FusedDispatchesStayBelowOperatorHandoffs) {
-  // The observable ci.sh --vm gates: over the same fused chain, the VM
+  // The dispatch gate: over the same fused chain, the VM
   // pays one dispatch per scan batch where the tree pays one virtual
   // hand-off per operator per batch.
   const algebra::LogicalRef plan = ChainPlan();
