@@ -29,13 +29,19 @@
 # writers) under ThreadSanitizer with seeds 1/2/3 plus a time-derived
 # seed.
 #
+# `--perfbench` runs the benchmark of record's own test
+# (perfbench/test_perfbench.py): perfbench/ compiles src/ as its own
+# CMake package into the gitignored .bench_build/, so this leg catches
+# engine API changes that break the benchmark, which tier-1 never
+# builds, and checks that its traced runs repeat exactly.
+#
 # No mode writes a committed file. The counter conditions the old
 # bench records were gated on are ctest cases now (docs/BENCHMARKS.md
 # maps each one to its test).
 #
 # Usage: scripts/ci.sh [--tsan|--asan|--ubsan]
 #                      [--lint] [--tidy] [--thread-safety]
-#                      [--mvcc] [--vm] [--storage]
+#                      [--mvcc] [--vm] [--storage] [--perfbench]
 #                      [--build-type=TYPE] [--build-dir=DIR]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,6 +55,7 @@ THREAD_SAFETY=0
 MVCC=0
 VM=0
 STORAGE=0
+PERFBENCH=0
 for arg in "$@"; do
   case "$arg" in
     --tsan) SANITIZE=thread ;;
@@ -60,11 +67,13 @@ for arg in "$@"; do
     --mvcc) MVCC=1 ;;
     --vm) VM=1 ;;
     --storage) STORAGE=1 ;;
+    --perfbench) PERFBENCH=1 ;;
     --build-type=*) BUILD_TYPE="${arg#*=}" ;;
     --build-dir=*) BUILD_DIR="${arg#*=}" ;;
     *) echo "usage: scripts/ci.sh [--tsan|--asan|--ubsan]" \
             "[--lint] [--tidy] [--thread-safety] [--mvcc]" \
-            "[--vm] [--storage] [--build-type=TYPE] [--build-dir=DIR]" >&2
+            "[--vm] [--storage] [--perfbench] [--build-type=TYPE]" \
+            "[--build-dir=DIR]" >&2
        exit 2 ;;
   esac
 done
@@ -229,6 +238,17 @@ if [[ "$STORAGE" == "1" ]]; then
     "$BUILD_DIR"/segment_diff_test --seed="$seed"
   done
   echo "== ci.sh (storage): all green =="
+  exit 0
+fi
+
+# ----------------------------------------------------------- --perfbench
+# The benchmark of record must keep compiling against src/ and its
+# traced runs must keep repeating exactly (same seed, same op stream,
+# same per-layer counts). The test builds perfbench itself.
+if [[ "$PERFBENCH" == "1" ]]; then
+  echo "== perfbench: build + traced-run repeatability test =="
+  python3 perfbench/test_perfbench.py
+  echo "== ci.sh (perfbench): all green =="
   exit 0
 fi
 

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "algebra/translate.h"
+#include "exec/shared_scan.h"
 #include "exec/vm.h"
 #include "vql/parser.h"
 
@@ -97,65 +98,68 @@ Result<PreparedQuery> Database::Prepare(const std::string& vql,
   return prepared;
 }
 
-Status Database::ExecuteSingle(const QueryRequest& request,
-                               const std::string& result_ref,
-                               QueryResult* result, QueryStats* stats,
-                               Epoch snapshot) {
-  exec::ExecContext exec_ctx{catalog_, store_, methods_};
-  exec_ctx.cancel = request.cancel;
-  exec_ctx.deadline = request.deadline;
-  exec_ctx.snapshot_epoch = snapshot;
-  exec_ctx.segments = segments_;
-  VODAK_ASSIGN_OR_RETURN(
-      exec::PhysOpPtr root,
-      exec::BuildPhysical(result->chosen_plan, exec_ctx));
-  result->physical_explain = exec::ExplainPhysical(*root);
-  const size_t threads = exec::ResolveThreads(request.run.threads);
-  auto start = std::chrono::steady_clock::now();
-  exec::ParallelPlanStatePtr pstate;
-  if (threads > 1) {
-    // Probe for a parallelizable driving scan up front, so plans with
-    // none (set ops on the driving path) reuse the already-built
-    // serial tree instead of paying a second plan build in the driver.
-    VODAK_ASSIGN_OR_RETURN(
-        pstate,
-        exec::PrepareParallelPlan(result->chosen_plan, exec_ctx, threads,
-                                  request.run.morsel_size));
-  }
-  if (pstate != nullptr) {
-    exec::ParallelOptions popts;
-    popts.threads = threads;
-    popts.morsel_size = request.run.morsel_size;
-    popts.pool = EnsurePool(threads);
-    // The serial tree above is only the EXPLAIN skeleton; mark that
-    // execution actually ran worker clones over shared morsels.
-    result->physical_explain +=
-        "[parallel: threads=" + std::to_string(threads) +
-        ", morsel<=" + std::to_string(popts.morsel_size) +
-        "; driving scan executed as per-worker MorselScan clones]\n";
-    VODAK_ASSIGN_OR_RETURN(
-        result->result,
-        exec::ParallelExecuteColumn(result->chosen_plan, exec_ctx,
-                                    result_ref, popts,
-                                    std::move(pstate)));
-  } else {
+Status Database::DrainRead(const algebra::LogicalRef& plan,
+                           const std::string& result_ref,
+                           const exec::ExecContext& ctx,
+                           const RunOptions& run, Value* result,
+                           QueryStats* stats, std::string* explain) {
+  const auto start = std::chrono::steady_clock::now();
+  const Status status = [&]() -> Status {
+    // A query cancelled or expired while it waited for a lane never
+    // opens: it must not attach to a shared scan (and so never claims
+    // ring morsels it would abandon); its siblings drain on unaffected.
+    VODAK_RETURN_IF_ERROR(exec::CheckQueryAlive(ctx.cancel, ctx.deadline));
+    exec::PhysOpPtr root;
+    if (explain != nullptr) {
+      VODAK_ASSIGN_OR_RETURN(root, exec::BuildPhysical(plan, ctx));
+      *explain = exec::ExplainPhysical(*root);
+    }
+    const size_t threads = exec::ResolveThreads(run.threads);
+    if (threads > 1) {
+      VODAK_ASSIGN_OR_RETURN(
+          exec::ParallelPlanStatePtr pstate,
+          exec::PrepareParallelPlan(plan, ctx, threads,
+                                    exec::kDefaultMorselSize));
+      // A plan without a parallelizable driving scan (set ops on the
+      // driving path) falls through to the serial drain below.
+      if (pstate != nullptr) {
+        if (explain != nullptr) {
+          // The serial tree above is only the EXPLAIN skeleton; mark
+          // that execution ran worker clones over shared morsels.
+          *explain += "[parallel: threads=" + std::to_string(threads) +
+                      ", morsel<=" +
+                      std::to_string(exec::kDefaultMorselSize) +
+                      "; driving scan executed as per-worker MorselScan "
+                      "clones]\n";
+        }
+        exec::ParallelOptions popts;
+        popts.threads = threads;
+        popts.pool = EnsurePool(threads);
+        VODAK_ASSIGN_OR_RETURN(
+            *result, exec::ParallelExecuteColumn(plan, ctx, result_ref,
+                                                 popts, std::move(pstate)));
+        return Status::OK();
+      }
+    }
     // Serial drains may lower the plan to the bytecode VM (exec/vm.h):
     // the same ExecuteColumn drives either root, so the engine above
     // cannot tell compiled from interpreted execution.
-    if (request.run.vm != VmMode::kOff) {
+    if (run.vm != VmMode::kOff) {
       VODAK_ASSIGN_OR_RETURN(
           exec::VmChoice vm,
-          exec::TryCompileVm(result->chosen_plan, exec_ctx,
-                             request.run.vm == VmMode::kForce));
-      result->physical_explain += vm.annotation;
+          exec::TryCompileVm(plan, ctx, run.vm == VmMode::kForce));
+      if (explain != nullptr) *explain += vm.annotation;
       if (vm.compiled) root = std::move(vm.op);
     }
-    VODAK_ASSIGN_OR_RETURN(result->result,
+    if (root == nullptr) {
+      VODAK_ASSIGN_OR_RETURN(root, exec::BuildPhysical(plan, ctx));
+    }
+    VODAK_ASSIGN_OR_RETURN(*result,
                            exec::ExecuteColumn(root.get(), result_ref));
-  }
+    return Status::OK();
+  }();
   stats->drain_ms = MsSince(start);
-  result->execute_ms = stats->drain_ms;
-  return Status::OK();
+  return status;
 }
 
 Result<std::vector<Mutation>> Database::BuildMutations(
@@ -278,7 +282,7 @@ std::vector<QueryOutcome> Database::Submit(
   // admission pass — so the snapshot the batch's readers pin below
   // already contains every write the batch carried.
   std::vector<size_t> runnable;
-  std::vector<exec::ConcurrentQuery> plans;
+  std::vector<std::string> result_refs;  // parallel to runnable
   for (size_t i = 0; i < requests.size(); ++i) {
     const QueryRequest& request = requests[i];
     QueryOutcome& o = out[i];
@@ -298,13 +302,8 @@ std::vector<QueryOutcome> Database::Submit(
       continue;
     }
     o.result = std::move(planned).value();
-    exec::ConcurrentQuery query;
-    query.plan = o.result.chosen_plan;
-    query.result_ref = algebra::ResultRef(bound);
-    query.cancel = request.cancel;
-    query.deadline = request.deadline;
     runnable.push_back(i);
-    plans.push_back(std::move(query));
+    result_refs.push_back(algebra::ResultRef(bound));
   }
   if (runnable.empty()) return out;
 
@@ -312,65 +311,62 @@ std::vector<QueryOutcome> Database::Submit(
   // after the batch's writes committed. Versions visible at this epoch
   // survive reclaim until the pin drops at the end of the drain.
   EpochPin pin(store_);
-  for (size_t i : runnable) {
-    out[i].stats.snapshot_epoch = pin.epoch();
-    out[i].result.snapshot_epoch = pin.epoch();
-  }
+  exec::ExecContext ctx;
+  ctx.catalog = catalog_;
+  ctx.store = store_;
+  ctx.methods = methods_;
+  ctx.snapshot_epoch = pin.epoch();
+  ctx.segments = segments_;
+  const uint64_t generation = NextGenerationId();
+  auto drain = [&](size_t k, const RunOptions& run) {
+    QueryOutcome& o = out[runnable[k]];
+    const QueryRequest& request = requests[runnable[k]];
+    o.stats.snapshot_epoch = pin.epoch();
+    o.result.snapshot_epoch = pin.epoch();
+    o.stats.generation_id = generation;
+    exec::ExecContext member_ctx = ctx;
+    member_ctx.cancel = request.cancel;
+    member_ctx.deadline = request.deadline;
+    o.status = DrainRead(o.result.chosen_plan, result_refs[k], member_ctx,
+                         run, &o.result.result, &o.stats,
+                         &o.result.physical_explain);
+    // The honest per-query number: this drain, not the batch's.
+    o.result.execute_ms = o.stats.drain_ms;
+  };
 
   if (runnable.size() == 1) {
     // A lone query gets the intra-query morsel-parallel path: its
     // RunOptions::threads splits the one plan over morsels instead of
     // the batch lanes splitting queries.
-    QueryOutcome& o = out[runnable[0]];
-    o.stats.generation_id = NextGenerationId();
-    o.status = ExecuteSingle(requests[runnable[0]], plans[0].result_ref,
-                             &o.result, &o.stats, pin.epoch());
+    drain(0, requests[runnable[0]].run);
     return out;
   }
 
-  exec::ExecContext exec_ctx{catalog_, store_, methods_};
-  exec_ctx.snapshot_epoch = pin.epoch();
-  exec_ctx.segments = segments_;
-  // The EXPLAIN skeleton is the serial private-leaf tree, like the
-  // morsel-parallel path's; the note below records how the leaves
-  // actually executed. The workers rebuild their own (shared-leaf)
-  // trees — these skeletons are plan construction only, no Open, and
-  // operator trees are a handful of nodes.
-  for (size_t i = 0; i < runnable.size(); ++i) {
-    Result<exec::PhysOpPtr> root =
-        exec::BuildPhysical(plans[i].plan, exec_ctx);
-    if (root.ok()) {
-      out[runnable[i]].result.physical_explain =
-          exec::ExplainPhysical(*root.value());
-    }
+  // One manager per batch: its shared scans and property-column cache
+  // live exactly as long as the members that attach to them, and
+  // materialize at the batch's pinned snapshot.
+  exec::SharedScanManager manager(store_, exec::kDefaultMorselSize,
+                                  pin.epoch(), segments_);
+  if (options.shared_scan) {
+    ctx.shared_scans = &manager;
+    ctx.property_cache = manager.property_cache();
   }
-  exec::ConcurrentOptions copts;
-  copts.threads = exec::ResolveThreads(options.lanes);
-  copts.morsel_size = options.morsel_size;
-  copts.shared_scan = options.shared_scan;
-  copts.pool = EnsurePool(std::min(copts.threads, plans.size()));
-  const uint64_t generation = NextGenerationId();
-  Result<std::vector<exec::ConcurrentQueryOutcome>> outcomes =
-      exec::ExecuteConcurrentOutcomes(plans, exec_ctx, copts);
-  if (!outcomes.ok()) {
-    for (size_t i : runnable) out[i].status = outcomes.status();
-    return out;
-  }
-  for (size_t i = 0; i < runnable.size(); ++i) {
-    QueryOutcome& o = out[runnable[i]];
-    exec::ConcurrentQueryOutcome& oc = outcomes.value()[i];
-    o.status = oc.status;
-    o.result.result = std::move(oc.value);
-    o.stats.queue_ms = oc.queue_ms;
-    o.stats.drain_ms = oc.drain_ms;
-    o.stats.generation_id = generation;
-    // The honest per-query number: this drain, not the batch's.
-    o.result.execute_ms = oc.drain_ms;
-    o.result.physical_explain +=
-        "[concurrent batch of " + std::to_string(plans.size()) +
-        (options.shared_scan ? ": scan leaves attached to shared scans]\n"
-                             : ": private-scan baseline]\n");
-  }
+  RunOptions member_run;
+  member_run.vm = VmMode::kOff;
+  const std::string note =
+      "[concurrent batch of " + std::to_string(runnable.size()) +
+      (options.shared_scan ? ": scan leaves attached to shared scans]\n"
+                           : ": private-scan baseline]\n");
+  const size_t lanes =
+      std::min(exec::ResolveThreads(options.lanes), runnable.size());
+  const auto submitted = std::chrono::steady_clock::now();
+  // One task per member; members beyond the lane count queue and run
+  // as lanes free up, attaching late to the in-flight shared scans.
+  EnsurePool(lanes)->ParallelRun(runnable.size(), [&](size_t k) {
+    out[runnable[k]].stats.queue_ms = MsSince(submitted);
+    drain(k, member_run);
+    out[runnable[k]].result.physical_explain += note;
+  });
   return out;
 }
 

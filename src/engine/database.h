@@ -60,17 +60,20 @@ class Database {
 
   /// The one execution entry point everything else shims over: submits
   /// a batch of queries that plan serially (parse / bind / optimize —
-  /// the optimizer module is not built for concurrent Optimize calls)
-  /// and drain concurrently on the session pool, one lane per query up
-  /// to `options.lanes`, with their scan leaves attached to one
-  /// SharedScanManager per batch — K queries over the same extent pay
-  /// ~1 scan pass and ~1 property-column read per source instead of K
+  /// the optimizer module is not built for concurrent Optimize calls).
+  /// Write requests commit during that admission pass, in request
+  /// order; the readers then pin one snapshot epoch and drain through
+  /// DrainRead. A single read runs under its own RunOptions (threads,
+  /// vm). Two or more reads drain concurrently on the session pool, one
+  /// lane per query up to `options.lanes`, each with threads = 1 and
+  /// vm = kOff, their scan leaves attached to one SharedScanManager per
+  /// batch — K queries over the same extent pay ~1 scan pass and ~1
+  /// property-column read per source instead of K
   /// (options.shared_scan = false keeps the private-scan baseline).
   /// outcomes[i] belongs to requests[i]; a member that fails to plan,
   /// is cancelled, or misses its deadline reports that in its own
-  /// outcome.status without failing its siblings. A single-request
-  /// batch takes the intra-query morsel-parallel path under its
-  /// RunOptions::threads knob instead of the inter-query lanes.
+  /// outcome.status without failing its siblings. Every read's
+  /// physical_explain renders the operator tree it drained.
   std::vector<QueryOutcome> Submit(const std::vector<QueryRequest>& requests,
                                    const SubmitOptions& options = {});
 
@@ -133,6 +136,24 @@ class Database {
   /// for its whole lifetime) while other callers ask for other sizes.
   exec::WorkerPool* EnsurePool(size_t threads) EXCLUDES(pool_mu_);
 
+  /// The one code path that builds and drains a read plan: Submit's
+  /// lone reads and batch members, and the query service's generation
+  /// members, all come through here. With run.threads > 1 the
+  /// morsel-parallel driver runs when the plan has a driving scan;
+  /// otherwise the bytecode VM runs when TryCompileVm picks it under
+  /// run.vm; otherwise the operator tree drains, over shared leaves
+  /// when ctx.shared_scans is set. `ctx` carries the query's snapshot
+  /// epoch, cancel token, deadline and segment store; a query already
+  /// cancelled or expired never opens, so it never attaches to a
+  /// shared scan. `result` receives result_ref's value set and
+  /// stats->drain_ms this call's wall time. `explain` (optional)
+  /// receives the EXPLAIN text of the tree that ran; null renders none.
+  Status DrainRead(const algebra::LogicalRef& plan,
+                   const std::string& result_ref,
+                   const exec::ExecContext& ctx, const RunOptions& run,
+                   Value* result, QueryStats* stats,
+                   std::string* explain = nullptr);
+
   /// The next shared-scan generation id; Submit takes one per executed
   /// batch and the query service takes one per generation it forms.
   uint64_t NextGenerationId() {
@@ -147,13 +168,6 @@ class Database {
   Result<QueryResult> PlanQuery(const std::string& vql,
                                 const PlanOptions& options,
                                 vql::BoundQuery* bound_out);
-  /// The single-query execution path: morsel-driven intra-query
-  /// parallelism under run.threads, honoring cancel/deadline. Every
-  /// store read resolves at `snapshot` — the epoch Submit pinned for
-  /// the batch.
-  Status ExecuteSingle(const QueryRequest& request,
-                       const std::string& result_ref, QueryResult* result,
-                       QueryStats* stats, Epoch snapshot);
   /// The write half of Submit: parses/binds a VQL write statement (or
   /// takes the programmatic Mutation batch verbatim), expands
   /// UPDATE/DELETE predicates into per-object mutations, and commits

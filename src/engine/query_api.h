@@ -13,7 +13,6 @@
 
 #include "algebra/logical.h"
 #include "exec/cancellation.h"
-#include "exec/morsel_source.h"
 #include "objstore/epoch.h"
 #include "objstore/object_store.h"
 #include "optimizer/optimizer.h"
@@ -40,17 +39,17 @@ struct PlanOptions {
 /// shared-scan drains never use the VM.
 enum class VmMode { kAuto, kOff, kForce };
 
-/// One query's execution knobs. Batch-level knobs (lanes, shared
-/// scans) live in SubmitOptions — they never made sense per query.
+/// One query's execution knobs, read by Database::DrainRead.
+/// Batch-level knobs (lanes, shared scans) live in SubmitOptions — they
+/// never made sense per query. Morsels are capped at
+/// exec::kDefaultMorselSize.
 struct RunOptions {
   /// Worker threads for *intra-query* morsel-driven parallelism when
   /// the query runs alone. 1 keeps the serial pipeline, 0 resolves to
-  /// the hardware concurrency. Ignored for multi-query Submit batches,
-  /// where SubmitOptions::lanes sizes the inter-query parallelism
-  /// instead.
+  /// the hardware concurrency. Multi-query Submit batches drain every
+  /// member with threads = 1 and vm = kOff; SubmitOptions::lanes sizes
+  /// their inter-query parallelism instead.
   size_t threads = 1;
-  /// Upper bound on rows per morsel in the parallel path.
-  size_t morsel_size = exec::kDefaultMorselSize;
   /// Compiled execution: whether the serial drain may lower the
   /// plan to the bytecode VM (exec/vm.h). EXPLAIN reports the choice
   /// either way as a `[vm: ...]` annotation.
@@ -63,8 +62,6 @@ struct SubmitOptions {
   /// (queries beyond the lane count queue and run as lanes free up).
   /// 0 resolves to the hardware concurrency.
   size_t lanes = 0;
-  /// Morsel size of the shared scans' fixed fan-out ring.
-  size_t morsel_size = exec::kDefaultMorselSize;
   /// True attaches every query's scan leaves to one SharedScanManager
   /// (one scan pass and one property-column read per source for the
   /// whole batch); false runs the same queries with private cursors —

@@ -1,8 +1,5 @@
 #include "exec/parallel.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -108,8 +105,7 @@ Result<std::vector<Row>> ParallelDrainRows(const algebra::LogicalRef& plan,
   ParallelPlanStatePtr state = std::move(prepared);
   if (state == nullptr) {
     VODAK_ASSIGN_OR_RETURN(
-        state, PrepareParallelPlan(plan, ctx, threads,
-                                   options.morsel_size));
+        state, PrepareParallelPlan(plan, ctx, threads, kDefaultMorselSize));
   }
   if (state == nullptr) return SerialDrainRows(plan, ctx);
 
@@ -142,79 +138,6 @@ Result<std::vector<Row>> ParallelDrainRows(const algebra::LogicalRef& plan,
   if (ParallelPlanNeedsFinalDedup(*state)) DedupRows(&merged);
   if (parallelized != nullptr) *parallelized = true;
   return merged;
-}
-
-Result<std::vector<ConcurrentQueryOutcome>> ExecuteConcurrentOutcomes(
-    const std::vector<ConcurrentQuery>& queries, const ExecContext& ctx,
-    const ConcurrentOptions& options) {
-  std::vector<ConcurrentQueryOutcome> out(queries.size());
-  if (queries.empty()) return out;
-
-  // One manager per batch: its shared scans and property-column cache
-  // live exactly as long as the queries that attach to them, and
-  // materialize at the batch's pinned snapshot.
-  SharedScanManager manager(ctx.store, options.morsel_size,
-                            ctx.snapshot_epoch, ctx.segments);
-  ExecContext query_ctx = ctx;
-  if (options.shared_scan) {
-    query_ctx.shared_scans = &manager;
-    query_ctx.property_cache = manager.property_cache();
-  }
-
-  const auto submitted = std::chrono::steady_clock::now();
-  auto ms_since = [](std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-  auto task = [&](size_t q) {
-    ConcurrentQueryOutcome& o = out[q];
-    o.queue_ms = ms_since(submitted);
-    const auto drain_start = std::chrono::steady_clock::now();
-    o.status = [&]() -> Status {
-      ExecContext member_ctx = query_ctx;
-      member_ctx.cancel = queries[q].cancel;
-      member_ctx.deadline = queries[q].deadline;
-      // A query cancelled or expired while waiting for a lane never
-      // opens: it must not attach (and so never claims ring morsels it
-      // would abandon), and its siblings drain on unaffected.
-      VODAK_RETURN_IF_ERROR(
-          CheckQueryAlive(member_ctx.cancel, member_ctx.deadline));
-      VODAK_ASSIGN_OR_RETURN(PhysOpPtr root,
-                             BuildPhysical(queries[q].plan, member_ctx));
-      VODAK_ASSIGN_OR_RETURN(
-          o.value, ExecuteColumn(root.get(), queries[q].result_ref));
-      return Status::OK();
-    }();
-    o.drain_ms = ms_since(drain_start);
-  };
-  // options.threads sizes the concurrent drains even when a reusable
-  // pool is supplied: a session pool warmed wider by an earlier query
-  // must not silently widen this batch beyond its knob (nor an
-  // undersized pool silently narrow it), so a mis-sized pool falls
-  // back to an ephemeral lanes-sized one.
-  const size_t lanes =
-      std::min(ResolveThreads(options.threads), queries.size());
-  if (options.pool != nullptr && options.pool->parallelism() == lanes) {
-    options.pool->ParallelRun(queries.size(), task);
-  } else {
-    WorkerPool ephemeral(lanes);
-    ephemeral.ParallelRun(queries.size(), task);
-  }
-  return out;
-}
-
-Result<std::vector<Value>> ExecuteConcurrentColumns(
-    const std::vector<ConcurrentQuery>& queries, const ExecContext& ctx,
-    const ConcurrentOptions& options) {
-  VODAK_ASSIGN_OR_RETURN(std::vector<ConcurrentQueryOutcome> outcomes,
-                         ExecuteConcurrentOutcomes(queries, ctx, options));
-  std::vector<Value> results(outcomes.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    VODAK_RETURN_IF_ERROR(outcomes[i].status);
-    results[i] = std::move(outcomes[i].value);
-  }
-  return results;
 }
 
 Result<Value> ParallelExecuteColumn(const algebra::LogicalRef& plan,

@@ -365,9 +365,11 @@ class SharedBatchSource : public BatchSource {
 /// refute the query's sargable predicates (docs/ARCHITECTURE.md
 /// §"Paged storage & segment skipping"). The survivor partition is
 /// computed at construction — EXPLAIN renders before Open, and the
-/// prospective counts are exactly what a drain will do — and the
-/// store's pruning totals (the cost model's survival-rate feedback)
-/// are bumped once here, not per batch or per re-Open.
+/// prospective counts are exactly what a drain will do. The store's
+/// pruning totals (the cost model's survival-rate feedback) are bumped
+/// on the first Open only: a leaf that is built but never drained (an
+/// EXPLAIN skeleton, a tree the VM replaced) counts nothing, and a
+/// re-Open counts nothing again.
 class SegmentBatchSource : public BatchSource {
  public:
   SegmentBatchSource(const ExecContext& ctx, std::string class_name,
@@ -385,10 +387,13 @@ class SegmentBatchSource : public BatchSource {
         survivors_.push_back(&seg);
       }
     }
-    segments_->NotePruning(survivors_.size(), skipped_);
   }
 
   Status Open() override {
+    if (!pruning_noted_) {
+      pruning_noted_ = true;
+      segments_->NotePruning(survivors_.size(), skipped_);
+    }
     next_segment_ = 0;
     rows_.clear();
     pos_ = 0;
@@ -431,6 +436,7 @@ class SegmentBatchSource : public BatchSource {
   std::vector<storage::SlotPredicate> preds_;
   std::vector<const storage::Segment*> survivors_;
   size_t skipped_ = 0;
+  bool pruning_noted_ = false;
   size_t next_segment_ = 0;
   std::vector<uint32_t> rows_;
   size_t pos_ = 0;

@@ -107,8 +107,9 @@ struct ExecContext {
   /// leaf (extent and method scan) attaches to this manager's shared
   /// cursors instead of opening a private one, so the K queries of a
   /// concurrent batch pay ~1 scan pass per source instead of K. Null —
-  /// the default, and the measurable baseline ExecuteConcurrent keeps
-  /// behind its shared_scan flag — builds private-cursor leaves.
+  /// the default, and the measurable baseline Submit batches and
+  /// service generations keep behind their shared_scan flag — builds
+  /// private-cursor leaves.
   SharedScanManager* shared_scans = nullptr;
   /// Cross-query property-column cache (normally the manager's own);
   /// threaded into every operator's evaluator so attached queries share

@@ -148,8 +148,10 @@ class SharedScanConsumer {
 /// PropertyColumnCache, so attached queries share column reads as well
 /// as the scan pass.
 ///
-/// Lifetime: created per ExecuteConcurrent call (or per generation
-/// drain); queries must not outlive the manager.
+/// Lifetime: created per multi-query Database::Submit batch (or per
+/// generation drain of the query service), whose members each drain
+/// through Database::DrainRead with the manager in their ExecContext;
+/// queries must not outlive the manager.
 ///
 /// Version-aware: a manager is constructed against one snapshot epoch
 /// (the epoch its batch or generation pinned at admission) and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "exec/physical.h"
 #include "exec/shared_scan.h"
 
 namespace vodak {
@@ -153,10 +152,9 @@ bool GenerationScheduler::AttachLateProfitable(
   }
   if (!overlap) return false;
   // Affordable: circling back for missed morsels costs up to about one
-  // drain; require the deadline to hold attach_slack of the estimate.
+  // drain; require the deadline to hold kAttachSlack of the estimate.
   if (query.deadline.armed &&
-      query.deadline.remaining_ms() <
-          options_.attach_slack * est_drain_ms_) {
+      query.deadline.remaining_ms() < kAttachSlack * est_drain_ms_) {
     return false;
   }
   return true;
@@ -187,15 +185,25 @@ void GenerationScheduler::ExecutorLoop() {
     // (including late attachers) reads the snapshot current when the
     // generation formed, no matter what commits while it drains.
     EpochPin pin(db_->store());
-    exec::SharedScanManager manager(db_->store(), options_.morsel_size,
+    exec::SharedScanManager manager(db_->store(), exec::kDefaultMorselSize,
                                     pin.epoch(), db_->segment_store());
+    exec::ExecContext ctx;
+    ctx.catalog = db_->catalog();
+    ctx.store = db_->store();
+    ctx.methods = db_->methods();
+    ctx.snapshot_epoch = pin.epoch();
+    ctx.segments = db_->segment_store();
+    if (options_.shared_scan) {
+      ctx.shared_scans = &manager;
+      ctx.property_cache = manager.property_cache();
+    }
     const StoreStats& store_stats = db_->store()->stats();
     const uint64_t scans_before =
         store_stats.extent_scans.load(std::memory_order_relaxed);
     const uint64_t reads_before =
         store_stats.property_reads.load(std::memory_order_relaxed);
-    pool->ParallelRun(lanes_, [this, &manager, generation](size_t) {
-      GenerationWorker(&manager, generation);
+    pool->ParallelRun(lanes_, [this, &ctx, generation](size_t) {
+      GenerationWorker(ctx, generation);
     });
     const double observed = MsSince(drain_start);
     {
@@ -216,8 +224,12 @@ void GenerationScheduler::ExecutorLoop() {
   }
 }
 
-void GenerationScheduler::GenerationWorker(exec::SharedScanManager* manager,
+void GenerationScheduler::GenerationWorker(const exec::ExecContext& ctx,
                                            uint64_t generation) {
+  // Members drain exactly like a Submit batch member: serial, on the
+  // operator tree.
+  engine::RunOptions run;
+  run.vm = engine::VmMode::kOff;
   for (;;) {
     ServiceQuery query;
     {
@@ -228,7 +240,18 @@ void GenerationScheduler::GenerationWorker(exec::SharedScanManager* manager,
       queue_.pop_front();
       ++in_flight_;
     }
-    QueryReply reply = ExecuteMember(query, manager, generation);
+    QueryReply reply;
+    reply.request_id = query.request_id;
+    reply.stats.plan_ms = query.plan_ms;
+    reply.stats.queue_ms = MsSince(query.admitted_at);
+    reply.stats.generation_id = generation;
+    reply.stats.attached_late = query.attached_late;
+    reply.stats.snapshot_epoch = ctx.snapshot_epoch;
+    exec::ExecContext member_ctx = ctx;
+    member_ctx.cancel = query.cancel.get();
+    member_ctx.deadline = query.deadline;
+    reply.status = db_->DrainRead(query.plan, query.result_ref, member_ctx,
+                                  run, &reply.result, &reply.stats);
     {
       MutexLock lock(mu_);
       --in_flight_;
@@ -242,45 +265,6 @@ void GenerationScheduler::GenerationWorker(exec::SharedScanManager* manager,
     }
     if (query.done) query.done(std::move(reply));
   }
-}
-
-QueryReply GenerationScheduler::ExecuteMember(
-    ServiceQuery& query, exec::SharedScanManager* manager,
-    uint64_t generation) {
-  QueryReply reply;
-  reply.request_id = query.request_id;
-  reply.stats.plan_ms = query.plan_ms;
-  reply.stats.queue_ms = MsSince(query.admitted_at);
-  reply.stats.generation_id = generation;
-  reply.stats.attached_late = query.attached_late;
-  reply.stats.snapshot_epoch = manager->snapshot();
-  const auto drain_start = std::chrono::steady_clock::now();
-  reply.status = [&]() -> Status {
-    // A member cancelled or expired while waiting in the generation
-    // queue never opens — it must not attach and claim ring morsels it
-    // would abandon; its generation siblings drain on unaffected.
-    VODAK_RETURN_IF_ERROR(
-        exec::CheckQueryAlive(query.cancel.get(), query.deadline));
-    exec::ExecContext ctx;
-    ctx.catalog = db_->catalog();
-    ctx.store = db_->store();
-    ctx.methods = db_->methods();
-    if (options_.shared_scan) {
-      ctx.shared_scans = manager;
-      ctx.property_cache = manager->property_cache();
-    }
-    ctx.cancel = query.cancel.get();
-    ctx.deadline = query.deadline;
-    ctx.snapshot_epoch = manager->snapshot();
-    ctx.segments = db_->segment_store();
-    VODAK_ASSIGN_OR_RETURN(exec::PhysOpPtr root,
-                           exec::BuildPhysical(query.plan, ctx));
-    VODAK_ASSIGN_OR_RETURN(reply.result,
-                           exec::ExecuteColumn(root.get(), query.result_ref));
-    return Status::OK();
-  }();
-  reply.stats.drain_ms = MsSince(drain_start);
-  return reply;
 }
 
 void GenerationScheduler::CountOutcome(const Status& status) {

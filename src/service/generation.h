@@ -69,14 +69,10 @@ struct ServiceQuery {
 struct SchedulerOptions {
   /// Worker lanes per generation drain; 0 = hardware concurrency.
   size_t lanes = 0;
-  size_t morsel_size = exec::kDefaultMorselSize;
   /// False drains every member with private cursors — the baseline
   /// service_test's ClosedLoopClientsShareGenerationsScansAndPlans
   /// compares extent passes against.
   bool shared_scan = true;
-  /// Late attach requires deadline slack of at least this multiple of
-  /// the drain-time estimate (EWMA over sealed generations).
-  double attach_slack = 2.0;
 };
 
 /// The generation state machine. Thread-compatible construction, then
@@ -106,19 +102,17 @@ class GenerationScheduler {
  private:
   /// Promotes forming → draining, runs the drain on the pool, seals.
   void ExecutorLoop() EXCLUDES(mu_);
-  /// One lane of a drain: pops members until the generation seals.
-  void GenerationWorker(exec::SharedScanManager* manager,
-                        uint64_t generation) EXCLUDES(mu_);
-  /// Executes one member against the generation's manager. No locks.
-  QueryReply ExecuteMember(ServiceQuery& query,
-                           exec::SharedScanManager* manager,
-                           uint64_t generation);
+  /// One lane of a drain: pops members until the generation seals and
+  /// drains each through Database::DrainRead under `ctx` — the
+  /// generation's snapshot, segment store and (shared_scan) manager.
+  void GenerationWorker(const exec::ExecContext& ctx, uint64_t generation)
+      EXCLUDES(mu_);
 
   /// The admission policy for arrivals while a generation drains:
   /// profitable (the member's scan leaves overlap sources the drain
   /// already has in flight, so attaching saves whole private passes at
   /// the cost of circling the ring for missed morsels) AND affordable
-  /// (the member's deadline leaves at least attach_slack × the
+  /// (the member's deadline leaves at least kAttachSlack × the
   /// drain-time estimate).
   bool AttachLateProfitable(const ServiceQuery& query) const REQUIRES(mu_);
 
@@ -133,6 +127,10 @@ class GenerationScheduler {
   /// Buckets a terminal status into the ok/cancelled/expired/failed
   /// counters.
   void CountOutcome(const Status& status) REQUIRES(mu_);
+
+  /// Late attach requires deadline slack of at least this multiple of
+  /// the drain-time estimate (EWMA over sealed generations).
+  static constexpr double kAttachSlack = 2.0;
 
   engine::Database* const db_;
   const SchedulerOptions options_;

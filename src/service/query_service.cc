@@ -35,14 +35,7 @@ double MsBetween(std::chrono::steady_clock::time_point a,
 QueryService::QueryService(engine::Database* db, ServiceOptions options)
     : db_(db),
       options_(options),
-      scheduler_(db, [&] {
-        SchedulerOptions s;
-        s.lanes = options.lanes;
-        s.morsel_size = options.morsel_size;
-        s.shared_scan = options.shared_scan;
-        s.attach_slack = options.attach_slack;
-        return s;
-      }()) {}
+      scheduler_(db, {options.lanes, options.shared_scan}) {}
 
 QueryService::~QueryService() { Stop(); }
 

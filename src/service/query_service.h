@@ -40,12 +40,9 @@ struct ServiceOptions {
   uint16_t port = 0;
   /// Worker lanes per generation drain; 0 = hardware concurrency.
   size_t lanes = 0;
-  size_t morsel_size = exec::kDefaultMorselSize;
   /// False drains with private cursors (the baseline service_test's
   /// ClosedLoopClientsShareGenerationsScansAndPlans compares against).
   bool shared_scan = true;
-  /// Late-attach deadline slack (SchedulerOptions::attach_slack).
-  double attach_slack = 2.0;
   /// Plan with the generated optimizer. Off by default: the service is
   /// usable on a session without GenerateOptimizer().
   bool optimize = false;

@@ -1,5 +1,8 @@
 #include "vql/interpreter.h"
 
+#include "exec/morsel_source.h"
+#include "exec/worker_pool.h"
+
 namespace vodak {
 namespace vql {
 
@@ -131,7 +134,7 @@ Status Interpreter::RunParallel(const BoundQuery& query,
   exec::MorselSource morsels;
   morsels.Reset(extent.size(),
                 exec::BalancedMorselSize(extent.size(), threads,
-                                         options.morsel_size));
+                                         exec::kDefaultMorselSize));
 
   const std::string& outer_var = query.from[0].var;
   std::vector<std::vector<Value>> worker_out(threads);
@@ -158,12 +161,8 @@ Status Interpreter::RunParallel(const BoundQuery& query,
       return Flush(query, options, &pending, &worker_out[w]);
     }();
   };
-  if (options.pool != nullptr) {
-    options.pool->ParallelRun(threads, task);
-  } else {
-    exec::WorkerPool ephemeral(threads);
-    ephemeral.ParallelRun(threads, task);
-  }
+  exec::WorkerPool pool(threads);
+  pool.ParallelRun(threads, task);
   for (const Status& status : worker_status) {
     VODAK_RETURN_IF_ERROR(status);
   }

@@ -2,9 +2,7 @@
 #define VODAK_VQL_INTERPRETER_H_
 
 #include "common/result.h"
-#include "exec/morsel_source.h"
 #include "exec/row_batch.h"
-#include "exec/worker_pool.h"
 #include "expr/expr_eval.h"
 #include "vql/ast.h"
 
@@ -36,15 +34,12 @@ class Interpreter {
     /// implementations alike (docs/ARCHITECTURE.md §"The oracles").
     bool row_mode = false;
     /// Worker threads for the outermost extent range (>1 splits it into
-    /// morsels claimed from an atomic cursor; inner ranges stay nested
-    /// per worker). 1 = serial, 0 = hardware concurrency. Parallelism
-    /// requires the first FROM range to be a class extent; otherwise
-    /// evaluation silently stays serial.
+    /// morsels of at most exec::kDefaultMorselSize rows, claimed from an
+    /// atomic cursor on a pool made for the call; inner ranges stay
+    /// nested per worker). 1 = serial, 0 = hardware concurrency.
+    /// Parallelism requires the first FROM range to be a class extent;
+    /// otherwise evaluation silently stays serial.
     size_t threads = 1;
-    /// Upper bound on rows per morsel of the outermost extent.
-    size_t morsel_size = exec::kDefaultMorselSize;
-    /// Reusable pool; when null an ephemeral pool is created.
-    exec::WorkerPool* pool = nullptr;
     /// The epoch every store read resolves at — the query's pinned
     /// snapshot. The kEpochLatest default reads live state, which is
     /// only safe while no writer runs; Database::Submit and the oracle

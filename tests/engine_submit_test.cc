@@ -104,6 +104,27 @@ TEST_F(EngineSubmitTest, StatsArePerQuery) {
   EXPECT_GT(again[0].stats.generation_id, generation);
 }
 
+TEST_F(EngineSubmitTest, BatchMemberExplainShowsTheTreeThatRan) {
+  // A batch member's EXPLAIN renders the operator tree it drained: its
+  // scan leaves are SharedScan when the batch shares scans, and private
+  // cursors when it runs the baseline.
+  std::vector<QueryRequest> requests;
+  for (const char* q : kQueries) requests.push_back(Plain(q));
+  SubmitOptions options;
+  options.lanes = 2;
+  for (bool shared : {true, false}) {
+    options.shared_scan = shared;
+    for (const QueryOutcome& o : session_->Submit(requests, options)) {
+      ASSERT_TRUE(o.status.ok()) << o.status.ToString();
+      const std::string& explain = o.result.physical_explain;
+      EXPECT_EQ(explain.find("SharedScan") != std::string::npos, shared)
+          << (shared ? "shared" : "private") << " batch:\n" << explain;
+      EXPECT_NE(explain.find("[concurrent batch of 4"), std::string::npos)
+          << explain;
+    }
+  }
+}
+
 TEST_F(EngineSubmitTest, CancelBeforeSubmitRejectsOnlyThatMember) {
   exec::CancellationToken cancelled;
   cancelled.Cancel();

@@ -68,13 +68,25 @@ class ExecParallelTest : public ::testing::Test {
     return rows;
   }
 
+  /// The parallel plan state for `threads` workers over morsels of at
+  /// most `morsel_size` rows — how the tests drive morsel boundaries on
+  /// a 54-row corpus. Null for threads <= 1 or a plan without a
+  /// parallelizable driving scan (the drivers then drain serially).
+  ParallelPlanStatePtr Prepare(const algebra::LogicalRef& plan,
+                               size_t threads, size_t morsel_size) {
+    if (threads <= 1) return nullptr;
+    auto state = PrepareParallelPlan(plan, exec_ctx_, threads, morsel_size);
+    EXPECT_TRUE(state.ok()) << state.status().ToString();
+    return state.ok() ? state.value() : nullptr;
+  }
+
   std::vector<Row> ParallelDrainSorted(const algebra::LogicalRef& plan,
                                        size_t threads, size_t morsel_size,
                                        bool* parallelized = nullptr) {
     ParallelOptions options;
     options.threads = threads;
-    options.morsel_size = morsel_size;
-    auto rows = ParallelDrainRows(plan, exec_ctx_, options, parallelized);
+    auto rows = ParallelDrainRows(plan, exec_ctx_, options, parallelized,
+                                  Prepare(plan, threads, morsel_size));
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
     if (!rows.ok()) return {};
     std::vector<Row> sorted = std::move(rows).value();
@@ -130,9 +142,9 @@ class ExecParallelTest : public ::testing::Test {
     ASSERT_TRUE(oracle.ok()) << text << ": " << oracle.status().ToString();
     ParallelOptions options;
     options.threads = 4;
-    options.morsel_size = morsel_size;
     auto got = ParallelExecuteColumn(plan, exec_ctx_,
-                                     algebra::ResultRef(bound), options);
+                                     algebra::ResultRef(bound), options,
+                                     Prepare(plan, 4, morsel_size));
     ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
     EXPECT_EQ(oracle.value(), got.value()) << text;
   }
@@ -308,8 +320,8 @@ TEST_F(ExecParallelTest, ProjectDedupMergesAcrossWorkers) {
   bool parallelized = false;
   ParallelOptions options;
   options.threads = 4;
-  options.morsel_size = 1;
-  auto rows = ParallelDrainRows(plan, exec_ctx_, options, &parallelized);
+  auto rows = ParallelDrainRows(plan, exec_ctx_, options, &parallelized,
+                                Prepare(plan, 4, /*morsel_size=*/1));
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(parallelized);
   std::vector<Row> got = std::move(rows).value();
@@ -405,8 +417,21 @@ TEST_F(ExecParallelTest, EngineThreadKnobMatchesNaive) {
 }
 
 TEST_F(ExecParallelTest, InterpreterParallelAndRowModeAgree) {
-  vql::Interpreter interpreter(&db_.catalog(), &db_.store(),
-                               &db_.methods());
+  // The interpreter's outer-range morsels hold at least
+  // min(1024, kDefaultMorselSize) rows, so this test brings a corpus
+  // whose outer extents (2,100 documents, 4,200 paragraphs) split into
+  // several morsels and the per-worker merge is really exercised.
+  workload::DocumentDb big;
+  ASSERT_TRUE(big.Init().ok());
+  workload::CorpusParams params;
+  params.num_documents = 2100;
+  params.sections_per_document = 1;
+  params.paragraphs_per_section = 2;
+  params.implementation_fraction = 0.3;
+  ASSERT_TRUE(big.Populate(params).ok());
+  ASSERT_LT(BalancedMorselSize(params.num_documents, 2, kDefaultMorselSize),
+            params.num_documents);
+  vql::Interpreter interpreter(&big.catalog(), &big.store(), &big.methods());
   const std::vector<std::string> queries = {
       "ACCESS p FROM p IN Paragraph WHERE p.number >= 1",
       "ACCESS d.title FROM d IN Document, p IN d->paragraphs() WHERE "
@@ -416,7 +441,7 @@ TEST_F(ExecParallelTest, InterpreterParallelAndRowModeAgree) {
     SCOPED_TRACE(text);
     auto q = vql::ParseQuery(text);
     ASSERT_TRUE(q.ok());
-    vql::Binder binder(&db_.catalog());
+    vql::Binder binder(&big.catalog());
     auto bound = binder.Bind(q.value());
     ASSERT_TRUE(bound.ok());
     auto serial = interpreter.Run(bound.value());
@@ -431,7 +456,6 @@ TEST_F(ExecParallelTest, InterpreterParallelAndRowModeAgree) {
     for (size_t threads : {2u, 4u, 8u}) {
       vql::Interpreter::Options parallel;
       parallel.threads = threads;
-      parallel.morsel_size = 4;
       auto par = interpreter.Run(bound.value(), parallel);
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       EXPECT_EQ(serial.value(), par.value()) << "threads=" << threads;

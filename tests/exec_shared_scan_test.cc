@@ -9,6 +9,7 @@
 // under TSan by scripts/ci.sh --tsan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -17,7 +18,6 @@
 
 #include "algebra/translate.h"
 #include "engine/database.h"
-#include "exec/parallel.h"
 #include "exec/physical.h"
 #include "exec/shared_scan.h"
 #include "exec/worker_pool.h"
@@ -42,11 +42,20 @@ class ExecSharedScanTest : public ::testing::Test {
     ASSERT_TRUE(db_.Populate(params).ok());
     ctx_ = std::make_unique<algebra::AlgebraContext>(&db_.catalog());
     exec_ctx_ = ExecContext{&db_.catalog(), &db_.store(), &db_.methods()};
+    session_ = std::make_unique<engine::Database>(
+        &db_.catalog(), &db_.store(), &db_.methods());
     paragraph_class_ =
         db_.catalog().FindClass("Paragraph")->class_id();
   }
 
-  ConcurrentQuery MakeQuery(const std::string& text) {
+  /// One member of a query batch: its plan plus the reference whose
+  /// column is the query result (algebra::ResultRef of the bound query).
+  struct BatchQuery {
+    algebra::LogicalRef plan;
+    std::string result_ref;
+  };
+
+  BatchQuery MakeQuery(const std::string& text) {
     auto q = vql::ParseQuery(text);
     EXPECT_TRUE(q.ok()) << text;
     vql::Binder binder(&db_.catalog());
@@ -54,10 +63,36 @@ class ExecSharedScanTest : public ::testing::Test {
     EXPECT_TRUE(bound.ok()) << text << ": " << bound.status().ToString();
     auto plan = algebra::TranslateQuery(*ctx_, bound.value());
     EXPECT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
-    ConcurrentQuery query;
-    query.plan = plan.value();
-    query.result_ref = algebra::ResultRef(bound.value());
-    return query;
+    return {plan.value(), algebra::ResultRef(bound.value())};
+  }
+
+  /// Drains `queries` as one batch the way Database::Submit does: one
+  /// task per query on a `lanes`-lane pool, each through
+  /// Database::DrainRead with threads = 1 and vm = kOff. With `shared`
+  /// every member attaches to one SharedScanManager whose ring morsels
+  /// hold `morsel_size` rows; without it each drains private cursors.
+  /// results[i] belongs to queries[i]; every member must succeed.
+  std::vector<Value> DrainBatch(const std::vector<BatchQuery>& queries,
+                                size_t lanes, size_t morsel_size,
+                                bool shared) {
+    SharedScanManager manager(&db_.store(), morsel_size);
+    ExecContext ctx = exec_ctx_;
+    if (shared) {
+      ctx.shared_scans = &manager;
+      ctx.property_cache = manager.property_cache();
+    }
+    engine::RunOptions run;
+    run.vm = engine::VmMode::kOff;
+    std::vector<Value> results(queries.size());
+    std::vector<Status> status(queries.size());
+    WorkerPool pool(std::min(lanes, queries.size()));
+    pool.ParallelRun(queries.size(), [&](size_t q) {
+      engine::QueryStats stats;
+      status[q] = session_->DrainRead(queries[q].plan, queries[q].result_ref,
+                                      ctx, run, &results[q], &stats);
+    });
+    for (const Status& st : status) EXPECT_TRUE(st.ok()) << st.ToString();
+    return results;
   }
 
   /// The independent oracle: the row-mode interpreter (no batched
@@ -82,29 +117,21 @@ class ExecSharedScanTest : public ::testing::Test {
   /// query against the row-mode oracle and the private-scan baseline.
   void CheckConcurrent(const std::vector<std::string>& texts,
                        size_t threads, size_t morsel_size) {
-    std::vector<ConcurrentQuery> queries;
+    std::vector<BatchQuery> queries;
     queries.reserve(texts.size());
     for (const std::string& text : texts) {
       queries.push_back(MakeQuery(text));
     }
-    ConcurrentOptions shared;
-    shared.threads = threads;
-    shared.morsel_size = morsel_size;
-    ConcurrentOptions priv = shared;
-    priv.shared_scan = false;
-    auto shared_results =
-        ExecuteConcurrentColumns(queries, exec_ctx_, shared);
-    ASSERT_TRUE(shared_results.ok()) << shared_results.status().ToString();
-    auto private_results =
-        ExecuteConcurrentColumns(queries, exec_ctx_, priv);
-    ASSERT_TRUE(private_results.ok())
-        << private_results.status().ToString();
+    const std::vector<Value> shared_results =
+        DrainBatch(queries, threads, morsel_size, /*shared=*/true);
+    const std::vector<Value> private_results =
+        DrainBatch(queries, threads, morsel_size, /*shared=*/false);
     for (size_t i = 0; i < texts.size(); ++i) {
       Value oracle = RowModeOracle(texts[i]);
-      EXPECT_EQ(oracle, shared_results.value()[i])
+      EXPECT_EQ(oracle, shared_results[i])
           << texts[i] << " (shared scan, K=" << texts.size()
           << ", threads=" << threads << ")";
-      EXPECT_EQ(oracle, private_results.value()[i])
+      EXPECT_EQ(oracle, private_results[i])
           << texts[i] << " (private baseline, K=" << texts.size() << ")";
     }
   }
@@ -112,6 +139,7 @@ class ExecSharedScanTest : public ::testing::Test {
   workload::DocumentDb db_;
   std::unique_ptr<algebra::AlgebraContext> ctx_;
   ExecContext exec_ctx_;
+  std::unique_ptr<engine::Database> session_;
   uint32_t paragraph_class_ = 0;
 };
 
@@ -323,16 +351,13 @@ TEST_F(ExecSharedScanTest, SingleLaneBatchIsTheLateAttachCase) {
   const std::vector<std::string> texts(
       4, "ACCESS p FROM p IN Paragraph WHERE p.number >= 1");
   db_.ResetCounters();
-  std::vector<ConcurrentQuery> queries;
+  std::vector<BatchQuery> queries;
   for (const std::string& text : texts) queries.push_back(MakeQuery(text));
-  ConcurrentOptions options;
-  options.threads = 1;
-  options.morsel_size = 8;
-  auto results = ExecuteConcurrentColumns(queries, exec_ctx_, options);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  const std::vector<Value> results = DrainBatch(
+      queries, /*lanes=*/1, /*morsel_size=*/8, /*shared=*/true);
   EXPECT_EQ(db_.store().stats().extent_scans.load(), 1u);
   Value oracle = RowModeOracle(texts[0]);
-  for (const Value& result : results.value()) EXPECT_EQ(oracle, result);
+  for (const Value& result : results) EXPECT_EQ(oracle, result);
 }
 
 TEST_F(ExecSharedScanTest, SharingDropsScanAndPropertyReadsToOnePass) {
@@ -349,24 +374,19 @@ TEST_F(ExecSharedScanTest, SharingDropsScanAndPropertyReadsToOnePass) {
       "ACCESS p.number FROM p IN Paragraph",
       "ACCESS p FROM p IN Paragraph WHERE p.number > 0",
   };
-  std::vector<ConcurrentQuery> queries;
+  std::vector<BatchQuery> queries;
   for (const std::string& text : texts) queries.push_back(MakeQuery(text));
   const uint64_t extent_size = 54;
 
-  ConcurrentOptions options;
-  options.threads = 4;
-  options.morsel_size = 8;
   db_.ResetCounters();
-  auto shared_results = ExecuteConcurrentColumns(queries, exec_ctx_, options);
-  ASSERT_TRUE(shared_results.ok());
+  const std::vector<Value> shared_results = DrainBatch(
+      queries, /*lanes=*/4, /*morsel_size=*/8, /*shared=*/true);
   const uint64_t shared_scans = db_.store().stats().extent_scans.load();
   const uint64_t shared_reads = db_.store().stats().property_reads.load();
 
-  options.shared_scan = false;
   db_.ResetCounters();
-  auto private_results =
-      ExecuteConcurrentColumns(queries, exec_ctx_, options);
-  ASSERT_TRUE(private_results.ok());
+  const std::vector<Value> private_results = DrainBatch(
+      queries, /*lanes=*/4, /*morsel_size=*/8, /*shared=*/false);
   const uint64_t private_scans = db_.store().stats().extent_scans.load();
   const uint64_t private_reads = db_.store().stats().property_reads.load();
 
@@ -379,8 +399,7 @@ TEST_F(ExecSharedScanTest, SharingDropsScanAndPropertyReadsToOnePass) {
   EXPECT_LT(shared_scans, private_scans);
   EXPECT_LE(shared_reads * 2, private_reads);
   for (size_t i = 0; i < texts.size(); ++i) {
-    EXPECT_EQ(shared_results.value()[i], private_results.value()[i])
-        << texts[i];
+    EXPECT_EQ(shared_results[i], private_results[i]) << texts[i];
   }
 }
 
@@ -392,33 +411,25 @@ TEST_F(ExecSharedScanTest, MethodScanMaterializesOnceForTheBatch) {
       vql::ParseExpr("Paragraph->retrieve_by_string('implementation')")
           .value());
   ASSERT_TRUE(source.ok()) << source.status().ToString();
-  ConcurrentQuery query;
-  query.plan = source.value();
-  query.result_ref = "p";
-  std::vector<ConcurrentQuery> queries(4, query);
+  const std::vector<BatchQuery> queries(4, {source.value(), "p"});
 
-  ConcurrentOptions options;
-  options.threads = 4;
-  options.morsel_size = 4;
   db_.ResetCounters();
-  auto shared_results = ExecuteConcurrentColumns(queries, exec_ctx_, options);
-  ASSERT_TRUE(shared_results.ok());
+  const std::vector<Value> shared_results = DrainBatch(
+      queries, /*lanes=*/4, /*morsel_size=*/4, /*shared=*/true);
   EXPECT_EQ(db_.methods().invocation_count("Paragraph",
                                            "retrieve_by_string",
                                            MethodLevel::kClassObject),
             1u);
 
-  options.shared_scan = false;
   db_.ResetCounters();
-  auto private_results =
-      ExecuteConcurrentColumns(queries, exec_ctx_, options);
-  ASSERT_TRUE(private_results.ok());
+  const std::vector<Value> private_results = DrainBatch(
+      queries, /*lanes=*/4, /*morsel_size=*/4, /*shared=*/false);
   EXPECT_EQ(db_.methods().invocation_count("Paragraph",
                                            "retrieve_by_string",
                                            MethodLevel::kClassObject),
             4u);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(shared_results.value()[i], private_results.value()[i]);
+    EXPECT_EQ(shared_results[i], private_results[i]);
   }
 }
 

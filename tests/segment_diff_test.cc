@@ -192,6 +192,76 @@ TEST_F(SegmentDiffTest, ExplainReportsSourceKindAndPruning) {
       << ext.value().physical_explain;
 }
 
+// The cost model's survival-rate feedback counts each opened segment
+// leaf once: a drain adds exactly its surviving and refuted segments,
+// whichever backend ran it. Leaves that are built but never opened —
+// the EXPLAIN skeleton beside a parallel or batch drain, the operator
+// tree a compiled VM program replaced — add nothing.
+TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
+  auto seg_session = SegmentSession();
+  const std::string query = "ACCESS a FROM a IN Item WHERE a.v1 < 64";
+  const std::vector<storage::SlotPredicate> preds = {
+      {/*slot=*/0, BinOp::kLt, Value::Int(64)}};
+  storage::SegmentVersionRef version =
+      segments_->VersionAt(class_id_, store_.CurrentEpoch());
+  ASSERT_NE(version, nullptr);
+  uint64_t survivors = 0;
+  uint64_t refuted = 0;
+  for (const storage::Segment& seg : version->segments) {
+    ++(storage::SegmentRefuted(seg, preds) ? refuted : survivors);
+  }
+  ASSERT_GT(survivors, 0u);
+  ASSERT_GT(refuted, 0u);
+
+  engine::PlanOptions no_opt;
+  no_opt.optimize = false;
+  engine::RunOptions tree;
+  tree.vm = engine::VmMode::kOff;
+  engine::RunOptions vm;
+  vm.vm = engine::VmMode::kForce;
+  engine::RunOptions parallel = tree;
+  parallel.threads = 3;
+  storage::SegmentStoreStats* stats = segments_->mutable_stats();
+  auto expect_counts = [&](const char* drain, uint64_t leaves) {
+    EXPECT_EQ(stats->segments_scanned.load(std::memory_order_relaxed),
+              leaves * survivors)
+        << drain;
+    EXPECT_EQ(stats->segments_skipped.load(std::memory_order_relaxed),
+              leaves * refuted)
+        << drain;
+    stats->Reset();
+  };
+
+  stats->Reset();
+  ASSERT_TRUE(seg_session->Run(query, no_opt, tree).ok());
+  expect_counts("tree", 1);
+  auto compiled = seg_session->Run(query, no_opt, vm);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_NE(compiled.value().physical_explain.find("[vm: compiled"),
+            std::string::npos)
+      << compiled.value().physical_explain;
+  expect_counts("vm=kForce", 1);
+  auto morsels = seg_session->Run(query, no_opt, parallel);
+  ASSERT_TRUE(morsels.ok()) << morsels.status().ToString();
+  EXPECT_NE(morsels.value().physical_explain.find("[parallel: threads=3"),
+            std::string::npos)
+      << morsels.value().physical_explain;
+  expect_counts("threads=3", 1);
+
+  std::vector<engine::QueryRequest> requests(2);
+  for (engine::QueryRequest& request : requests) {
+    request.vql = query;
+    request.plan = no_opt;
+  }
+  engine::SubmitOptions batch;
+  batch.lanes = 2;
+  batch.shared_scan = false;
+  for (const engine::QueryOutcome& o : seg_session->Submit(requests, batch)) {
+    ASSERT_TRUE(o.status.ok()) << o.status.ToString();
+  }
+  expect_counts("private batch of 2", 2);
+}
+
 // Phase 1: the static corpus — kDiffQueries generated queries, each
 // executed through four engine drains plus the oracle, with the
 // pruning counters checked afterwards (skipping must really happen).
