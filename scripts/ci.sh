@@ -213,15 +213,17 @@ if [[ "$VM" == "1" ]]; then
 fi
 
 # ------------------------------------------------------------- --storage
-# The paged-storage gate: the deterministic pager/serde/zone-map/
+# The paged-storage gate: the deterministic pager/OID-layout/zone-map/
 # segment-store units, then the segment differential harness
 # (tests/segment_diff_test.cc — segment-backed scans vs the in-memory
 # extent vs the row-mode oracle across serial, morsel-parallel,
-# shared-scan and VM drains, the zone-map skip and buffer-cache hit
-# counter checks, and concurrent Submit writers replayed at each
-# reader's pinned epoch) under ThreadSanitizer with three fixed seeds
-# and one time-derived seed (echoed so any failure replays with
-# --seed=N).
+# shared-scan and VM drains, the zone-map skip, eviction and
+# buffer-cache hit counter checks, the commit/re-ingest count check,
+# and concurrent Submit writers replayed at each reader's pinned epoch)
+# under ThreadSanitizer with three fixed seeds and one time-derived
+# seed (echoed so any failure replays with --seed=N). The count check
+# then repeats on its own: its races are timing-dependent, so more
+# runs give the interleavings more chances to show.
 if [[ "$STORAGE" == "1" ]]; then
   : "${BUILD_DIR:=build-storage-tsan}"
   echo "== storage: TSan build of the storage unit + differential suites =="
@@ -237,6 +239,9 @@ if [[ "$STORAGE" == "1" ]]; then
     echo "-- segment_diff_test --seed=$seed"
     "$BUILD_DIR"/segment_diff_test --seed="$seed"
   done
+  echo "== storage: commit/re-ingest count check, repeated =="
+  "$BUILD_DIR"/segment_diff_test \
+      --gtest_filter='*ReadsNeverCountFewerRowsThanTheirPin' --gtest_repeat=5
   echo "== ci.sh (storage): all green =="
   exit 0
 fi

@@ -223,19 +223,20 @@ Status Database::ExecuteWrite(const QueryRequest& request,
   stats->plan_ms = MsSince(plan_start);
 
   auto apply_start = std::chrono::steady_clock::now();
-  VODAK_ASSIGN_OR_RETURN(MutationResult applied, store_->Apply(mutations));
   if (segments_ != nullptr) {
-    // Segment data predates this commit: close the touched classes'
-    // open versions at the commit epoch, so readers pinned below it
-    // keep the segment path while later snapshots fall back to the
-    // store until the class is re-ingested.
+    // Segment data is about to predate this commit: drop the touched
+    // classes' versions before Apply publishes the commit epoch, so no
+    // reader pinned at or above it can resolve one. A reader that
+    // already holds a version pinned below the commit and keeps
+    // reading it; one that resolves after the drop reads the in-memory
+    // extent until the class is re-ingested.
     for (const Mutation& m : mutations) {
-      segments_->CloseVersions(m.kind == Mutation::Kind::kInsert
-                                   ? m.class_id
-                                   : m.oid.class_id,
-                               applied.epoch);
+      segments_->DropVersion(m.kind == Mutation::Kind::kInsert
+                                 ? m.class_id
+                                 : m.oid.class_id);
     }
   }
+  VODAK_ASSIGN_OR_RETURN(MutationResult applied, store_->Apply(mutations));
   stats->drain_ms = MsSince(apply_start);
   result->execute_ms = stats->drain_ms;
   // A write's "snapshot" is the epoch its batch committed as — the
@@ -259,6 +260,9 @@ Status Database::ExecuteWrite(const QueryRequest& request,
 
 Status Database::RefreshSegments() {
   if (segments_ == nullptr) return Status::OK();
+  // Commits wait until every class is ingested: one that landed after
+  // `at` would be missing from a version served at its epoch.
+  MutexLock lock(write_mu_);
   const Epoch at = store_->CurrentEpoch();
   for (const auto& cls : catalog_->classes()) {
     uint32_t slot_count = 0;

@@ -114,10 +114,10 @@ class Database {
   /// Read paths — serial, morsel-parallel, shared-scan and VM — then
   /// prefer segment-backed scans whenever a SegmentVersion covers
   /// their pinned snapshot, and every write commit through this
-  /// session closes the touched classes' open versions so stale
-  /// segments are never read. Writes that bypass the session (direct
-  /// store mutations) are invisible here: re-ingest before relying on
-  /// segment scans after such writes.
+  /// session drops the touched classes' versions before its epoch is
+  /// published, so stale segments are never read. Writes that bypass
+  /// the session (direct store mutations) are invisible here:
+  /// re-ingest before relying on segment scans after such writes.
   void AttachSegmentStore(storage::SegmentStore* segments) {
     segments_ = segments;
   }
@@ -125,9 +125,10 @@ class Database {
 
   /// (Re)ingests every catalog class into the attached segment store
   /// at the current epoch — the bulk (re)load step after populating
-  /// the store or after a write burst closed the open versions.
-  /// No-op without an attached store.
-  Status RefreshSegments();
+  /// the store or after a write burst dropped versions. Holds the
+  /// write lock throughout, so no commit lands between the snapshot
+  /// and the publish. No-op without an attached store.
+  Status RefreshSegments() EXCLUDES(write_mu_);
 
   /// The session's worker pool of exactly `threads` lanes, created on
   /// first request and reused across queries so repeated parallel Runs

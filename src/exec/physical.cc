@@ -108,12 +108,11 @@ class ParallelPlanState {
   bool needs_final_dedup = false;
   /// Segment pruning applied while materializing an extent driving
   /// leaf from the paged segment store: `extent` holds only the rows
-  /// of the `seg_scanned` surviving segments; `seg_skipped` segments
-  /// were refuted by zone maps. Both 0 when the leaf came from the
-  /// in-memory store.
+  /// of the `pruning.scanned` surviving segments; `pruning.skipped`
+  /// segments were refuted by zone maps. Both 0 when the leaf came
+  /// from the in-memory store.
   bool segment_backed = false;
-  size_t seg_scanned = 0;
-  size_t seg_skipped = 0;
+  storage::PruneCounts pruning;
   /// Pre-created entries for every join node in the plan (keyed by node
   /// identity), so worker-side plan construction never mutates the maps.
   std::map<const algebra::LogicalNode*, SharedJoinBuild> hash_builds;
@@ -240,8 +239,8 @@ class MorselBatchSource : public BatchSource {
   std::string annotation() const override {
     if (!state_->segment_backed) return "[source: morsel]";
     return "[source: morsel] [segments: scanned " +
-           std::to_string(state_->seg_scanned) + " / skipped " +
-           std::to_string(state_->seg_skipped) + "]";
+           std::to_string(state_->pruning.scanned) + " / skipped " +
+           std::to_string(state_->pruning.skipped) + "]";
   }
 
  private:
@@ -1477,23 +1476,13 @@ Result<ParallelPlanStatePtr> PrepareParallelPlan(const LogicalRef& plan,
       // morsels and every worker clone shares the savings.
       LeafPredMap leaf_preds;
       CollectLeafPreds(plan, *ctx.catalog, {}, &leaf_preds);
-      const std::vector<storage::SlotPredicate>& preds =
-          LeafPredsFor(&leaf_preds, node);
       state->segment_backed = true;
-      state->extent.reserve(version->total_rows);
-      for (const storage::Segment& seg : version->segments) {
-        if (storage::SegmentRefuted(seg, preds)) {
-          ++state->seg_skipped;
-          continue;
-        }
-        ++state->seg_scanned;
-        VODAK_ASSIGN_OR_RETURN(std::vector<uint32_t> locals,
-                               ctx.segments->ReadLocals(seg));
-        for (uint32_t local : locals) {
-          state->extent.push_back(Oid(cls->class_id(), local));
-        }
-      }
-      ctx.segments->NotePruning(state->seg_scanned, state->seg_skipped);
+      VODAK_ASSIGN_OR_RETURN(
+          state->extent,
+          ctx.segments->ReadOids(*version, LeafPredsFor(&leaf_preds, node),
+                                 &state->pruning));
+      ctx.segments->NotePruning(state->pruning.scanned,
+                                state->pruning.skipped);
     } else {
       VODAK_ASSIGN_OR_RETURN(state->extent,
                              ctx.store->Extent(cls->class_id(),

@@ -44,20 +44,12 @@ std::vector<std::vector<storage::ZoneMap>> MorselZonesFor(
         first_overlap = false;
         continue;
       }
-      // A slot tracked in one overlapping segment but not another has
-      // no morsel-wide bound: invalid poisons the merge.
-      if (seg.zones.size() < merged.size()) merged.resize(seg.zones.size());
+      // Every segment of a version carries one zone per slot.
       for (size_t s = 0; s < merged.size(); ++s) {
         storage::ZoneMap& z = merged[s];
         const storage::ZoneMap& o = seg.zones[s];
-        if (!z.valid) continue;
-        if (!o.valid) {
-          z.valid = false;
-          continue;
-        }
         if (Value::Compare(o.min, z.min) < 0) z.min = o.min;
         if (Value::Compare(o.max, z.max) > 0) z.max = o.max;
-        z.null_count += o.null_count;
       }
     }
     zones[m] = std::move(merged);
@@ -98,32 +90,17 @@ Result<SharedScanManager::Slot*> SharedScanManager::EnsureExtentSlot(
     const storage::SegmentVersionRef version =
         segments_ == nullptr ? nullptr
                              : segments_->VersionAt(class_id, snapshot_);
-    std::shared_ptr<const std::vector<Oid>> shared;
-    if (version != nullptr) {
-      // Segment-backed: stream the ring's rows through the pager
-      // segment by segment instead of copying the store's extent.
-      auto rows = std::make_shared<std::vector<Oid>>();
-      rows->reserve(version->total_rows);
-      for (const storage::Segment& seg : version->segments) {
-        auto locals = segments_->ReadLocals(seg);
-        if (!locals.ok()) {
-          slot->status = locals.status();
-          return;
-        }
-        for (uint32_t local : locals.value()) {
-          rows->push_back(Oid(class_id, local));
-        }
-      }
-      shared = std::move(rows);
-    } else {
-      auto extent = store_->Extent(class_id, snapshot_);
-      if (!extent.ok()) {
-        slot->status = extent.status();
-        return;
-      }
-      shared = std::make_shared<const std::vector<Oid>>(
-          std::move(extent).value());
+    // Segment-backed: read the ring's rows through the pager segment by
+    // segment instead of copying the store's extent.
+    Result<std::vector<Oid>> rows =
+        version != nullptr ? segments_->ReadOids(*version, {})
+                           : store_->Extent(class_id, snapshot_);
+    if (!rows.ok()) {
+      slot->status = rows.status();
+      return;
     }
+    auto shared =
+        std::make_shared<const std::vector<Oid>>(std::move(rows).value());
     slot->scan.InitExtent(shared, morsel_size_);
     if (version != nullptr) {
       slot->scan.SetMorselZones(MorselZonesFor(*version, slot->scan));

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "objstore/object_store.h"
-#include "storage/value_serde.h"
 
 namespace vodak {
 namespace storage {
@@ -19,7 +19,6 @@ namespace storage {
 // segments holding nulls: NULL < 5 holds under the total order, and a
 // null-holding segment has min == NULL <= 5, so it is never refuted.
 bool ZoneRefutes(const ZoneMap& zone, BinOp op, const Value& constant) {
-  if (!zone.valid) return false;
   const int min_vs = Value::Compare(zone.min, constant);
   const int max_vs = Value::Compare(zone.max, constant);
   switch (op) {
@@ -64,35 +63,32 @@ Result<std::unique_ptr<SegmentStore>> SegmentStore::Open(
   return std::unique_ptr<SegmentStore>(new SegmentStore(std::move(pager)));
 }
 
-Result<BlobRef> SegmentStore::WriteBlob(const std::string& bytes) {
+Result<BlobRef> SegmentStore::WriteBlob(const uint8_t* bytes, size_t size) {
   BlobRef ref;
-  ref.byte_size = bytes.size();
-  if (bytes.empty()) return ref;
+  ref.byte_size = size;
+  if (size == 0) return ref;
   const size_t page_size = pager_->page_size();
-  const uint64_t pages = (bytes.size() + page_size - 1) / page_size;
+  const uint64_t pages = (size + page_size - 1) / page_size;
   ref.first_page = pager_->Allocate(pages);
   for (uint64_t i = 0; i < pages; ++i) {
     VODAK_ASSIGN_OR_RETURN(PinnedPage page, pager_->Pin(ref.first_page + i));
     const size_t off = static_cast<size_t>(i) * page_size;
-    const size_t n = std::min(page_size, bytes.size() - off);
-    std::memcpy(page.mutable_data(), bytes.data() + off, n);
+    std::memcpy(page.mutable_data(), bytes + off,
+                std::min(page_size, size - off));
   }
   return ref;
 }
 
-Result<std::string> SegmentStore::ReadBlob(const BlobRef& ref) const {
-  std::string bytes;
-  bytes.reserve(ref.byte_size);
+Status SegmentStore::ReadBlob(const BlobRef& ref, uint8_t* out) const {
+  const size_t size = static_cast<size_t>(ref.byte_size);
   const size_t page_size = pager_->page_size();
-  const uint64_t pages = (ref.byte_size + page_size - 1) / page_size;
+  const uint64_t pages = (size + page_size - 1) / page_size;
   for (uint64_t i = 0; i < pages; ++i) {
     VODAK_ASSIGN_OR_RETURN(PinnedPage page, pager_->Pin(ref.first_page + i));
     const size_t off = static_cast<size_t>(i) * page_size;
-    const size_t n =
-        std::min<size_t>(page_size, static_cast<size_t>(ref.byte_size) - off);
-    bytes.append(reinterpret_cast<const char*>(page.data()), n);
+    std::memcpy(out + off, page.data(), std::min(page_size, size - off));
   }
-  return bytes;
+  return Status::OK();
 }
 
 Status SegmentStore::IngestClass(const ObjectStore& store, uint32_t class_id,
@@ -108,128 +104,90 @@ Status SegmentStore::IngestClass(const ObjectStore& store, uint32_t class_id,
   version->begin = at;
   version->total_rows = extent.size();
 
-  std::vector<bool> tracked(slot_count, true);
-  for (uint32_t slot : options.untracked_slots) {
-    if (slot < slot_count) tracked[slot] = false;
-  }
-
   const size_t step = options.rows_per_segment;
+  std::vector<uint32_t> locals;
+  std::vector<Value> values;
   for (size_t begin = 0; begin < extent.size(); begin += step) {
     const size_t end = std::min(extent.size(), begin + step);
     Segment seg;
     seg.first_row = begin;
     seg.row_count = static_cast<uint32_t>(end - begin);
 
-    std::vector<uint32_t> locals;
-    locals.reserve(seg.row_count);
-    std::string bytes;
-    bytes.reserve(seg.row_count * 4);
-    for (size_t i = begin; i < end; ++i) {
-      locals.push_back(extent[i].local);
-      EncodeU32(extent[i].local, &bytes);
-    }
-    VODAK_ASSIGN_OR_RETURN(seg.locals, WriteBlob(bytes));
+    locals.clear();
+    for (size_t i = begin; i < end; ++i) locals.push_back(extent[i].local);
+    VODAK_ASSIGN_OR_RETURN(
+        seg.locals,
+        WriteBlob(reinterpret_cast<const uint8_t*>(locals.data()),
+                  locals.size() * sizeof(uint32_t)));
 
-    seg.columns.resize(slot_count);
+    // Zone maps stay in memory; a segment holds >= 1 row, so the first
+    // value seeds each slot's bounds.
     seg.zones.resize(slot_count);
-    std::vector<Value> values;
     for (uint32_t slot = 0; slot < slot_count; ++slot) {
       values.clear();
       VODAK_RETURN_IF_ERROR(store.GetPropertyColumn(class_id, slot, extent,
                                                     begin, end, &values, at));
-      bytes.clear();
       ZoneMap& zone = seg.zones[slot];
+      zone.min = values.front();
+      zone.max = values.front();
       for (const Value& v : values) {
-        EncodeValue(v, &bytes);
-        if (tracked[slot]) {
-          if (!zone.valid) {
-            zone.valid = true;
-            zone.min = v;
-            zone.max = v;
-          } else {
-            if (Value::Compare(v, zone.min) < 0) zone.min = v;
-            if (Value::Compare(v, zone.max) > 0) zone.max = v;
-          }
-          if (v.is_null()) zone.null_count++;
-        }
+        if (Value::Compare(v, zone.min) < 0) zone.min = v;
+        if (Value::Compare(v, zone.max) > 0) zone.max = v;
       }
-      VODAK_ASSIGN_OR_RETURN(seg.columns[slot], WriteBlob(bytes));
     }
     version->segments.push_back(std::move(seg));
   }
   VODAK_RETURN_IF_ERROR(pager_->Flush());
 
   MutexLock lock(mu_);
-  std::vector<SegmentVersionRef>& chain = directory_[class_id];
-  if (!chain.empty() && chain.back()->end == kEpochLatest) {
-    // Re-ingest supersedes the open version from `at` on.
-    auto closed = std::make_shared<SegmentVersion>(*chain.back());
-    closed->end = at;
-    chain.back() = std::move(closed);
-  }
-  chain.push_back(std::move(version));
+  directory_[class_id] = std::move(version);
   return Status::OK();
 }
 
-void SegmentStore::CloseVersions(uint32_t class_id, Epoch end_epoch) {
+void SegmentStore::DropVersion(uint32_t class_id) {
   MutexLock lock(mu_);
-  auto it = directory_.find(class_id);
-  if (it == directory_.end() || it->second.empty()) return;
-  const SegmentVersionRef& open = it->second.back();
-  if (open->end != kEpochLatest || open->begin >= end_epoch) return;
-  auto closed = std::make_shared<SegmentVersion>(*open);
-  closed->end = end_epoch;
-  it->second.back() = std::move(closed);
+  directory_.erase(class_id);
 }
 
 SegmentVersionRef SegmentStore::VersionAt(uint32_t class_id,
                                           Epoch at) const {
   MutexLock lock(mu_);
   auto it = directory_.find(class_id);
-  if (it == directory_.end()) return nullptr;
-  const std::vector<SegmentVersionRef>& chain = it->second;
-  if (at == kEpochLatest) {
-    if (!chain.empty() && chain.back()->end == kEpochLatest) {
-      return chain.back();
-    }
-    return nullptr;
-  }
-  for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
-    if ((*rit)->begin <= at && at < (*rit)->end) return *rit;
-  }
-  return nullptr;
+  if (it == directory_.end() || it->second->begin > at) return nullptr;
+  return it->second;
 }
 
 Result<std::vector<uint32_t>> SegmentStore::ReadLocals(
     const Segment& seg) const {
-  VODAK_ASSIGN_OR_RETURN(std::string bytes, ReadBlob(seg.locals));
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  size_t pos = 0;
-  std::vector<uint32_t> locals;
-  locals.reserve(seg.row_count);
-  for (uint32_t i = 0; i < seg.row_count; ++i) {
-    VODAK_ASSIGN_OR_RETURN(uint32_t local,
-                           DecodeU32(data, bytes.size(), &pos));
-    locals.push_back(local);
+  if (seg.locals.byte_size != uint64_t{seg.row_count} * sizeof(uint32_t)) {
+    return Status::Internal(
+        "segment read: OID blob holds " +
+        std::to_string(seg.locals.byte_size) + " bytes for " +
+        std::to_string(seg.row_count) + " rows");
   }
+  std::vector<uint32_t> locals(seg.row_count);
+  VODAK_RETURN_IF_ERROR(
+      ReadBlob(seg.locals, reinterpret_cast<uint8_t*>(locals.data())));
   return locals;
 }
 
-Status SegmentStore::ReadColumn(const Segment& seg, uint32_t slot,
-                                std::vector<Value>* out) const {
-  if (slot >= seg.columns.size()) {
-    return Status::InvalidArgument("segment read: slot " +
-                                   std::to_string(slot) + " out of range");
+Result<std::vector<Oid>> SegmentStore::ReadOids(
+    const SegmentVersion& version, const std::vector<SlotPredicate>& preds,
+    PruneCounts* counts) const {
+  PruneCounts tally;
+  std::vector<Oid> oids;
+  oids.reserve(version.total_rows);
+  for (const Segment& seg : version.segments) {
+    if (SegmentRefuted(seg, preds)) {
+      ++tally.skipped;
+      continue;
+    }
+    ++tally.scanned;
+    VODAK_ASSIGN_OR_RETURN(std::vector<uint32_t> locals, ReadLocals(seg));
+    for (uint32_t local : locals) oids.push_back(Oid(version.class_id, local));
   }
-  VODAK_ASSIGN_OR_RETURN(std::string bytes, ReadBlob(seg.columns[slot]));
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  size_t pos = 0;
-  out->reserve(out->size() + seg.row_count);
-  for (uint32_t i = 0; i < seg.row_count; ++i) {
-    VODAK_ASSIGN_OR_RETURN(Value v, DecodeValue(data, bytes.size(), &pos));
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
+  if (counts != nullptr) *counts = tally;
+  return oids;
 }
 
 double SegmentStore::SurvivalRate() const {

@@ -1,18 +1,19 @@
-// Paged columnar segments with zone maps (docs/ARCHITECTURE.md
-// §"Paged storage & segment skipping"). A class extent ingests into
-// fixed-row-count column segments serialized through the Pager: per
-// segment, the OID column (u32 locals) plus one value blob per
-// property slot, and a per-slot zone map (min/max under the
-// Value::Compare total order, null count). Zone maps let scans refute
+// Paged segments with zone maps (docs/ARCHITECTURE.md §"Paged storage
+// & segment skipping"). A class extent ingests into fixed-row-count
+// segments: per segment, the OID column (a raw u32 locals array in the
+// page file) and one in-memory zone map per property slot (min/max
+// under the Value::Compare total order). Zone maps let scans refute
 // whole segments against sargable predicates without touching a page.
 //
-// Versioning mirrors MVCC: each ingest produces a SegmentVersion
-// stamped [begin, end) in epochs. A write commit closes the open
-// version (end = commit epoch), so snapshot readers pinned below the
-// commit keep the segment path while later readers fall back to the
-// in-memory extent until the class is re-ingested. Segment data is
-// immutable once written — reclaim never touches it, and pinned pages
-// only protect buffer-cache frames, not versions.
+// One version per class: each ingest replaces the class's
+// SegmentVersion, stamped with the epoch it snapshots. A write commit
+// drops the version before its epoch becomes visible, so no reader
+// pinned at or above the commit can resolve it; readers that already
+// hold the ref keep it alive (they pinned below the commit), and
+// everyone else falls back to the in-memory extent until the class is
+// re-ingested. Segment data is immutable once written — reclaim never
+// touches it, and pinned pages only protect buffer-cache frames, not
+// versions.
 #ifndef VODAK_STORAGE_SEGMENT_STORE_H_
 #define VODAK_STORAGE_SEGMENT_STORE_H_
 
@@ -44,11 +45,8 @@ namespace storage {
 /// every other kind and never errors), so the zone bounds bound every
 /// row's compare result, null rows included.
 struct ZoneMap {
-  /// False for untracked slots: an invalid zone never refutes.
-  bool valid = false;
   Value min;
   Value max;
-  uint64_t null_count = 0;
 };
 
 /// One normalized sargable conjunct, `slot op constant` with the
@@ -62,7 +60,7 @@ struct SlotPredicate {
 };
 
 /// True when the zone proves no row of the segment can satisfy
-/// `col op constant`. Conservative: invalid zones never refute.
+/// `col op constant`.
 bool ZoneRefutes(const ZoneMap& zone, BinOp op, const Value& constant);
 
 /// A byte blob's location in the page file: `byte_size` bytes starting
@@ -72,15 +70,14 @@ struct BlobRef {
   uint64_t byte_size = 0;
 };
 
-/// One column segment: `row_count` consecutive extent rows starting at
-/// extent position `first_row`, with the OID column and one value blob
-/// + zone map per property slot.
+/// One segment: `row_count` consecutive extent rows starting at extent
+/// position `first_row`, with the OID column and one zone map per
+/// property slot.
 struct Segment {
   uint64_t first_row = 0;
   uint32_t row_count = 0;
-  BlobRef locals;
-  std::vector<BlobRef> columns;  // indexed by slot
-  std::vector<ZoneMap> zones;    // indexed by slot
+  BlobRef locals;              // row_count u32 locals, extent order
+  std::vector<ZoneMap> zones;  // indexed by slot
 };
 
 /// True when `preds` (ANDed conjuncts) refute a row range summarized
@@ -94,11 +91,10 @@ bool ZonesRefute(const std::vector<ZoneMap>& zones,
 bool SegmentRefuted(const Segment& seg,
                     const std::vector<SlotPredicate>& preds);
 
-/// The segments of one class at one epoch range, in extent order.
+/// The segments of one class as of epoch `begin`, in extent order.
 struct SegmentVersion {
   uint32_t class_id = 0;
   Epoch begin = 0;
-  Epoch end = kEpochLatest;
   uint64_t total_rows = 0;
   std::vector<Segment> segments;
 };
@@ -106,14 +102,16 @@ struct SegmentVersion {
 using SegmentVersionRef = std::shared_ptr<const SegmentVersion>;
 
 struct IngestOptions {
-  /// Rows per column segment (~64k by default: big enough that the
+  /// Rows per segment (~64k by default: big enough that the
   /// per-segment directory entry amortizes, small enough that a zone
   /// refutation skips a meaningful page run).
   uint32_t rows_per_segment = 64 * 1024;
-  /// Slots ingested without zone maps (blob still written). Exercised
-  /// by the untracked-column tests: predicates over these slots must
-  /// never skip a segment.
-  std::vector<uint32_t> untracked_slots;
+};
+
+/// One scan's pruning outcome: segments read vs refuted by zone maps.
+struct PruneCounts {
+  uint64_t scanned = 0;
+  uint64_t skipped = 0;
 };
 
 /// Pruning totals since construction/reset. Relaxed atomics read
@@ -130,8 +128,8 @@ struct SegmentStoreStats {
   }
 };
 
-/// Segment directory + pager-backed column storage for every ingested
-/// class. Thread-safe: the directory mutex covers version lists only;
+/// Segment directory + pager-backed OID storage for every ingested
+/// class. Thread-safe: the directory mutex covers the directory only;
 /// Segment/SegmentVersion objects are immutable after publication and
 /// page access serializes inside the Pager.
 class SegmentStore {
@@ -141,27 +139,36 @@ class SegmentStore {
                                                     PagerOptions options);
 
   /// Snapshots class `class_id` of `store` at epoch `at` into a new
-  /// open SegmentVersion [at, kEpochLatest). An already-open version
-  /// of the class is closed at `at` first (re-ingest after writes).
+  /// SegmentVersion that replaces the class's current one. The caller
+  /// keeps commits out until this returns (Database::RefreshSegments
+  /// holds the write lock): a commit after `at` would be missing from
+  /// a version served to readers pinned at or above it.
   Status IngestClass(const ObjectStore& store, uint32_t class_id,
                      uint32_t slot_count, Epoch at,
                      const IngestOptions& options = {}) EXCLUDES(mu_);
 
-  /// Closes the class's open version at `end_epoch` (a write commit:
-  /// segment data no longer reflects epochs >= end_epoch). Readers
-  /// pinned below keep it; no-op when no version is open.
-  void CloseVersions(uint32_t class_id, Epoch end_epoch) EXCLUDES(mu_);
+  /// Drops the class's version: a commit touching the class is about
+  /// to publish, and its segment data will no longer be current. Called
+  /// before the commit epoch becomes visible; no-op when none exists.
+  void DropVersion(uint32_t class_id) EXCLUDES(mu_);
 
-  /// The version covering epoch `at` (kEpochLatest: the open version),
-  /// or null when segments cannot serve that snapshot.
+  /// The class's version when it can serve a snapshot at `at` (its
+  /// ingest epoch is <= at), else null: the caller reads the
+  /// in-memory extent.
   SegmentVersionRef VersionAt(uint32_t class_id, Epoch at) const
       EXCLUDES(mu_);
 
-  /// Decodes a segment's OID column (u32 locals, extent order).
+  /// Reads a segment's OID column (u32 locals, extent order). A blob
+  /// whose size is not 4 * row_count is a Status, not a short read.
   Result<std::vector<uint32_t>> ReadLocals(const Segment& seg) const;
-  /// Decodes a segment's value column for `slot`.
-  Status ReadColumn(const Segment& seg, uint32_t slot,
-                    std::vector<Value>* out) const;
+
+  /// The OIDs of every segment of `version` that `preds` do not
+  /// refute, in extent order. `counts` (optional) receives the
+  /// scanned/skipped tallies; the caller decides whether they count
+  /// toward NotePruning.
+  Result<std::vector<Oid>> ReadOids(const SegmentVersion& version,
+                                    const std::vector<SlotPredicate>& preds,
+                                    PruneCounts* counts = nullptr) const;
 
   /// Records one pruning decision round (scan-open time): bumped once
   /// per source construction, not per batch.
@@ -184,14 +191,14 @@ class SegmentStore {
   explicit SegmentStore(std::unique_ptr<Pager> pager)
       : pager_(std::move(pager)) {}
 
-  Result<BlobRef> WriteBlob(const std::string& bytes);
-  Result<std::string> ReadBlob(const BlobRef& ref) const;
+  Result<BlobRef> WriteBlob(const uint8_t* bytes, size_t size);
+  Status ReadBlob(const BlobRef& ref, uint8_t* out) const;
 
   std::unique_ptr<Pager> pager_;
 
   mutable Mutex mu_;
-  /// class_id -> versions ascending by begin; at most the last is open.
-  std::unordered_map<uint32_t, std::vector<SegmentVersionRef>> directory_
+  /// class_id -> the class's one version.
+  std::unordered_map<uint32_t, SegmentVersionRef> directory_
       GUARDED_BY(mu_);
 
   mutable SegmentStoreStats stats_;

@@ -7,8 +7,9 @@
 // interpreter; all must agree exactly, while the pruning counters
 // prove zone maps actually skipped segments (an agreement with zero
 // skips would prove nothing). A final phase repeats the differential
-// under concurrent Submit writer batches: every committed write closes
-// the touched class's open segment version, readers record their
+// under concurrent Submit writer batches: every committed write drops
+// the touched class's segment version before it publishes, readers
+// record their
 // pinned epoch, and each read replays post-hoc through the oracle *at
 // that epoch* — a segment path that ever served a stale version cannot
 // pass. Runs under TSan in CI (`scripts/ci.sh --storage`) with seeds
@@ -16,6 +17,8 @@
 // replays exactly).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
 #include <memory>
 #include <random>
 #include <string>
@@ -82,10 +85,17 @@ class SegmentDiffTest : public ::testing::Test {
               .ok());
     }
 
+    // The corpus's OID column spans 10 pages (one per 64-row segment);
+    // 8 frames keep eviction live (SelectiveReRunsHitTheSmallCache
+    // asserts it). 4 KiB pages keep the file small when a test
+    // re-ingests after every commit.
     storage::PagerOptions pager;
-    pager.cache_pages = 16;  // far below the corpus: eviction is live
-    auto segments = storage::SegmentStore::Open(
-        ::testing::TempDir() + "vodak_segment_diff.pages", pager);
+    pager.page_size = 4096;
+    pager.cache_pages = 8;
+    const std::string path =
+        ::testing::TempDir() + "vodak_segment_diff.pages";
+    std::remove(path.c_str());  // the Pager appends to an existing file
+    auto segments = storage::SegmentStore::Open(path, pager);
     ASSERT_TRUE(segments.ok()) << segments.status().ToString();
     segments_ = std::move(segments.value());
     ASSERT_TRUE(Ingest().ok());
@@ -288,10 +298,10 @@ TEST_F(SegmentDiffTest, SegmentScansAgreeAcrossAllDrains) {
   EXPECT_GT(skipped, 0u) << "no segment was ever skipped; seed: " << seed;
 }
 
-// The buffer-cache condition: a selective query re-run through the
-// deliberately small cache (16 pages, below the corpus's segment pages)
-// keeps its surviving segment's pages resident, so the re-runs hit the
-// cache more often than they miss.
+// The buffer-cache condition: a full pass through the deliberately
+// small cache (8 frames for 10 OID pages) must evict, and a selective
+// query re-run through it keeps its surviving segment's page resident,
+// so the re-runs hit the cache more often than they miss.
 TEST_F(SegmentDiffTest, SelectiveReRunsHitTheSmallCache) {
   auto seg_session = SegmentSession();
   engine::PlanOptions no_opt;
@@ -300,8 +310,11 @@ TEST_F(SegmentDiffTest, SelectiveReRunsHitTheSmallCache) {
   tree.vm = engine::VmMode::kOff;
 
   // A full pass first drags every segment through the cache.
-  ASSERT_TRUE(seg_session->Run("ACCESS a FROM a IN Item", no_opt, tree).ok());
   storage::PagerStats* pager = segments_->pager()->mutable_stats();
+  pager->Reset();
+  ASSERT_TRUE(seg_session->Run("ACCESS a FROM a IN Item", no_opt, tree).ok());
+  EXPECT_GT(pager->evictions.load(std::memory_order_relaxed), 0u)
+      << "the full pass fit the cache: eviction is not exercised";
   pager->Reset();
   for (int rep = 0; rep < 4; ++rep) {
     auto got = seg_session->Run("ACCESS a FROM a IN Item WHERE a.v1 < 64",
@@ -361,9 +374,90 @@ TEST_F(SegmentDiffTest, SharedScanBatchesAgreeWithOracle) {
   }
 }
 
+// The count check for the commit/segment race. Two writers on one
+// session each commit one-row INSERTs and re-ingest after every
+// commit, while two readers count the extent through the segment
+// path. Each insert is one commit epoch, so a read pinned at epoch e
+// must see exactly kInitialObjects + (e - start) rows. A reader sees
+// fewer only when it is served a segment version that predates its
+// pin: a commit published before its version was dropped, or a
+// re-ingest snapshotted the extent before the other writer's commit
+// and published after it.
+TEST_F(SegmentDiffTest, ReadsNeverCountFewerRowsThanTheirPin) {
+  constexpr int kInsertsPerWriter = 500;
+  constexpr int kCountWriters = 2;
+  constexpr int kCountReaders = 2;
+  auto writer_session = SegmentSession();
+  ASSERT_TRUE(writer_session->RefreshSegments().ok());
+  const Epoch start = store_.CurrentEpoch();
+  segments_->mutable_stats()->Reset();
+
+  std::atomic<int> readers_started{0};
+  std::atomic<int> writers_done{0};
+  std::vector<uint64_t> reads(kCountReaders, 0);
+  std::vector<uint64_t> stale(kCountReaders, 0);
+  std::vector<std::string> first_stale(kCountReaders);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kCountWriters; ++w) {
+    threads.emplace_back([&, w] {
+      while (readers_started.load() < kCountReaders) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < kInsertsPerWriter; ++i) {
+        engine::QueryRequest request;
+        request.vql = "INSERT INTO Item SET v1 = " + std::to_string(i) +
+                      ", bucket = " + std::to_string(w);
+        auto outcomes = writer_session->Submit({request});
+        EXPECT_TRUE(outcomes[0].status.ok())
+            << outcomes[0].status.ToString();
+        EXPECT_TRUE(writer_session->RefreshSegments().ok());
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  for (int r = 0; r < kCountReaders; ++r) {
+    threads.emplace_back([&, r] {
+      auto session = SegmentSession();
+      engine::PlanOptions no_opt;
+      no_opt.optimize = false;
+      engine::RunOptions run;
+      run.vm = engine::VmMode::kOff;
+      do {
+        auto got = session->Run("ACCESS i FROM i IN Item", no_opt, run);
+        if (reads[r]++ == 0) readers_started.fetch_add(1);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const Epoch epoch = got.value().snapshot_epoch;
+        const size_t expected = kInitialObjects + (epoch - start);
+        const size_t rows = got.value().result.AsSet().size();
+        if (rows != expected && stale[r]++ == 0) {
+          first_stale[r] = "epoch " + std::to_string(epoch) + ": " +
+                           std::to_string(rows) + " rows, expected " +
+                           std::to_string(expected);
+        }
+      } while (writers_done.load() < kCountWriters);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(store_.CurrentEpoch(),
+            start + kCountWriters * kInsertsPerWriter)
+      << "an INSERT took other than one commit epoch";
+  for (int r = 0; r < kCountReaders; ++r) {
+    EXPECT_EQ(stale[r], 0u) << "reader " << r << ": " << stale[r] << " of "
+                            << reads[r] << " reads miscounted; first at "
+                            << first_stale[r];
+  }
+  // Reads went through segments, or the check proved nothing about
+  // them.
+  EXPECT_GT(segments_->stats().segments_scanned.load(
+                std::memory_order_relaxed),
+            0u);
+}
+
 // Phase 3: the same differential under concurrent Submit writer
-// batches. Every write commit closes Item's open segment version (so
-// readers pinned at or above the commit fall back to the extent), and
+// batches. Every write commit drops Item's segment version before its
+// epoch is published (so readers pinned at or above the commit fall
+// back to the extent), and
 // the writer re-ingests every few rounds (re-opening the segment
 // path at a later epoch). Readers record the epoch each query pinned;
 // after the threads join, every record replays serially through the

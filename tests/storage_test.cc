@@ -1,11 +1,11 @@
 // The paged-storage unit suite (docs/ARCHITECTURE.md §"Paged storage
 // & segment skipping"): the Pager's buffer cache (hit/miss/evict
 // counters, pin/unpin RAII, the all-pinned hard cap, eviction under
-// concurrent pinned readers), the value serde roundtrip, and the
-// zone-map pruning rule's edge cases — all-null segments, boundary
-// equality, untracked columns that must never skip. Randomized legs
-// seed through tests/test_seed.h (--seed=N / VODAK_TEST_SEED=N
-// replays a failure exactly).
+// concurrent pinned readers), the segment layout (OID pages only, the
+// OID blob size check), the zone-map pruning rule's edge cases —
+// all-null segments, boundary equality — and the one-version rule.
+// Randomized legs seed through tests/test_seed.h (--seed=N /
+// VODAK_TEST_SEED=N replays a failure exactly).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +19,6 @@
 #include "schema/catalog.h"
 #include "storage/pager.h"
 #include "storage/segment_store.h"
-#include "storage/value_serde.h"
 #include "types/value.h"
 
 #include "test_seed.h"
@@ -174,55 +173,12 @@ TEST(PagerTest, ConcurrentPinnedReadersUnderEvictionChurn) {
             0u);
 }
 
-// -------------------------------------------------------- value serde
-
-TEST(ValueSerdeTest, RoundTripsEveryKind) {
-  const std::vector<Value> values = {
-      Value::Null(),
-      Value::Bool(true),
-      Value::Bool(false),
-      Value::Int(0),
-      Value::Int(-9223372036854775807LL),
-      Value::Real(3.25),
-      Value::String(""),
-      Value::String("paged columnar storage"),
-      Value::OfOid(Oid(7, 123456)),
-      Value::Set({Value::Int(3), Value::Int(1), Value::Int(2)}),
-      Value::Array({Value::String("a"), Value::Null()}),
-      Value::Tuple({{"x", Value::Int(1)}, {"y", Value::Real(2.5)}}),
-      Value::Set({Value::Tuple({{"k", Value::String("nested")}})}),
-  };
-  std::string bytes;
-  for (const Value& v : values) EncodeValue(v, &bytes);
-  size_t pos = 0;
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  for (const Value& v : values) {
-    auto decoded = DecodeValue(data, bytes.size(), &pos);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.value(), v) << v.ToString();
-  }
-  EXPECT_EQ(pos, bytes.size());
-}
-
-TEST(ValueSerdeTest, TruncatedInputIsAStatusNotUb) {
-  std::string bytes;
-  EncodeValue(Value::String("truncate me"), &bytes);
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    size_t pos = 0;
-    auto decoded = DecodeValue(
-        reinterpret_cast<const uint8_t*>(bytes.data()), cut, &pos);
-    EXPECT_FALSE(decoded.ok()) << "cut at " << cut;
-  }
-}
-
 // ---------------------------------------------------- zone-map pruning
 
-ZoneMap IntZone(int64_t min, int64_t max, uint64_t nulls = 0) {
+ZoneMap IntZone(int64_t min, int64_t max) {
   ZoneMap zone;
-  zone.valid = true;
   zone.min = Value::Int(min);
   zone.max = Value::Int(max);
-  zone.null_count = nulls;
   return zone;
 }
 
@@ -261,14 +217,6 @@ TEST(ZoneMapTest, RefutationTruthTable) {
   EXPECT_FALSE(ZoneRefutes(IntZone(15, 15), BinOp::kNe, Value::Int(14)));
 }
 
-TEST(ZoneMapTest, InvalidZoneNeverRefutes) {
-  ZoneMap untracked;  // valid = false
-  for (BinOp op : {BinOp::kEq, BinOp::kNe, BinOp::kLt, BinOp::kLe,
-                   BinOp::kGt, BinOp::kGe}) {
-    EXPECT_FALSE(ZoneRefutes(untracked, op, Value::Int(0)));
-  }
-}
-
 TEST(ZoneMapTest, ZonesRefuteIsConjunctiveAndSlotBounded) {
   std::vector<ZoneMap> zones = {IntZone(0, 5), IntZone(100, 200)};
   // One refuting conjunct suffices.
@@ -293,7 +241,7 @@ class SegmentStoreTest : public ::testing::Test {
     auto cls = catalog_.DefineClass("Item");
     ASSERT_TRUE(cls.ok());
     ASSERT_TRUE(cls.value()->AddProperty("tracked", Type::Int()).ok());
-    ASSERT_TRUE(cls.value()->AddProperty("untracked", Type::Int()).ok());
+    ASSERT_TRUE(cls.value()->AddProperty("mod10", Type::Int()).ok());
     ASSERT_TRUE(cls.value()->AddProperty("allnull", Type::Int()).ok());
     class_id_ = cls.value()->class_id();
     ASSERT_EQ(store_.RegisterClass("Item", 3), class_id_);
@@ -319,7 +267,6 @@ class SegmentStoreTest : public ::testing::Test {
     auto segments = SegmentStore::Open(TempPath(name), pager);
     EXPECT_TRUE(segments.ok()) << segments.status().ToString();
     ingest_.rows_per_segment = rows_per_segment;
-    ingest_.untracked_slots = {1};
     return std::move(segments.value());
   }
 
@@ -329,7 +276,7 @@ class SegmentStoreTest : public ::testing::Test {
   IngestOptions ingest_;
 };
 
-TEST_F(SegmentStoreTest, IngestRoundTripsLocalsAndColumns) {
+TEST_F(SegmentStoreTest, IngestRoundTripsLocals) {
   Populate(250);
   auto segments = OpenStore("seg_roundtrip", 100);
   const Epoch at = store_.CurrentEpoch();
@@ -345,17 +292,72 @@ TEST_F(SegmentStoreTest, IngestRoundTripsLocalsAndColumns) {
   for (const Segment& seg : version->segments) {
     auto locals = segments->ReadLocals(seg);
     ASSERT_TRUE(locals.ok()) << locals.status().ToString();
-    std::vector<Value> tracked;
-    ASSERT_TRUE(segments->ReadColumn(seg, 0, &tracked).ok());
     ASSERT_EQ(locals.value().size(), seg.row_count);
-    ASSERT_EQ(tracked.size(), seg.row_count);
     for (size_t i = 0; i < locals.value().size(); ++i, ++row) {
       EXPECT_EQ(locals.value()[i], extent.value()[row].local);
-      EXPECT_EQ(tracked[i],
-                Value::Int(static_cast<int64_t>(row)));
     }
   }
   EXPECT_EQ(row, 250u);
+  // ReadOids is the same walk, pruned: `tracked < 100` keeps only the
+  // first segment.
+  PruneCounts counts;
+  auto all = segments->ReadOids(*version, {}, &counts);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all.value(), extent.value());
+  EXPECT_EQ(counts.scanned, 3u);
+  EXPECT_EQ(counts.skipped, 0u);
+  auto pruned = segments->ReadOids(
+      *version, {{0, BinOp::kLt, Value::Int(100)}}, &counts);
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  EXPECT_EQ(pruned.value(),
+            std::vector<Oid>(extent.value().begin(),
+                             extent.value().begin() + 100));
+  EXPECT_EQ(counts.scanned, 1u);
+  EXPECT_EQ(counts.skipped, 2u);
+}
+
+// The page file holds the OID columns and nothing else: one u32 per
+// row, each segment rounded up to whole pages. Zone maps live in
+// memory.
+TEST_F(SegmentStoreTest, PageFileHoldsOnlyOidPages) {
+  Populate(2500);
+  PagerOptions pager;
+  pager.page_size = 4096;  // 1,024 locals per page
+  pager.cache_pages = 8;
+  auto opened = SegmentStore::Open(TempPath("seg_oid_pages"), pager);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<SegmentStore> segments = std::move(opened.value());
+  ingest_.rows_per_segment = 1500;
+  const Epoch at = store_.CurrentEpoch();
+  ASSERT_TRUE(
+      segments->IngestClass(store_, class_id_, 3, at, ingest_).ok());
+  SegmentVersionRef version = segments->VersionAt(class_id_, at);
+  ASSERT_NE(version, nullptr);
+  uint64_t expected = 0;
+  for (const Segment& seg : version->segments) {
+    EXPECT_EQ(seg.locals.byte_size, 4u * seg.row_count);
+    expected += (4u * seg.row_count + pager.page_size - 1) / pager.page_size;
+  }
+  EXPECT_EQ(expected, 3u);  // 1,500 rows -> 2 pages, 1,000 rows -> 1
+  EXPECT_EQ(segments->pager()->page_count(), expected);
+}
+
+// A segment whose OID blob is not 4 * row_count bytes is refused with
+// a Status instead of a short or over-long read.
+TEST_F(SegmentStoreTest, OidBlobSizeMismatchIsAStatus) {
+  Populate(10);
+  auto segments = OpenStore("seg_blob_size", 64);
+  const Epoch at = store_.CurrentEpoch();
+  ASSERT_TRUE(
+      segments->IngestClass(store_, class_id_, 3, at, ingest_).ok());
+  SegmentVersionRef version = segments->VersionAt(class_id_, at);
+  ASSERT_NE(version, nullptr);
+  Segment bad = version->segments[0];
+  bad.row_count += 1;
+  EXPECT_FALSE(segments->ReadLocals(bad).ok());
+  bad.row_count -= 2;
+  EXPECT_FALSE(segments->ReadLocals(bad).ok());
+  EXPECT_TRUE(segments->ReadLocals(version->segments[0]).ok());
 }
 
 TEST_F(SegmentStoreTest, ZoneBoundsMatchSegmentRowRanges) {
@@ -368,17 +370,13 @@ TEST_F(SegmentStoreTest, ZoneBoundsMatchSegmentRowRanges) {
   ASSERT_NE(version, nullptr);
   const Segment& first = version->segments[0];
   ASSERT_EQ(first.zones.size(), 3u);
-  EXPECT_TRUE(first.zones[0].valid);
   EXPECT_EQ(first.zones[0].min, Value::Int(0));
   EXPECT_EQ(first.zones[0].max, Value::Int(99));
-  EXPECT_EQ(first.zones[0].null_count, 0u);
-  // Slot 1 was declared untracked: blob written, zone invalid.
-  EXPECT_FALSE(first.zones[1].valid);
+  EXPECT_EQ(first.zones[1].min, Value::Int(0));
+  EXPECT_EQ(first.zones[1].max, Value::Int(9));
   // Slot 2 is all-null: min == max == NULL under the total order.
-  EXPECT_TRUE(first.zones[2].valid);
   EXPECT_TRUE(first.zones[2].min.is_null());
   EXPECT_TRUE(first.zones[2].max.is_null());
-  EXPECT_EQ(first.zones[2].null_count, first.row_count);
 
   // Tracked-slot pruning works segment by segment: `tracked == 150`
   // lives only in the middle segment.
@@ -413,45 +411,38 @@ TEST_F(SegmentStoreTest, AllNullSegmentPruning) {
   EXPECT_TRUE(SegmentRefuted(seg, {{2, BinOp::kNe, Value::Null()}}));
 }
 
-TEST_F(SegmentStoreTest, UntrackedColumnsNeverSkip) {
-  Populate(200);
-  auto segments = OpenStore("seg_untracked", 64);
-  const Epoch at = store_.CurrentEpoch();
-  ASSERT_TRUE(
-      segments->IngestClass(store_, class_id_, 3, at, ingest_).ok());
-  SegmentVersionRef version = segments->VersionAt(class_id_, at);
-  ASSERT_NE(version, nullptr);
-  // Slot 1's values are all in [0, 9]; an impossible predicate over it
-  // still must not skip — untracked means no zone, no proof.
-  for (const Segment& seg : version->segments) {
-    EXPECT_FALSE(
-        SegmentRefuted(seg, {{1, BinOp::kEq, Value::Int(999)}}));
-    EXPECT_FALSE(
-        SegmentRefuted(seg, {{1, BinOp::kLt, Value::Int(-5)}}));
-  }
-}
-
-TEST_F(SegmentStoreTest, VersionsCloseAtCommitEpochs) {
+TEST_F(SegmentStoreTest, OneVersionPerClassDroppedBeforeCommit) {
   Populate(50);
   auto segments = OpenStore("seg_versions", 64);
-  const Epoch first = store_.CurrentEpoch();
+  const Epoch first = store_.CurrentEpoch() + 1;
   ASSERT_TRUE(
       segments->IngestClass(store_, class_id_, 3, first, ingest_).ok());
-  // A write commit closes the open version: readers pinned at or above
-  // the commit fall back to the in-memory extent.
-  segments->CloseVersions(class_id_, first + 2);
-  ASSERT_NE(segments->VersionAt(class_id_, first), nullptr);
-  ASSERT_NE(segments->VersionAt(class_id_, first + 1), nullptr);
-  EXPECT_EQ(segments->VersionAt(class_id_, first + 2), nullptr);
+  // The version serves every snapshot at or above its ingest epoch,
+  // and none below it.
+  SegmentVersionRef held = segments->VersionAt(class_id_, first);
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(segments->VersionAt(class_id_, first + 1), held);
+  EXPECT_EQ(segments->VersionAt(class_id_, kEpochLatest), held);
+  EXPECT_EQ(segments->VersionAt(class_id_, first - 1), nullptr);
+  // A commit drops it before its epoch is published: nobody resolves
+  // it any more, at any epoch, while a reader that already held the
+  // ref keeps reading intact segments.
+  segments->DropVersion(class_id_);
+  EXPECT_EQ(segments->VersionAt(class_id_, first), nullptr);
   EXPECT_EQ(segments->VersionAt(class_id_, kEpochLatest), nullptr);
-  // Re-ingest opens a new version; both generations stay readable at
-  // their own epochs (segment data is immutable, reclaim never bites).
+  auto locals = segments->ReadLocals(held->segments[0]);
+  ASSERT_TRUE(locals.ok()) << locals.status().ToString();
+  EXPECT_EQ(locals.value().size(), 50u);
+  segments->DropVersion(class_id_);  // nothing left: a no-op
+  // Re-ingest publishes a replacement that serves only snapshots at or
+  // above its own epoch; older snapshots read the in-memory extent.
   ASSERT_TRUE(segments
                   ->IngestClass(store_, class_id_, 3, first + 5, ingest_)
                   .ok());
   ASSERT_NE(segments->VersionAt(class_id_, kEpochLatest), nullptr);
-  ASSERT_NE(segments->VersionAt(class_id_, first + 1), nullptr);
-  EXPECT_EQ(segments->VersionAt(class_id_, first + 3), nullptr);
+  ASSERT_NE(segments->VersionAt(class_id_, first + 5), nullptr);
+  EXPECT_EQ(segments->VersionAt(class_id_, first + 4), nullptr);
+  EXPECT_EQ(segments->VersionAt(class_id_, first), nullptr);
 }
 
 TEST_F(SegmentStoreTest, SurvivalRateTracksPruningCounters) {
