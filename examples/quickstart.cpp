@@ -27,8 +27,9 @@ int main() {
     return 1;
   }
 
-  // 2. A database session with the paper's knowledge (E1–E5 + the
-  //    largeParagraphs implication) and a generated optimizer (§7).
+  // 2. A database session with the paper's knowledge (E1–E5, the
+  //    largeParagraphs implication and the range inverse R1) and a
+  //    generated optimizer (§7).
   auto session = workload::MakePaperSession(&db);
   if (!session.ok()) {
     std::cerr << session.status().ToString() << "\n";

@@ -293,6 +293,13 @@ if ! grep -q "^## Shared scans" docs/ARCHITECTURE.md; then
   echo "ci.sh: docs/ARCHITECTURE.md lost the 'Shared scans' chapter" >&2
   exit 1
 fi
+# The semantic-knowledge chapter (the five knowledge kinds, the rule
+# each derives, the range inverse's trust assumption).
+if ! grep -q "^## Semantic knowledge & generated rules" docs/ARCHITECTURE.md; then
+  echo "ci.sh: docs/ARCHITECTURE.md lost the 'Semantic knowledge &" \
+       "generated rules' chapter" >&2
+  exit 1
+fi
 # The static-analysis chapter (annotation conventions, the vodak lint's
 # contracts, how to run --tidy/--lint/--ubsan locally).
 if ! grep -q "^## Static analysis & concurrency contracts" docs/ARCHITECTURE.md; then

@@ -1,5 +1,6 @@
 #include "objstore/object_store.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace vodak {
@@ -145,6 +146,7 @@ Status ObjectStore::DeleteObject(Oid oid) {
     head.slots.clear();
   }
   --classes_[oid.class_id - 1].live_count;
+  ++classes_[oid.class_id - 1].deletes;
   stats_.objects_deleted.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -157,6 +159,27 @@ bool ObjectStore::Exists(Oid oid, Epoch at) const {
   const Version* v =
       VisibleVersion(cls->instances[oid.local - 1], ResolveEpoch(at));
   return v != nullptr && v->live;
+}
+
+Status ObjectStore::RetainLive(uint32_t class_id, std::vector<Oid>* oids,
+                               Epoch at) const {
+  SharedLock lock(data_mu_);
+  const ClassStorage* cls = FindClass(class_id);
+  if (cls == nullptr) {
+    return Status::NotFound("unknown class id " + std::to_string(class_id));
+  }
+  if (cls->deletes == 0) return Status::OK();
+  const Epoch epoch = ResolveEpoch(at);
+  auto dead = [cls, class_id, epoch](Oid oid) {
+    if (oid.class_id != class_id || oid.local == 0 ||
+        oid.local > cls->instances.size()) {
+      return true;
+    }
+    const Version* v = VisibleVersion(cls->instances[oid.local - 1], epoch);
+    return v == nullptr || !v->live;
+  };
+  oids->erase(std::remove_if(oids->begin(), oids->end(), dead), oids->end());
+  return Status::OK();
 }
 
 Result<Value> ObjectStore::GetProperty(Oid oid, uint32_t slot,
@@ -446,6 +469,7 @@ Result<MutationResult> ObjectStore::Apply(const std::vector<Mutation>& batch) {
           stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
         }
         --classes_[m.oid.class_id - 1].live_count;
+        ++classes_[m.oid.class_id - 1].deletes;
         ++result.deleted;
         stats_.objects_deleted.fetch_add(1, std::memory_order_relaxed);
         break;

@@ -148,6 +148,14 @@ class ObjectStore {
 
   bool Exists(Oid oid, Epoch at = kEpochLatest) const;
 
+  /// Drops from `oids` (all of class `class_id`, order kept) every
+  /// instance not live at `at`: the filter external indexes, which
+  /// never hear of deletes, apply to their hits. One shared-lock
+  /// acquisition for the whole vector; returns without touching it
+  /// when the class has never had a delete committed.
+  Status RetainLive(uint32_t class_id, std::vector<Oid>* oids,
+                    Epoch at = kEpochLatest) const;
+
   Result<Value> GetProperty(Oid oid, uint32_t slot,
                             Epoch at = kEpochLatest) const;
   Status SetProperty(Oid oid, uint32_t slot, Value value);
@@ -252,6 +260,7 @@ class ObjectStore {
     std::string debug_name;
     uint32_t slot_count = 0;
     uint64_t live_count = 0;  // at the latest epoch
+    uint64_t deletes = 0;     // deletes ever committed (RetainLive)
     std::vector<Instance> instances;
   };
 

@@ -25,6 +25,8 @@ const char* KnowledgeKindName(KnowledgeKind kind) {
       return "condition-implication";
     case KnowledgeKind::kQueryMethod:
       return "query-method-equivalence";
+    case KnowledgeKind::kRangeInverse:
+      return "range-inverse";
   }
   return "?";
 }
@@ -34,6 +36,9 @@ std::string KnowledgeEntry::ToString() const {
   out += " [";
   out += KnowledgeKindName(kind);
   out += "] FORALL ";
+  if (kind == KnowledgeKind::kRangeInverse) {
+    out += outer_var + " IN " + outer_class + ", ";
+  }
   out += var + " IN " + class_name + ": ";
   switch (kind) {
     case KnowledgeKind::kExprEquivalence:
@@ -51,6 +56,10 @@ std::string KnowledgeEntry::ToString() const {
       out += KnowledgeKindName(kind);
       out += "] ";
       out += rhs->ToString() + " == (" + query_text + ")";
+      break;
+    case KnowledgeKind::kRangeInverse:
+      out += var + " IS-IN " + lhs->ToString() + " <=> " +
+             rhs->ToString() + " == " + outer_var;
       break;
   }
   return out;
@@ -257,6 +266,63 @@ class QueryMethodRule : public TransformationRule {
   std::string range_class_;
 };
 
+/// Range-inverse rule derived from
+/// ∀y∈D, x∈C: x IS-IN range(y) ⇔ inverse(x) == y:
+///   natural_join(flat<x, range(y)>(get<y, D>), expr_source<x, E>)
+///     ⟶ select<y != NIL>(map<y, inverse(x)>(expr_source<x, E>))
+/// The dependent range enumerates every D to reach the few x that E
+/// yields; the inverse reaches each x's owner directly. An x whose
+/// inverse is NULL has no owner, so it belongs to no range(y) and is
+/// dropped. The rule fires only when x has a method source of its own
+/// (an E5 scan, an index): inverting over the bare C extent would
+/// enumerate every x, and would expose every x the range links never
+/// recorded (an insert that set only the inverse side).
+class RangeInverseRule : public TransformationRule {
+ public:
+  explicit RangeInverseRule(KnowledgeEntry entry)
+      : entry_(std::move(entry)) {}
+
+  std::string name() const override { return entry_.name + "-invert"; }
+  const Pattern& pattern() const override {
+    static const Pattern kPattern = Pattern::Op(
+        LogicalOp::kNaturalJoin,
+        {Pattern::Op(LogicalOp::kFlat, {Pattern::Op(LogicalOp::kGet, {})}),
+         Pattern::Op(LogicalOp::kExprSource, {})});
+    return kPattern;
+  }
+
+  Status Apply(const AlgebraContext& ctx, const LogicalRef& binding,
+               std::vector<LogicalRef>* out) const override {
+    const LogicalRef& flat = binding->input(0);
+    const LogicalRef& get = flat->input(0);
+    const LogicalRef& source = binding->input(1);
+    if (get->class_name() != entry_.outer_class ||
+        flat->ref() != source->ref()) {
+      return Status::OK();
+    }
+    const std::string& owner = get->ref();
+    const std::string& member = flat->ref();
+    if (!Expr::Equals(flat->expr(),
+                      Expr::SubstituteVar(entry_.lhs, entry_.outer_var,
+                                          Expr::Var(owner)))) {
+      return Status::OK();
+    }
+    auto map = ctx.Map(
+        owner, Expr::SubstituteVar(entry_.rhs, entry_.var, Expr::Var(member)),
+        source);
+    if (!map.ok()) return Status::OK();
+    auto owned = ctx.Select(Expr::Binary(BinOp::kNe, Expr::Var(owner),
+                                         Expr::Const(Value::Null())),
+                            std::move(map).value());
+    if (!owned.ok()) return Status::OK();
+    out->push_back(std::move(owned).value());
+    return Status::OK();
+  }
+
+ private:
+  KnowledgeEntry entry_;  ///< lhs: the range, rhs: the inverse
+};
+
 }  // namespace
 
 KnowledgeBase::KnowledgeBase(const Catalog* catalog) : catalog_(catalog) {}
@@ -439,6 +505,58 @@ Status KnowledgeBase::AddQueryMethodEquivalence(
   return Status::OK();
 }
 
+Status KnowledgeBase::AddRangeInverse(const std::string& name,
+                                      const std::string& outer_var,
+                                      const std::string& outer_class,
+                                      const std::string& var,
+                                      const std::string& class_name,
+                                      const std::string& range_text,
+                                      const std::string& inverse_text) {
+  for (const std::string* cls : {&outer_class, &class_name}) {
+    if (catalog_->FindClass(*cls) == nullptr) {
+      return Status::BindError("knowledge " + name + ": unknown class '" +
+                               *cls + "'");
+    }
+  }
+  if (outer_var == var) {
+    return Status::BindError("knowledge " + name +
+                             ": the two variables must differ");
+  }
+  KnowledgeEntry entry;
+  entry.kind = KnowledgeKind::kRangeInverse;
+  entry.name = name;
+  entry.var = var;
+  entry.class_name = class_name;
+  entry.outer_var = outer_var;
+  entry.outer_class = outer_class;
+  TypeRef range_type;
+  TypeRef inverse_type;
+  VODAK_ASSIGN_OR_RETURN(
+      entry.lhs, BindSpec(range_text, outer_var, outer_class, &entry.params,
+                          &range_type));
+  VODAK_ASSIGN_OR_RETURN(
+      entry.rhs, BindSpec(inverse_text, var, class_name, &entry.params,
+                          &inverse_type));
+  if (!entry.params.empty()) {
+    return Status::BindError("knowledge " + name +
+                             ": range and inverse may use only their own "
+                             "variable, found '" + entry.params[0] + "'");
+  }
+  if (range_type->kind() != TypeKind::kSet ||
+      !Type::OidOf(class_name)->Accepts(*range_type->element())) {
+    return Status::TypeError("knowledge " + name + ": range must be a set "
+                             "of " + class_name + ", got " +
+                             range_type->ToString());
+  }
+  if (!Type::OidOf(outer_class)->Accepts(*inverse_type)) {
+    return Status::TypeError("knowledge " + name + ": inverse must be a " +
+                             outer_class + " reference, got " +
+                             inverse_type->ToString());
+  }
+  entries_.push_back(std::move(entry));
+  return Status::OK();
+}
+
 std::vector<opt::RulePtr> KnowledgeBase::DeriveRules() const {
   std::vector<opt::RulePtr> rules;
   for (const KnowledgeEntry& entry : entries_) {
@@ -469,6 +587,9 @@ std::vector<opt::RulePtr> KnowledgeBase::DeriveRules() const {
             entry.class_name));
         break;
       }
+      case KnowledgeKind::kRangeInverse:
+        rules.push_back(std::make_shared<RangeInverseRule>(entry));
+        break;
     }
   }
   return rules;

@@ -12,12 +12,15 @@
 namespace vodak {
 namespace semantics {
 
-/// The four kinds of schema-specific knowledge about methods of §4.2.
+/// The four kinds of schema-specific knowledge about methods of §4.2,
+/// plus the range inverse, which carries the inverse links E3/E4 state
+/// for predicates over to dependent ranges.
 enum class KnowledgeKind {
   kExprEquivalence,   ///< ∀x∈C: expr1(x) ≡ expr2(x)
   kCondEquivalence,   ///< ∀x∈C: cond1(x) ⇔ cond2(x)
   kCondImplication,   ///< ∀x∈C: cond1(x) ⇒ cond2(x)
   kQueryMethod,       ///< method call ≡ ACCESS … FROM … WHERE …
+  kRangeInverse,      ///< ∀y∈D, x∈C: x IS-IN range(y) ⇔ inverse(x) == y
 };
 
 const char* KnowledgeKindName(KnowledgeKind kind);
@@ -28,8 +31,12 @@ struct KnowledgeEntry {
   std::string name;       ///< e.g. "E1"
   std::string var;        ///< the ∀-variable
   std::string class_name; ///< its class
-  ExprRef lhs;            ///< expr1 / cond1 / antecedent / where-cond
-  ExprRef rhs;            ///< expr2 / cond2 / consequent / method call
+  /// kRangeInverse only: the owner variable the range depends on, and
+  /// its class (`d` and Document in R1).
+  std::string outer_var;
+  std::string outer_class;
+  ExprRef lhs;  ///< expr1 / cond1 / antecedent / where-cond / range
+  ExprRef rhs;  ///< expr2 / cond2 / consequent / method call / inverse
   std::vector<std::string> params;  ///< free parameters (s, D, ...)
   /// kQueryMethod only: the equivalent query, bound.
   std::string query_text;
@@ -82,13 +89,30 @@ class KnowledgeBase {
                                    const std::string& methcall_text,
                                    const std::vector<std::string>& params);
 
+  /// ∀ outer_var IN outer_class, var IN class_name:
+  ///   var IS-IN range ⇔ inverse == outer_var, e.g. R1:
+  /// AddRangeInverse("R1", "d", "Document", "p", "Paragraph",
+  ///                 "d->paragraphs()", "p->document()").
+  /// `range` may use only outer_var and must be a set of class_name
+  /// references; `inverse` may use only var and must be an
+  /// outer_class reference.
+  Status AddRangeInverse(const std::string& name,
+                         const std::string& outer_var,
+                         const std::string& outer_class,
+                         const std::string& var,
+                         const std::string& class_name,
+                         const std::string& range_text,
+                         const std::string& inverse_text);
+
   const std::vector<KnowledgeEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
 
   /// Derives the optimizer rules (§4.2's lifting): equivalences become
   /// bidirectional parameter-rewrite rules, implications become
   /// apply-once natural_join introductions, query≡method entries become
-  /// directional implementation rules producing expr_source operators.
+  /// directional implementation rules producing expr_source operators,
+  /// range inverses become directional rules that drive a dependent
+  /// range from the inner variable's own method source.
   std::vector<opt::RulePtr> DeriveRules() const;
 
   /// Renders all registered knowledge (for DESIGN/demo output).

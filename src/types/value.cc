@@ -12,13 +12,20 @@ Value Value::String(std::string s) {
 }
 
 Value Value::Set(std::vector<Value> elements) {
-  std::sort(elements.begin(), elements.end(),
-            [](const Value& a, const Value& b) { return Compare(a, b) < 0; });
-  elements.erase(std::unique(elements.begin(), elements.end(),
-                             [](const Value& a, const Value& b) {
-                               return Compare(a, b) == 0;
-                             }),
-                 elements.end());
+  // One linear pass first: inputs drained in extent order are often
+  // already strictly ascending, and then there is nothing to sort.
+  auto less = [](const Value& a, const Value& b) { return Compare(a, b) < 0; };
+  if (std::adjacent_find(elements.begin(), elements.end(),
+                         [&less](const Value& a, const Value& b) {
+                           return !less(a, b);
+                         }) != elements.end()) {
+    std::sort(elements.begin(), elements.end(), less);
+    elements.erase(std::unique(elements.begin(), elements.end(),
+                               [](const Value& a, const Value& b) {
+                                 return Compare(a, b) == 0;
+                               }),
+                   elements.end());
+  }
   return Value(
       Repr(std::make_shared<const SetBox>(SetBox{std::move(elements)})));
 }
@@ -350,11 +357,15 @@ TypeRef Value::RuntimeType() const {
   return Type::Any();
 }
 
-Value MakeOidSet(const std::vector<Oid>& oids) {
+Value MakeOidSet(std::vector<Oid> oids) {
+  // Oid::operator< orders exactly as Value::Compare orders OID values,
+  // so sorting the raw ids yields the canonical set order.
+  std::sort(oids.begin(), oids.end());
+  oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
   std::vector<Value> vals;
   vals.reserve(oids.size());
   for (Oid o : oids) vals.push_back(Value::OfOid(o));
-  return Value::Set(std::move(vals));
+  return Value::SetCanonical(std::move(vals));
 }
 
 Value SetUnion(const Value& a, const Value& b) {

@@ -57,7 +57,8 @@ class Value {
   static Value Real(double v) { return Value(Repr(v)); }
   static Value String(std::string s);
   static Value OfOid(Oid oid) { return Value(Repr(oid)); }
-  /// Builds a canonical set: sorts and dedups `elements`.
+  /// Builds a canonical set: sorts and dedups `elements` (no sort when
+  /// they are already strictly ascending).
   static Value Set(std::vector<Value> elements);
   /// Set that is already sorted and unique (checked in debug builds).
   static Value SetCanonical(std::vector<Value> elements);
@@ -148,8 +149,9 @@ class Value {
   Repr repr_;
 };
 
-/// Convenience: set of OIDs from a vector.
-Value MakeOidSet(const std::vector<Oid>& oids);
+/// Convenience: set of OIDs from a vector (any order, duplicates
+/// allowed); sorts the raw ids, not Values.
+Value MakeOidSet(std::vector<Oid> oids);
 
 /// Set union / intersection / difference on canonical sets.
 Value SetUnion(const Value& a, const Value& b);

@@ -59,6 +59,16 @@ Status ReadReceiverColumn(MethodCallContext& ctx, const ValueColumn& selves,
                                       out, ctx.snapshot_epoch);
 }
 
+/// An external index's hits as a set, minus the instances not live at
+/// the caller's snapshot: the indexes are add-only and never hear of a
+/// delete.
+Result<Value> LiveOidSet(MethodCallContext& ctx, uint32_t class_id,
+                         std::vector<Oid> hits) {
+  VODAK_RETURN_IF_ERROR(
+      ctx.store->RetainLive(class_id, &hits, ctx.snapshot_epoch));
+  return MakeOidSet(std::move(hits));
+}
+
 }  // namespace
 
 DocumentDb::DocumentDb() = default;
@@ -150,20 +160,22 @@ Status DocumentDb::RegisterMethods() {
     impl.kind = MethodImplKind::kNative;
     impl.is_external = true;
     OrderedAttributeIndex* index = &title_index_;
-    impl.native = [index](MethodCallContext&, const Value&,
-                          const std::vector<Value>& args) -> Result<Value> {
+    const uint32_t cls = document_class_id_;
+    impl.native = [index, cls](MethodCallContext& ctx, const Value&,
+                               const std::vector<Value>& args)
+        -> Result<Value> {
       if (!args[0].is_string()) {
         return Status::TypeError("select_by_index expects a STRING");
       }
-      return MakeOidSet(index->Lookup(args[0].AsString()));
+      return LiveOidSet(ctx, cls, index->Lookup(args[0].AsString()));
     };
     // Set-at-a-time form: one title-index probe per *distinct* key in
     // the batch; repeated rows (the common constant-argument shape)
     // share the probe's result set (Value copies are shared_ptr-cheap).
-    impl.native_batch = [index](MethodCallContext&, const ValueColumn&,
-                                size_t n,
-                                const std::vector<ValueColumn>& args,
-                                ValueColumn* out) -> Status {
+    impl.native_batch = [index, cls](MethodCallContext& ctx,
+                                     const ValueColumn&, size_t n,
+                                     const std::vector<ValueColumn>& args,
+                                     ValueColumn* out) -> Status {
       std::map<std::string, Value> probes;
       for (size_t i = 0; i < n; ++i) {
         const Value& t = args[0][i];
@@ -171,7 +183,10 @@ Status DocumentDb::RegisterMethods() {
           return Status::TypeError("select_by_index expects a STRING");
         }
         auto [it, fresh] = probes.try_emplace(t.AsString());
-        if (fresh) it->second = MakeOidSet(index->Lookup(t.AsString()));
+        if (fresh) {
+          VODAK_ASSIGN_OR_RETURN(
+              it->second, LiveOidSet(ctx, cls, index->Lookup(t.AsString())));
+        }
         out->push_back(it->second);
       }
       return Status::OK();
@@ -231,21 +246,23 @@ Status DocumentDb::RegisterMethods() {
     impl.kind = MethodImplKind::kNative;
     impl.is_external = true;
     InvertedTextIndex* index = &paragraph_index_;
-    impl.native = [index](MethodCallContext&, const Value&,
-                          const std::vector<Value>& args) -> Result<Value> {
+    const uint32_t cls = paragraph_class_id_;
+    impl.native = [index, cls](MethodCallContext& ctx, const Value&,
+                               const std::vector<Value>& args)
+        -> Result<Value> {
       if (!args[0].is_string()) {
         return Status::TypeError("retrieve_by_string expects a STRING");
       }
-      return MakeOidSet(index->Search(args[0].AsString()));
+      return LiveOidSet(ctx, cls, index->Search(args[0].AsString()));
     };
     // Set-at-a-time form: one postings intersection per *distinct*
     // search string in the batch — a WHERE clause calling the IR method
     // with a constant argument costs one Search per ~1024-row batch
     // instead of one per row.
-    impl.native_batch = [index](MethodCallContext&, const ValueColumn&,
-                                size_t n,
-                                const std::vector<ValueColumn>& args,
-                                ValueColumn* out) -> Status {
+    impl.native_batch = [index, cls](MethodCallContext& ctx,
+                                     const ValueColumn&, size_t n,
+                                     const std::vector<ValueColumn>& args,
+                                     ValueColumn* out) -> Status {
       std::map<std::string, Value> probes;
       for (size_t i = 0; i < n; ++i) {
         const Value& s = args[0][i];
@@ -253,7 +270,10 @@ Status DocumentDb::RegisterMethods() {
           return Status::TypeError("retrieve_by_string expects a STRING");
         }
         auto [it, fresh] = probes.try_emplace(s.AsString());
-        if (fresh) it->second = MakeOidSet(index->Search(s.AsString()));
+        if (fresh) {
+          VODAK_ASSIGN_OR_RETURN(
+              it->second, LiveOidSet(ctx, cls, index->Search(s.AsString())));
+        }
         out->push_back(it->second);
       }
       return Status::OK();
@@ -278,7 +298,10 @@ Status DocumentDb::RegisterMethods() {
     impl.kind = MethodImplKind::kPath;
     impl.path = {"section", "document"};
     MethodCost cost;
-    cost.per_call = 2.0;  // two property reads
+    // Two by-name property reads plus a per-row dispatch: dearer than
+    // the equivalent path p.section.document, which the batch
+    // evaluator reads as two property columns (E1 picks the path).
+    cost.per_call = 3.0;
     VODAK_RETURN_IF_ERROR(methods_.Register(
         "Paragraph",
         {"document", {}, Type::OidOf("Document"), MethodLevel::kInstance},

@@ -36,6 +36,11 @@ Status RegisterPaperKnowledge(engine::Database* session,
         "E5", "ACCESS p FROM p IN Paragraph WHERE p->contains_string(s)",
         "Paragraph->retrieve_by_string(s)", {"s"}));
   }
+  if (want("R1")) {
+    VODAK_RETURN_IF_ERROR(kb.AddRangeInverse("R1", "d", "Document", "p",
+                                             "Paragraph", "d->paragraphs()",
+                                             "p->document()"));
+  }
   if (want("LARGE")) {
     VODAK_RETURN_IF_ERROR(kb.AddCondImplication(
         "LARGE", "p", "Paragraph",

@@ -27,8 +27,14 @@ namespace workload {
 ///   LARGE: p→wordCount() > threshold ⇒
 ///            p IS-IN (p→document()).largeParagraphs
 ///
-/// `only` restricts registration to a subset of {"E1".."E5","LARGE"}
-/// (knowledge ablations in tests); empty means all.
+/// and the range inverse that E3/E4's links imply for ranges:
+///
+///   R1: ∀ d IN Document, p IN Paragraph:
+///         p IS-IN d→paragraphs() ⇔ p→document() == d
+///
+/// `only` restricts registration to a subset of
+/// {"E1".."E5","LARGE","R1"} (knowledge ablations in tests); empty
+/// means all.
 Status RegisterPaperKnowledge(engine::Database* session,
                               const CorpusParams& params,
                               const std::set<std::string>& only = {});

@@ -30,6 +30,8 @@
 #include "schema/catalog.h"
 #include "service/generation.h"
 #include "vql/interpreter.h"
+#include "workload/document_db.h"
+#include "workload/document_knowledge.h"
 
 #include "test_seed.h"
 
@@ -419,6 +421,270 @@ TEST_F(MvccStressTest, ReclaimRacingReaders) {
     ASSERT_TRUE(v1.ok() && v2.ok());
     EXPECT_EQ(v1.value(), v2.value());
   }
+}
+
+// ------------------------------------------------ document-schema mode
+
+/// The paper's schema under the benchmark's kinds of writes: content
+/// and number edits, inserts that set only `section` (the section's
+/// `paragraphs` set does not learn of them, and neither does the
+/// inverted index), and deletes that also take the paragraph out of its
+/// section's `paragraphs` and its document's `largeParagraphs`. Two
+/// sessions share the store: one with all paper knowledge, one without
+/// R1.
+class DocumentWritesTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.Init().ok());
+    params_.num_documents = 24;
+    params_.sections_per_document = 3;
+    params_.paragraphs_per_section = 4;
+    params_.implementation_fraction = 0.3;
+    ASSERT_TRUE(db_.Populate(params_).ok());
+    auto with = workload::MakePaperSession(&db_);
+    ASSERT_TRUE(with.ok()) << with.status().ToString();
+    with_r1_ = std::move(with).value();
+    auto without = workload::MakePaperSession(
+        &db_, {"E1", "E2", "E3", "E4", "E5", "LARGE"});
+    ASSERT_TRUE(without.ok()) << without.status().ToString();
+    without_r1_ = std::move(without).value();
+  }
+
+  uint32_t Slot(const char* cls, const char* prop) const {
+    return db_.catalog().FindClass(cls)->FindProperty(prop)->slot;
+  }
+
+  Value Get(Oid oid, const char* cls, const char* prop) {
+    auto v = db_.store().GetProperty(oid, Slot(cls, prop));
+    EXPECT_TRUE(v.ok()) << v.status().ToString();
+    return v.ok() ? v.value() : Value::Null();
+  }
+
+  static Value Without(const Value& set, Oid oid) {
+    std::vector<Value> kept;
+    if (set.is_set()) {
+      for (const Value& v : set.AsSet()) {
+        if (v != Value::OfOid(oid)) kept.push_back(v);
+      }
+    }
+    return Value::Set(std::move(kept));
+  }
+
+  /// Deletes `par` the way an application does: out of its section's
+  /// `paragraphs` and its document's `largeParagraphs` in one batch.
+  std::vector<Mutation> DeleteBatch(Oid par) {
+    std::vector<Mutation> batch;
+    const Value sec = Get(par, "Paragraph", "section");
+    if (sec.is_oid()) {
+      batch.push_back(Mutation::Update(
+          sec.AsOid(),
+          {{Slot("Section", "paragraphs"),
+            Without(Get(sec.AsOid(), "Section", "paragraphs"), par)}}));
+      const Value doc = Get(sec.AsOid(), "Section", "document");
+      if (doc.is_oid()) {
+        batch.push_back(Mutation::Update(
+            doc.AsOid(),
+            {{Slot("Document", "largeParagraphs"),
+              Without(Get(doc.AsOid(), "Document", "largeParagraphs"),
+                      par)}}));
+      }
+    }
+    batch.push_back(Mutation::Delete(par));
+    return batch;
+  }
+
+  void Commit(std::vector<Mutation> batch) {
+    engine::QueryRequest request;
+    request.mutations = std::move(batch);
+    auto outcomes = with_r1_->Submit({request});
+    ASSERT_EQ(outcomes.size(), 1u);
+    ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+  }
+
+  Value Oracle(const std::string& query) {
+    vql::Interpreter::Options row_mode;
+    row_mode.row_mode = true;
+    auto oracle = with_r1_->RunNaive(query, row_mode);
+    EXPECT_TRUE(oracle.ok()) << query << ": " << oracle.status().ToString();
+    return oracle.ok() ? oracle.value() : Value::Null();
+  }
+
+  workload::DocumentDb db_;
+  workload::CorpusParams params_;
+  std::unique_ptr<engine::Database> with_r1_;
+  std::unique_ptr<engine::Database> without_r1_;
+};
+
+/// A dependent-range query over the paper's schema: E5, number and
+/// title predicates under an AND/OR mix, and an ACCESS of either side.
+std::string DependentRangeQuery(std::mt19937_64& rng, uint32_t documents) {
+  auto pick = [&rng](uint64_t n) { return rng() % n; };
+  static const char* kAccess[] = {"d.title", "d", "p", "p.number",
+                                  "[t: d.title, n: p.number]"};
+  std::vector<std::string> preds;
+  if (pick(4) != 0) preds.push_back("p->contains_string('implementation')");
+  switch (pick(4)) {
+    case 0:
+      preds.push_back("p.number == " + std::to_string(pick(4)));
+      break;
+    case 1:
+      preds.push_back("p.number > " + std::to_string(pick(3)));
+      break;
+    case 2:
+      preds.push_back("d.title == 'Title " + std::to_string(pick(documents)) +
+                      "'");
+      break;
+    default:
+      break;
+  }
+  std::string query = std::string("ACCESS ") + kAccess[pick(5)] +
+                      " FROM d IN Document, p IN d->paragraphs()";
+  for (size_t i = 0; i < preds.size(); ++i) {
+    query += i == 0 ? " WHERE " : (pick(4) == 0 ? " OR " : " AND ");
+    query += preds[i];
+  }
+  return query;
+}
+
+TEST_F(DocumentWritesTest, RangeInverseAgreesWithTheDependentRangeUnderWrites) {
+  const uint64_t seed = testing::TestSeed();
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](uint64_t n) { return rng() % n; };
+  const uint32_t paragraph = db_.paragraph_class_id();
+  const std::string search = workload::DocumentDb::kSearchWord;
+  auto body = [&]() {
+    std::string text = "term" + std::to_string(pick(200));
+    for (int w = 0; w < 20; ++w) text += " term" + std::to_string(pick(200));
+    if (pick(3) == 0) text += " " + search;
+    return text;
+  };
+
+  size_t checked = 0;
+  size_t inverted = 0;
+  size_t oracle_agreed = 0;
+  std::vector<std::string> writes;
+  for (int round = 0; round < 40; ++round) {
+    auto extent = db_.store().Extent(paragraph);
+    ASSERT_TRUE(extent.ok());
+    const std::vector<Oid>& live = extent.value();
+    ASSERT_FALSE(live.empty());
+    const Oid target = live[pick(live.size())];
+    switch (pick(4)) {
+      case 0:
+        writes.push_back("content " + target.ToString());
+        Commit({Mutation::Update(
+            target, {{Slot("Paragraph", "content"), Value::String(body())}})});
+        break;
+      case 1: {
+        writes.push_back("number " + target.ToString());
+        Commit({Mutation::Update(
+            target, {{Slot("Paragraph", "number"),
+                      Value::Int(static_cast<int64_t>(pick(4)))}})});
+        break;
+      }
+      case 2: {
+        const Value sec = Get(target, "Paragraph", "section");
+        writes.push_back("insert into " + sec.ToString());
+        Commit({Mutation::Insert(
+            paragraph, {{Slot("Paragraph", "number"),
+                         Value::Int(static_cast<int64_t>(pick(4)))},
+                        {Slot("Paragraph", "section"), sec},
+                        {Slot("Paragraph", "content"),
+                         Value::String(body())}})});
+        break;
+      }
+      default:
+        writes.push_back("delete " + target.ToString());
+        Commit(DeleteBatch(target));
+        break;
+    }
+    for (int q = 0; q < 3; ++q) {
+      const std::string query =
+          DependentRangeQuery(rng, params_.num_documents);
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", round " +
+                   std::to_string(round) + ", after " + writes.back() +
+                   "\n  query: " + query);
+      auto with = with_r1_->Run(query, {true, false});
+      auto without = without_r1_->Run(query, {true, false});
+      ASSERT_TRUE(without.ok()) << without.status().ToString();
+      ASSERT_TRUE(with.ok()) << with.status().ToString();
+      ASSERT_EQ(with.value().result, without.value().result)
+          << "with R1:\n" << with.value().physical_explain
+          << "without R1:\n" << without.value().physical_explain;
+      ++checked;
+      if (with.value().chosen_plan->ToString().find("flat<") ==
+          std::string::npos) {
+        ++inverted;
+      }
+      const Value oracle = Oracle(query);
+      if (without.value().result == oracle) {
+        ++oracle_agreed;
+        EXPECT_EQ(with.value().result, oracle);
+      }
+    }
+  }
+  EXPECT_EQ(checked, 120u);
+  // The family must exercise the inversion, and the stale index must
+  // leave most answers exact.
+  EXPECT_GT(inverted, 0u);
+  EXPECT_GT(oracle_agreed, checked / 2);
+}
+
+TEST_F(DocumentWritesTest, DeletedSearchHitLeavesEveryIndexedPlan) {
+  // The inverted index never hears of deletes. Before it filtered its
+  // hits by liveness, the E5 scan returned the deleted paragraph (a
+  // wrong answer), and the R1 plan dereferenced it (NotFound: get:
+  // dangling oid).
+  auto hits = db_.paragraph_index().Search(workload::DocumentDb::kSearchWord);
+  ASSERT_FALSE(hits.empty());
+  const Value sec = Get(hits.front(), "Paragraph", "section");
+  ASSERT_TRUE(sec.is_oid());
+  const Value doc = Get(sec.AsOid(), "Section", "document");
+  ASSERT_TRUE(doc.is_oid());
+  const std::string title = Get(doc.AsOid(), "Document", "title").AsString();
+  Commit(DeleteBatch(hits.front()));
+  for (const std::string query : {
+           std::string("ACCESS d.title FROM d IN Document, p IN "
+                       "d->paragraphs() WHERE "
+                       "p->contains_string('implementation')"),
+           std::string("ACCESS p FROM p IN Paragraph WHERE "
+                       "p->contains_string('implementation')"),
+           "ACCESS p FROM p IN Paragraph WHERE "
+           "p->contains_string('implementation') AND "
+           "(p->document()).title == '" + title + "'",
+       }) {
+    SCOPED_TRACE(query);
+    auto result = with_r1_->Run(query, {true, false});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().result, Oracle(query));
+  }
+}
+
+TEST_F(DocumentWritesTest, ParagraphWithoutADocumentJoinsNoRange) {
+  // An indexed paragraph that belongs to no section is in no
+  // d->paragraphs(); the inverted plan maps it to a NULL document and
+  // must drop it rather than report a NULL title.
+  engine::QueryRequest insert;
+  insert.mutations.push_back(Mutation::Insert(
+      db_.paragraph_class_id(),
+      {{Slot("Paragraph", "content"),
+        Value::String(std::string("orphan ") +
+                      workload::DocumentDb::kSearchWord)}}));
+  auto outcomes = with_r1_->Submit({insert});
+  ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+  ASSERT_EQ(outcomes[0].result.result.AsSet().size(), 1u);
+  const Oid orphan = outcomes[0].result.result.AsSet()[0].AsOid();
+  db_.paragraph_index().Add(orphan, std::string("orphan ") +
+                                        workload::DocumentDb::kSearchWord);
+  const std::string query =
+      "ACCESS d.title FROM d IN Document, p IN d->paragraphs() WHERE "
+      "p->contains_string('implementation')";
+  auto result = with_r1_->Run(query, {true, false});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().chosen_plan->ToString().find("flat<"),
+            std::string::npos);
+  EXPECT_FALSE(result.value().result.Contains(Value::Null()));
+  EXPECT_EQ(result.value().result, Oracle(query));
 }
 
 }  // namespace

@@ -132,6 +132,38 @@ TEST(ObjectStoreTest, PropertyColumnRangeScoped) {
   for (size_t i = 0; i < 2; ++i) EXPECT_EQ(full[4 + i], tail[i]);
 }
 
+TEST(ObjectStoreTest, RetainLiveDropsObjectsDeletedAtTheEpoch) {
+  ObjectStore store;
+  uint32_t cls = store.RegisterClass("Doc", 1);
+  std::vector<Oid> oids;
+  for (int i = 0; i < 4; ++i) oids.push_back(store.CreateObject(cls).value());
+
+  // No delete committed yet: the vector is left as it is, even with an
+  // id the class never had.
+  std::vector<Oid> hits = {oids[2], Oid(cls, 99), oids[0]};
+  ASSERT_TRUE(store.RetainLive(cls, &hits).ok());
+  EXPECT_EQ(hits, (std::vector<Oid>{oids[2], Oid(cls, 99), oids[0]}));
+
+  const Epoch before = store.PinEpoch();
+  auto committed = store.Apply({Mutation::Delete(oids[1])});
+  ASSERT_TRUE(committed.ok());
+  hits = oids;
+  ASSERT_TRUE(store.RetainLive(cls, &hits).ok());
+  EXPECT_EQ(hits, (std::vector<Oid>{oids[0], oids[2], oids[3]}));
+  // A reader pinned before the delete still sees the object.
+  hits = oids;
+  ASSERT_TRUE(store.RetainLive(cls, &hits, before).ok());
+  EXPECT_EQ(hits, oids);
+  store.UnpinEpoch(before);
+
+  // The unpinned single-object delete counts too.
+  ASSERT_TRUE(store.DeleteObject(oids[3]).ok());
+  hits = oids;
+  ASSERT_TRUE(store.RetainLive(cls, &hits).ok());
+  EXPECT_EQ(hits, (std::vector<Oid>{oids[0], oids[2]}));
+  EXPECT_FALSE(store.RetainLive(99, &hits).ok());
+}
+
 TEST(ObjectStoreTest, DanglingOidRejected) {
   ObjectStore store;
   store.RegisterClass("Doc", 1);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "engine/database.h"
 #include "semantics/knowledge.h"
 #include "semantics/matcher.h"
 #include "vql/binder.h"
@@ -155,13 +156,17 @@ TEST_F(KnowledgeTest, RegistersAllPaperEquivalences) {
                      "LARGE", "p", "Paragraph", "p->wordCount() > 100",
                      "p IS-IN (p->document()).largeParagraphs")
                   .ok());
-  EXPECT_EQ(kb_->size(), 6u);
-  // Equivalences derive two rules (both directions), implications and
-  // query-method entries one each.
-  EXPECT_EQ(kb_->DeriveRules().size(), 4u * 2u + 1u + 1u);
+  EXPECT_TRUE(kb_->AddRangeInverse("R1", "d", "Document", "p", "Paragraph",
+                                   "d->paragraphs()", "p->document()")
+                  .ok());
+  EXPECT_EQ(kb_->size(), 7u);
+  // Equivalences derive two rules (both directions), implications,
+  // query-method entries and range inverses one each.
+  EXPECT_EQ(kb_->DeriveRules().size(), 4u * 2u + 1u + 1u + 1u);
   std::string rendered = kb_->ToString();
   EXPECT_NE(rendered.find("E1"), std::string::npos);
   EXPECT_NE(rendered.find("query-method-equivalence"), std::string::npos);
+  EXPECT_NE(rendered.find("range-inverse"), std::string::npos);
 }
 
 TEST_F(KnowledgeTest, RejectsIllTypedSpecifications) {
@@ -226,6 +231,71 @@ TEST_F(KnowledgeTest, EntryRenderingNamesKindAndSides) {
   std::string s = entry.ToString();
   EXPECT_NE(s.find("FORALL p IN Paragraph"), std::string::npos);
   EXPECT_NE(s.find("<=>"), std::string::npos);
+}
+
+TEST_F(KnowledgeTest, RangeInverseShapeIsValidated) {
+  // Unknown class on either side.
+  EXPECT_FALSE(kb_->AddRangeInverse("X", "d", "Nope", "p", "Paragraph",
+                                    "d->paragraphs()", "p->document()")
+                   .ok());
+  EXPECT_FALSE(kb_->AddRangeInverse("X", "d", "Document", "p", "Nope",
+                                    "d->paragraphs()", "p->document()")
+                   .ok());
+  // One variable for both sides.
+  EXPECT_FALSE(kb_->AddRangeInverse("X", "p", "Document", "p", "Paragraph",
+                                    "p->paragraphs()", "p->document()")
+                   .ok());
+  // The range is a set of Sections, not of Paragraphs.
+  EXPECT_FALSE(kb_->AddRangeInverse("X", "d", "Document", "p", "Paragraph",
+                                    "d.sections", "p->document()")
+                   .ok());
+  // The inverse reaches a Section, not the range's owner class.
+  EXPECT_FALSE(kb_->AddRangeInverse("X", "d", "Document", "p", "Paragraph",
+                                    "d->paragraphs()", "p.section")
+                   .ok());
+  // A free parameter in the range: the rule could not bind it.
+  EXPECT_FALSE(kb_->AddRangeInverse("X", "d", "Document", "p", "Paragraph",
+                                    "S.paragraphs", "p->document()")
+                   .ok());
+  EXPECT_EQ(kb_->size(), 0u);
+
+  ASSERT_TRUE(kb_->AddRangeInverse("R1", "d", "Document", "p", "Paragraph",
+                                   "d->paragraphs()", "p->document()")
+                  .ok());
+  const KnowledgeEntry& entry = kb_->entries()[0];
+  EXPECT_EQ(entry.kind, KnowledgeKind::kRangeInverse);
+  EXPECT_TRUE(entry.params.empty());
+  EXPECT_EQ(entry.ToString(),
+            "R1 [range-inverse] FORALL d IN Document, p IN Paragraph: "
+            "p IS-IN d->paragraphs() <=> p->document() == d");
+  ASSERT_EQ(kb_->DeriveRules().size(), 1u);
+  EXPECT_EQ(kb_->DeriveRules()[0]->name(), "R1-invert");
+}
+
+TEST(RangeInverseDataTest, R1HoldsOnAPopulatedCorpus) {
+  // Both sides of R1 evaluated by the row-mode oracle for every
+  // document: the pairs (d, p) with p IS-IN d->paragraphs() are exactly
+  // the pairs (p->document(), p). A paragraph without a document would
+  // show up on the right only.
+  workload::DocumentDb db;
+  ASSERT_TRUE(db.Init().ok());
+  workload::CorpusParams params;
+  params.num_documents = 40;
+  ASSERT_TRUE(db.Populate(params).ok());
+  engine::Database session(&db.catalog(), &db.store(), &db.methods());
+  vql::Interpreter::Options row_mode;
+  row_mode.row_mode = true;
+  auto range_side = session.RunNaive(
+      "ACCESS [d: d, p: p] FROM d IN Document, p IN d->paragraphs()",
+      row_mode);
+  auto inverse_side = session.RunNaive(
+      "ACCESS [d: p->document(), p: p] FROM p IN Paragraph", row_mode);
+  ASSERT_TRUE(range_side.ok()) << range_side.status().ToString();
+  ASSERT_TRUE(inverse_side.ok()) << inverse_side.status().ToString();
+  EXPECT_EQ(range_side.value().AsSet().size(),
+            static_cast<size_t>(params.num_documents) *
+                params.sections_per_document * params.paragraphs_per_section);
+  EXPECT_EQ(range_side.value(), inverse_side.value());
 }
 
 }  // namespace

@@ -124,6 +124,24 @@ TEST(ValueTest, MakeOidSet) {
   EXPECT_EQ(s.AsSet()[0].AsOid(), Oid(1, 1));
 }
 
+TEST(ValueTest, SetOfOrderedInputStaysCanonical) {
+  // Strictly ascending input skips the sort; input that only looks
+  // sorted (an adjacent duplicate, or one element out of place) still
+  // gets sorted and deduped.
+  Value ascending = Value::Set({Value::Int(1), Value::Int(2), Value::Int(5)});
+  EXPECT_EQ(ascending.ToString(), "{1, 2, 5}");
+  Value duplicate = Value::Set({Value::Int(1), Value::Int(2), Value::Int(2)});
+  EXPECT_EQ(duplicate.ToString(), "{1, 2}");
+  Value late = Value::Set({Value::Int(1), Value::Int(3), Value::Int(2)});
+  EXPECT_EQ(late.ToString(), "{1, 2, 3}");
+  // OIDs across classes: Oid ordering is Value ordering.
+  std::vector<Oid> oids = {Oid(2, 1), Oid(1, 9), Oid(1, 3), Oid(2, 1)};
+  std::vector<Value> values;
+  for (Oid o : oids) values.push_back(Value::OfOid(o));
+  EXPECT_EQ(MakeOidSet(oids), Value::Set(values));
+  EXPECT_EQ(MakeOidSet(oids).AsSet().size(), 3u);
+}
+
 TEST(ValueTest, NestedValues) {
   Value inner = Value::Set({Value::Int(1)});
   Value t = Value::Tuple({{"s", inner}});
