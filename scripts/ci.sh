@@ -13,19 +13,16 @@
 # docs/ARCHITECTURE.md §"Static analysis & concurrency contracts").
 #
 # `--mvcc` runs the epoch-snapshot stress gate: the differential MVCC
-# harness (tests/mvcc_stress_test.cc) under ThreadSanitizer with three
-# fixed seeds plus one time-derived seed (echoed into the log so any
-# failure replays with --seed=N).
-#
-# `--vm` runs the compiled-execution gate: the VM unit suite plus the
-# three-way differential fuzz harness (tests/vm_diff_test.cc — bytecode
-# VM vs operator tree vs row-mode oracle) under ThreadSanitizer with
-# seeds 1/2/3 plus a time-derived seed.
+# harness (tests/mvcc_stress_test.cc) and the operator-tree
+# differential (tests/exec_diff_test.cc — operator tree vs row-mode
+# oracle, on its own and under concurrent writers) under
+# ThreadSanitizer with three fixed seeds plus one time-derived seed
+# (echoed into the log so any failure replays with --seed=N).
 #
 # `--storage` runs the paged-storage gate: the pager/zone-map unit
 # suite plus the segment differential harness (tests/segment_diff_test.cc
 # — segment-backed scans vs the in-memory extent vs the row-mode
-# oracle, across serial/parallel/VM drains and under concurrent
+# oracle, across serial/parallel drains and under concurrent
 # writers) under ThreadSanitizer with seeds 1/2/3 plus a time-derived
 # seed.
 #
@@ -41,7 +38,7 @@
 #
 # Usage: scripts/ci.sh [--tsan|--asan|--ubsan]
 #                      [--lint] [--tidy] [--thread-safety]
-#                      [--mvcc] [--vm] [--storage] [--perfbench]
+#                      [--mvcc] [--storage] [--perfbench]
 #                      [--build-type=TYPE] [--build-dir=DIR]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -53,7 +50,6 @@ LINT=0
 TIDY=0
 THREAD_SAFETY=0
 MVCC=0
-VM=0
 STORAGE=0
 PERFBENCH=0
 for arg in "$@"; do
@@ -65,14 +61,13 @@ for arg in "$@"; do
     --tidy) TIDY=1 ;;
     --thread-safety) THREAD_SAFETY=1 ;;
     --mvcc) MVCC=1 ;;
-    --vm) VM=1 ;;
     --storage) STORAGE=1 ;;
     --perfbench) PERFBENCH=1 ;;
     --build-type=*) BUILD_TYPE="${arg#*=}" ;;
     --build-dir=*) BUILD_DIR="${arg#*=}" ;;
     *) echo "usage: scripts/ci.sh [--tsan|--asan|--ubsan]" \
             "[--lint] [--tidy] [--thread-safety] [--mvcc]" \
-            "[--vm] [--storage] [--perfbench] [--build-type=TYPE]" \
+            "[--storage] [--perfbench] [--build-type=TYPE]" \
             "[--build-dir=DIR]" >&2
        exit 2 ;;
   esac
@@ -152,63 +147,41 @@ if [[ -n "$SANITIZE" ]]; then
   cmake --build "$BUILD_DIR" -j"$(nproc)" \
         --target exec_batch_test exec_parallel_test exec_selvec_test \
                  exec_shared_scan_test engine_submit_test service_test \
-                 mvcc_edge_test mvcc_stress_test vm_test vm_diff_test \
+                 mvcc_edge_test mvcc_stress_test exec_diff_test \
                  storage_test segment_diff_test
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
-        -R 'exec_batch_test|exec_parallel_test|exec_selvec_test|exec_shared_scan_test|engine_submit_test|service_test|mvcc_edge_test|mvcc_stress_test|vm_test|vm_diff_test|storage_test|segment_diff_test'
+        -R 'exec_batch_test|exec_parallel_test|exec_selvec_test|exec_shared_scan_test|engine_submit_test|service_test|mvcc_edge_test|mvcc_stress_test|exec_diff_test|storage_test|segment_diff_test'
   echo "== ci.sh ($SANITIZE): all green =="
   exit 0
 fi
 
 # ----------------------------------------------------------------- --mvcc
-# The epoch-snapshot stress gate: the differential MVCC harness under
-# ThreadSanitizer. Three fixed seeds make the leg reproducible run to
-# run; the fourth, time-derived seed walks the schedule space so the
-# suite keeps probing new interleavings — it is echoed (and printed by
-# the binary itself) so a failing run replays exactly.
+# The epoch-snapshot stress gate: the differential MVCC harness and
+# the operator-tree differential (>=1000 generated queries per seed vs
+# the row-mode oracle, plus the concurrent-writer run that replays the
+# oracle at each reader's pinned epoch) under ThreadSanitizer. Three
+# fixed seeds make the leg reproducible run to run; the fourth,
+# time-derived seed walks the schedule space so the suites keep
+# probing new interleavings — it is echoed (and printed by the
+# binaries themselves) so a failing run replays exactly.
 if [[ "$MVCC" == "1" ]]; then
   : "${BUILD_DIR:=build-mvcc-tsan}"
-  echo "== mvcc: TSan build of the stress + edge suites =="
+  echo "== mvcc: TSan build of the stress, edge and differential suites =="
   cmake -B "$BUILD_DIR" -S . -DVODAK_SANITIZE=thread \
         ${BUILD_TYPE:+-DCMAKE_BUILD_TYPE="$BUILD_TYPE"} >/dev/null
   cmake --build "$BUILD_DIR" -j"$(nproc)" \
-        --target mvcc_stress_test mvcc_edge_test
+        --target mvcc_stress_test mvcc_edge_test exec_diff_test
   echo "== mvcc: deterministic edge cases =="
   "$BUILD_DIR"/mvcc_edge_test
   TIME_SEED="$(date +%s)"
-  echo "== mvcc: stress seeds 1 2 3 $TIME_SEED (time-derived) =="
+  echo "== mvcc: stress + differential seeds 1 2 3 $TIME_SEED (time-derived) =="
   for seed in 1 2 3 "$TIME_SEED"; do
     echo "-- mvcc_stress_test --seed=$seed"
     "$BUILD_DIR"/mvcc_stress_test --seed="$seed"
+    echo "-- exec_diff_test --seed=$seed"
+    "$BUILD_DIR"/exec_diff_test --seed="$seed"
   done
   echo "== ci.sh (mvcc): all green =="
-  exit 0
-fi
-
-# ------------------------------------------------------------------ --vm
-# The compiled-execution gate: the deterministic opcode/compiler units
-# (including the dispatches-below-hand-offs and zero steady-state arena
-# growth counter checks), then the three-way differential fuzz harness
-# (tests/vm_diff_test.cc — bytecode VM vs operator tree vs row-mode
-# oracle, >=1000 generated queries per seed, plus the concurrent-writer
-# run that replays the oracle at the reader's pinned epoch) under
-# ThreadSanitizer with three fixed seeds and one time-derived seed
-# (echoed so any failure replays with --seed=N).
-if [[ "$VM" == "1" ]]; then
-  : "${BUILD_DIR:=build-vm-tsan}"
-  echo "== vm: TSan build of the VM unit + differential suites =="
-  cmake -B "$BUILD_DIR" -S . -DVODAK_SANITIZE=thread \
-        ${BUILD_TYPE:+-DCMAKE_BUILD_TYPE="$BUILD_TYPE"} >/dev/null
-  cmake --build "$BUILD_DIR" -j"$(nproc)" --target vm_test vm_diff_test
-  echo "== vm: deterministic opcode + compiler units =="
-  "$BUILD_DIR"/vm_test
-  TIME_SEED="$(date +%s)"
-  echo "== vm: differential fuzz seeds 1 2 3 $TIME_SEED (time-derived) =="
-  for seed in 1 2 3 "$TIME_SEED"; do
-    echo "-- vm_diff_test --seed=$seed"
-    "$BUILD_DIR"/vm_diff_test --seed="$seed"
-  done
-  echo "== ci.sh (vm): all green =="
   exit 0
 fi
 
@@ -216,8 +189,8 @@ fi
 # The paged-storage gate: the deterministic pager/OID-layout/zone-map/
 # segment-store units, then the segment differential harness
 # (tests/segment_diff_test.cc — segment-backed scans vs the in-memory
-# extent vs the row-mode oracle across serial, morsel-parallel,
-# shared-scan and VM drains, the zone-map skip, eviction and
+# extent vs the row-mode oracle across serial, morsel-parallel and
+# shared-scan drains, the zone-map skip, eviction and
 # buffer-cache hit counter checks, the commit/re-ingest count check,
 # and concurrent Submit writers replayed at each reader's pinned epoch)
 # under ThreadSanitizer with three fixed seeds and one time-derived
@@ -319,12 +292,6 @@ fi
 if ! grep -q "^## Query service & admission control" docs/ARCHITECTURE.md; then
   echo "ci.sh: docs/ARCHITECTURE.md lost the 'Query service & admission" \
        "control' chapter" >&2
-  exit 1
-fi
-# The compiled-execution chapter (opcode table, eligibility rule, arena
-# lifetime, epoch contract).
-if ! grep -q "^## Compiled execution" docs/ARCHITECTURE.md; then
-  echo "ci.sh: docs/ARCHITECTURE.md lost the 'Compiled execution' chapter" >&2
   exit 1
 fi
 # The paged-storage chapter (page file format, zone-map pruning rule,

@@ -39,14 +39,6 @@ contracts"):
 
 5. header-cycles — the `#include "..."` graph over src/ headers is
    acyclic (cycles compile by accident-of-order until they don't).
-
-6. vm-entry — the compiled-execution entry point keeps its contract
-   anchor: src/exec/vm.h carries exactly one `[vm-entry]` marker, the
-   class it marks subclasses PhysOperator, and that class has a row in
-   ARCHITECTURE.md's operator density-contract table. The VM bypasses
-   the per-operator NextBatch chain, so its density/epoch contract is
-   only reviewable through that one marked class — losing the marker
-   (or its table row) would let the fused path drift unreviewed.
 """
 
 import json
@@ -373,59 +365,12 @@ def check_header_cycles():
             dfs(node)
 
 
-# ----------------------------------------------------------- 6. vm-entry
-def check_vm_entry():
-    """The `[vm-entry]` anchor in src/exec/vm.h marks the one class
-    through which compiled execution enters the operator world; it must
-    exist, be unique, sit on a PhysOperator subclass, and that subclass
-    must keep its density-table row."""
-    vm_header = os.path.join(SRC, "exec", "vm.h")
-    if not os.path.exists(vm_header):
-        err(vm_header, 1, "src/exec/vm.h is missing (the [vm-entry] "
-            "contract anchor lives there)")
-        return
-    text = read(vm_header)
-    markers = [m.start() for m in re.finditer(r"\[vm-entry\]", text)]
-    if len(markers) != 1:
-        err(vm_header, line_of(text, markers[1]) if markers else 1,
-            f"expected exactly one [vm-entry] marker, found "
-            f"{len(markers)}")
-        if not markers:
-            return
-    cls_m = re.search(r"class\s+(\w+)", text[markers[0]:])
-    if not cls_m:
-        err(vm_header, line_of(text, markers[0]),
-            "[vm-entry] marker is not followed by a class declaration")
-        return
-    cls = cls_m.group(1)
-    entry_line = line_of(text, markers[0] + cls_m.start())
-    subclass_re = re.compile(
-        r"class\s+" + re.escape(cls) +
-        r"\s*(?:final\s*)?:\s*public\s+PhysOperator\b")
-    if not subclass_re.search(strip_comments(text)):
-        err(vm_header, entry_line,
-            f"[vm-entry] class '{cls}' does not subclass PhysOperator; "
-            "the compiled path must enter execution through the "
-            "reviewed operator contract")
-    arch = read(os.path.join(REPO, "docs", "ARCHITECTURE.md"))
-    section = re.search(
-        r"### Operator density contracts(.*?)(?:\n### |\n## |\Z)",
-        arch, re.S)
-    table = section.group(1) if section else ""
-    if not re.search(r"\b" + re.escape(cls) + r"\b", table):
-        err(vm_header, entry_line,
-            f"[vm-entry] class '{cls}' has no row in the operator "
-            "density-contract table (docs/ARCHITECTURE.md §'Selection "
-            "vectors')")
-
-
 def main():
     check_mutex_guards()
     check_atomic_orders()
     check_operator_contracts()
     check_bench_fields()
     check_header_cycles()
-    check_vm_entry()
     if errors:
         for e in errors:
             print(e, file=sys.stderr)

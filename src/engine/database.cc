@@ -5,7 +5,6 @@
 
 #include "algebra/translate.h"
 #include "exec/shared_scan.h"
-#include "exec/vm.h"
 #include "vql/parser.h"
 
 namespace vodak {
@@ -140,16 +139,6 @@ Status Database::DrainRead(const algebra::LogicalRef& plan,
                                                  popts, std::move(pstate)));
         return Status::OK();
       }
-    }
-    // Serial drains may lower the plan to the bytecode VM (exec/vm.h):
-    // the same ExecuteColumn drives either root, so the engine above
-    // cannot tell compiled from interpreted execution.
-    if (run.vm != VmMode::kOff) {
-      VODAK_ASSIGN_OR_RETURN(
-          exec::VmChoice vm,
-          exec::TryCompileVm(plan, ctx, run.vm == VmMode::kForce));
-      if (explain != nullptr) *explain += vm.annotation;
-      if (vm.compiled) root = std::move(vm.op);
     }
     if (root == nullptr) {
       VODAK_ASSIGN_OR_RETURN(root, exec::BuildPhysical(plan, ctx));
@@ -355,8 +344,7 @@ std::vector<QueryOutcome> Database::Submit(
     ctx.shared_scans = &manager;
     ctx.property_cache = manager.property_cache();
   }
-  RunOptions member_run;
-  member_run.vm = VmMode::kOff;
+  const RunOptions member_run;  // threads = 1: lanes split the batch
   const std::string note =
       "[concurrent batch of " + std::to_string(runnable.size()) +
       (options.shared_scan ? ": scan leaves attached to shared scans]\n"

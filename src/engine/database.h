@@ -63,10 +63,10 @@ class Database {
   /// the optimizer module is not built for concurrent Optimize calls).
   /// Write requests commit during that admission pass, in request
   /// order; the readers then pin one snapshot epoch and drain through
-  /// DrainRead. A single read runs under its own RunOptions (threads,
-  /// vm). Two or more reads drain concurrently on the session pool, one
-  /// lane per query up to `options.lanes`, each with threads = 1 and
-  /// vm = kOff, their scan leaves attached to one SharedScanManager per
+  /// DrainRead. A single read runs under its own RunOptions (threads).
+  /// Two or more reads drain concurrently on the session pool, one
+  /// lane per query up to `options.lanes`, each with threads = 1,
+  /// their scan leaves attached to one SharedScanManager per
   /// batch — K queries over the same extent pay ~1 scan pass and ~1
   /// property-column read per source instead of K
   /// (options.shared_scan = false keeps the private-scan baseline).
@@ -111,7 +111,7 @@ class Database {
 
   /// Attaches the paged segment store (docs/ARCHITECTURE.md §"Paged
   /// storage & segment skipping"; not owned, outlives the session).
-  /// Read paths — serial, morsel-parallel, shared-scan and VM — then
+  /// Read paths — serial, morsel-parallel and shared-scan — then
   /// prefer segment-backed scans whenever a SegmentVersion covers
   /// their pinned snapshot, and every write commit through this
   /// session drops the touched classes' versions before its epoch is
@@ -141,8 +141,7 @@ class Database {
   /// lone reads and batch members, and the query service's generation
   /// members, all come through here. With run.threads > 1 the
   /// morsel-parallel driver runs when the plan has a driving scan;
-  /// otherwise the bytecode VM runs when TryCompileVm picks it under
-  /// run.vm; otherwise the operator tree drains, over shared leaves
+  /// otherwise the operator tree drains serially, over shared leaves
   /// when ctx.shared_scans is set. `ctx` carries the query's snapshot
   /// epoch, cancel token, deadline and segment store; a query already
   /// cancelled or expired never opens, so it never attaches to a

@@ -31,14 +31,6 @@ struct PlanOptions {
   bool trace = false;
 };
 
-/// Compiled-execution choice for one query. kAuto lets the batch-aware
-/// cost model pick VM vs operator tree (the production default); kOff
-/// pins the operator tree (the differential baseline); kForce compiles
-/// every *eligible* plan regardless of cost (the differential subject —
-/// ineligible shapes still fall back to the tree). Parallel and
-/// shared-scan drains never use the VM.
-enum class VmMode { kAuto, kOff, kForce };
-
 /// One query's execution knobs, read by Database::DrainRead.
 /// Batch-level knobs (lanes, shared scans) live in SubmitOptions — they
 /// never made sense per query. Morsels are capped at
@@ -47,13 +39,9 @@ struct RunOptions {
   /// Worker threads for *intra-query* morsel-driven parallelism when
   /// the query runs alone. 1 keeps the serial pipeline, 0 resolves to
   /// the hardware concurrency. Multi-query Submit batches drain every
-  /// member with threads = 1 and vm = kOff; SubmitOptions::lanes sizes
-  /// their inter-query parallelism instead.
+  /// member with threads = 1; SubmitOptions::lanes sizes their
+  /// inter-query parallelism instead.
   size_t threads = 1;
-  /// Compiled execution: whether the serial drain may lower the
-  /// plan to the bytecode VM (exec/vm.h). EXPLAIN reports the choice
-  /// either way as a `[vm: ...]` annotation.
-  VmMode vm = VmMode::kAuto;
 };
 
 /// Batch-level knobs of one Submit call.

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -36,6 +37,40 @@ std::vector<std::string> RefsOf(const LogicalRef& node) {
   for (const auto& [name, type] : node->schema()) refs.push_back(name);
   return refs;  // map order = sorted
 }
+
+/// Abstract supplier of a leaf scan's rows: one column of values,
+/// delivered batch-at-a-time. Scan leaves are one generic operator
+/// (`ScanOp` below) constructed against this interface, so the
+/// same leaf runs over a private cursor (extent / method scan), the
+/// intra-query morsel cursor (parallel worker clones) or a shared-scan
+/// attachment (cross-query sharing, docs/ARCHITECTURE.md §"Shared
+/// scans") — the executor above the leaf cannot tell them apart.
+class BatchSource {
+ public:
+  virtual ~BatchSource() = default;
+
+  /// (Re)starts a full pass over the source. Private sources
+  /// materialize here (the scan-pass cost); shared sources attach a
+  /// fresh consumer to the managed scan — which is where a
+  /// late-arriving query joins the in-flight pass.
+  virtual Status Open() = 0;
+  /// Emits the next (dense, single-column) batch; false at end of the
+  /// pass, persistently.
+  virtual Result<bool> NextBatch(RowBatch* batch) = 0;
+  virtual void Close() = 0;
+
+  /// EXPLAIN operator name ("ExtentScan", "MethodScan", "MorselScan",
+  /// "SharedScan", "SegmentScan") and source description (class or
+  /// expression).
+  virtual std::string name() const = 0;
+  virtual std::string describe() const = 0;
+  /// Uniform EXPLAIN source annotation, appended to the leaf operator's
+  /// params: every source kind prints `[source: <kind>]`, and
+  /// segment-pruned kinds add `[segments: scanned S / skipped K]`.
+  virtual std::string annotation() const = 0;
+};
+
+using BatchSourcePtr = std::unique_ptr<BatchSource>;
 
 /// Batch environment over a batch's live rows: dense when the batch is
 /// dense, the selection view otherwise — so the expression layer only
@@ -365,10 +400,9 @@ class SharedBatchSource : public BatchSource {
 /// §"Paged storage & segment skipping"). The survivor partition is
 /// computed at construction — EXPLAIN renders before Open, and the
 /// prospective counts are exactly what a drain will do. The store's
-/// pruning totals (the cost model's survival-rate feedback) are bumped
-/// on the first Open only: a leaf that is built but never drained (an
-/// EXPLAIN skeleton, a tree the VM replaced) counts nothing, and a
-/// re-Open counts nothing again.
+/// pruning totals are bumped on the first Open only: a leaf that is
+/// built but never drained (an EXPLAIN skeleton beside a parallel
+/// drain) counts nothing, and a re-Open counts nothing again.
 class SegmentBatchSource : public BatchSource {
  public:
   SegmentBatchSource(const ExecContext& ctx, std::string class_name,
@@ -455,9 +489,8 @@ class ScanOp : public PhysOperator {
 
   Status Open() override { return source_->Open(); }
   Result<bool> NextBatch(RowBatch* batch) override {
-    // Every NextBatch entry counts one virtual batch hand-off, the
-    // per-operator cost the VM backend (exec/vm.h) fuses away; vm_test's
-    // FusedDispatchesStayBelowOperatorHandoffs checks the ratio.
+    // Every NextBatch entry counts one virtual batch hand-off
+    // (perfbench's exec.operator_handoffs_per_read).
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     // The executor's cancellation point: every pipeline drains through
     // its scan leaves (blocking join builds included), so one check per
@@ -484,33 +517,107 @@ class ScanOp : public PhysOperator {
   Deadline deadline_;
 };
 
-/// Physical select<condition>. Density contract (operator-contract
-/// table, docs/ARCHITECTURE.md §"Selection vectors"): accepts selected
-/// or dense batches, emits *selected* batches — survivors are marked in
-/// the selection vector, never moved.
+/// One conjunct of a Filter, in evaluation order.
+struct FilterStep {
+  ExprRef cond;
+  /// A conjunct split out of an `AND` that is not a compare: like the
+  /// connective, it must evaluate to a boolean (NIL is a TypeError,
+  /// not FALSE). Compares are always boolean.
+  bool strict = false;
+  /// Index into Filter::operands_ when `cond` compares a shared operand
+  /// against a constant (`compare` is then its classified shape); -1
+  /// for a conjunct evaluated as an expression.
+  int operand = -1;
+  SargableCompare compare;
+};
+
+/// Appends the top-level AND conjuncts of `cond`, left to right — the
+/// order masked AND evaluation visits them.
+void FlattenAnd(const ExprRef& cond, std::vector<ExprRef>* out) {
+  if (cond->kind() == ExprKind::kBinary && cond->bin_op() == BinOp::kAnd) {
+    FlattenAnd(cond->lhs(), out);
+    FlattenAnd(cond->rhs(), out);
+    return;
+  }
+  out->push_back(cond);
+}
+
+/// Physical select over a run of stacked logical selects. The run's
+/// conditions (lowest select first) and each condition's top-level AND
+/// conjuncts become one ordered list of steps; every step narrows the
+/// batch's selection, so each conjunct runs only on the rows all
+/// earlier ones kept, exactly as one Filter per select would. What the
+/// merge adds: a one-hop property (`p.number`) that two or more
+/// compares test against constants is read once per batch — at its
+/// first compare — and the later compares reuse that column (rows only
+/// ever narrow, so each row a later compare sees was read).
+/// `p.number >= 1 AND p.number <= 2` reads p.number once per row, not
+/// once plus once per survivor. EXPLAIN lists such operands as
+/// `[reads once: ...]`. (A bare variable needs no read: every step
+/// borrows the batch's own column.)
+///
+/// Density contract (operator-contract table, docs/ARCHITECTURE.md
+/// §"Selection vectors"): accepts selected or dense batches, emits
+/// *selected* batches — survivors are marked in the selection vector,
+/// never moved.
 class Filter : public PhysOperator {
  public:
-  Filter(const ExecContext& ctx, PhysOpPtr child, ExprRef cond)
+  Filter(const ExecContext& ctx, PhysOpPtr child,
+         const std::vector<ExprRef>& conds)
       : PhysOperator(child->refs()),
         evaluator_(ctx.catalog, ctx.store, ctx.methods,
                    ctx.property_cache, ctx.snapshot_epoch),
         child_(std::move(child)),
-        cond_(std::move(cond)) {}
+        conds_(conds) {
+    // Steps of one-hop property compares, by property operand text.
+    std::map<std::string, std::vector<size_t>> compares;
+    for (const ExprRef& cond : conds_) {
+      std::vector<ExprRef> conjuncts;
+      FlattenAnd(cond, &conjuncts);
+      for (ExprRef& conjunct : conjuncts) {
+        FilterStep step;
+        step.strict = conjuncts.size() > 1 &&
+                      !(conjunct->kind() == ExprKind::kBinary &&
+                        ExprEvaluator::IsLowerableCompare(conjunct->bin_op()));
+        std::optional<SargableCompare> cmp =
+            ClassifySargableCompare(conjunct);
+        if (cmp && cmp->operand->kind() == ExprKind::kProperty &&
+            cmp->operand->base()->kind() == ExprKind::kVar) {
+          compares[cmp->operand->ToString()].push_back(steps_.size());
+          step.compare = std::move(*cmp);
+        }
+        step.cond = std::move(conjunct);
+        steps_.push_back(std::move(step));
+      }
+    }
+    for (const auto& [key, at] : compares) {
+      if (at.size() < 2) continue;  // a lone compare reads it anyway
+      const int index = static_cast<int>(operands_.size());
+      for (size_t s : at) steps_[s].operand = index;
+      operands_.emplace_back();
+      operands_.back().key = key;
+      operands_.back().expr = steps_[at[0]].compare.operand;
+    }
+  }
 
   Status Open() override { return child_->Open(); }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     // refs_ == child refs, so the child's batch is filtered in place:
-    // the predicate is evaluated over the batch's selection view and
+    // each step is evaluated over the batch's selection view and
     // survivors are marked by intersecting the selection — no column
-    // value moves. A stack of filters narrows one selection vector.
+    // value moves.
     for (;;) {
       VODAK_ASSIGN_OR_RETURN(bool more, child_->NextBatch(batch));
       if (!more) return false;
-      BatchEnv env = EnvOfBatch(refs_, *batch);
-      VODAK_RETURN_IF_ERROR(
-          evaluator_.EvalPredicateBatch(cond_, env, &keep_));
-      size_t kept = batch->IntersectSelection(keep_);
+      for (OperandColumn& operand : operands_) operand.read = false;
+      size_t kept = batch->active_rows();
+      for (const FilterStep& step : steps_) {
+        VODAK_RETURN_IF_ERROR(step.operand >= 0 ? Compare(step, *batch)
+                                                : Evaluate(step, *batch));
+        kept = batch->IntersectSelection(keep_);
+        if (kept == 0) break;
+      }
       if (kept > 0) {
         rows_produced_ += kept;
         return true;
@@ -519,15 +626,89 @@ class Filter : public PhysOperator {
   }
   void Close() override { child_->Close(); }
   std::string name() const override { return "Filter"; }
-  std::string params() const override { return cond_->ToString(); }
+  std::string params() const override {
+    std::vector<std::string> parts;
+    for (const ExprRef& cond : conds_) parts.push_back(cond->ToString());
+    std::string out = Join(parts, ", ");
+    if (operands_.empty()) return out;
+    std::vector<std::string> keys;
+    for (const OperandColumn& operand : operands_) keys.push_back(operand.key);
+    return out + " [reads once: " + Join(keys, ", ") + "]";
+  }
   const std::vector<const PhysOperator*> children() const override {
     return {child_.get()};
   }
 
  private:
+  /// A property two or more compares share, and its column in the
+  /// current batch.
+  struct OperandColumn {
+    std::string key;  // the operand's text
+    ExprRef expr;
+    /// Whether `values` holds this batch's read.
+    bool read = false;
+    /// Indexed by physical row; rows not live at the read stay NIL and
+    /// are never compared.
+    ValueColumn values;
+  };
+
+  /// keep_[i] := the step's compare holds on the i-th live row, reading
+  /// the shared operand at its first compare of the batch.
+  Status Compare(const FilterStep& step, const RowBatch& batch) {
+    OperandColumn& operand = operands_[step.operand];
+    if (!operand.read) {
+      VODAK_ASSIGN_OR_RETURN(
+          ValueColumn live,
+          evaluator_.EvalBatch(operand.expr, EnvOfBatch(refs_, batch)));
+      if (batch.has_selection()) {
+        // One value per live row: scatter to physical rows (as MapOp
+        // does), since later compares see a subset of these rows.
+        operand.values.assign(batch.num_rows(), Value::Null());
+        for (size_t i = 0; i < live.size(); ++i) {
+          operand.values[batch.RowAt(i)] = std::move(live[i]);
+        }
+      } else {
+        operand.values = std::move(live);
+      }
+      operand.read = true;
+    }
+    const SargableCompare& cmp = step.compare;
+    const Value& constant = cmp.constant->value();
+    keep_.resize(batch.active_rows());
+    for (size_t i = 0; i < keep_.size(); ++i) {
+      const Value& v = operand.values[batch.RowAt(i)];
+      keep_[i] = cmp.const_lhs
+                     ? ExprEvaluator::CompareHolds(cmp.op, constant, v)
+                     : ExprEvaluator::CompareHolds(cmp.op, v, constant);
+    }
+    return Status::OK();
+  }
+
+  /// keep_[i] := the conjunct holds on the i-th live row.
+  Status Evaluate(const FilterStep& step, const RowBatch& batch) {
+    const BatchEnv env = EnvOfBatch(refs_, batch);
+    if (!step.strict) {
+      return evaluator_.EvalPredicateBatch(step.cond, env, &keep_);
+    }
+    VODAK_ASSIGN_OR_RETURN(ValueColumn vals,
+                           evaluator_.EvalBatch(step.cond, env));
+    keep_.resize(vals.size());
+    for (size_t i = 0; i < vals.size(); ++i) {
+      if (!vals[i].is_bool()) {
+        return Status::TypeError("boolean connective on non-boolean " +
+                                 vals[i].ToString());
+      }
+      keep_[i] = vals[i].AsBool();
+    }
+    return Status::OK();
+  }
+
   ExprEvaluator evaluator_;
   PhysOpPtr child_;
-  ExprRef cond_;
+  /// The run's select conditions, lowest select first (EXPLAIN).
+  std::vector<ExprRef> conds_;
+  std::vector<FilterStep> steps_;
+  std::vector<OperandColumn> operands_;
   std::vector<char> keep_;
 };
 
@@ -1219,6 +1400,55 @@ const std::vector<storage::SlotPredicate>& LeafPredsFor(
   return it == map->end() ? kNoPreds : it->second;
 }
 
+/// Builds the private batch source for a scan leaf (kGet → shared,
+/// segment or extent cursor, kExprSource → shared or method/expression
+/// scan), honoring the context's shared-scan attachment. `preds` are
+/// the query's sargable predicates over this leaf's scan variable
+/// (normalized `col op const` conjuncts, extracted by exec/sargable.h)
+/// so a segment-backed source can zone-map-skip; non-segment sources
+/// ignore them.
+Result<BatchSourcePtr> MakeLeafBatchSource(
+    const LogicalNode& leaf, const ExecContext& ctx,
+    const std::vector<storage::SlotPredicate>& leaf_preds) {
+  switch (leaf.op()) {
+    case LogicalOp::kGet: {
+      const ClassDef* cls = ctx.catalog->FindClass(leaf.class_name());
+      if (cls == nullptr) {
+        return Status::PlanError("unknown class '" + leaf.class_name() +
+                                 "'");
+      }
+      if (ctx.shared_scans != nullptr) {
+        return BatchSourcePtr(std::make_unique<SharedBatchSource>(
+            ctx, leaf.class_name(), cls->class_id(), leaf_preds));
+      }
+      storage::SegmentVersionRef version =
+          ctx.segments == nullptr
+              ? nullptr
+              : ctx.segments->VersionAt(cls->class_id(),
+                                        ctx.snapshot_epoch);
+      if (version != nullptr) {
+        return BatchSourcePtr(std::make_unique<SegmentBatchSource>(
+            ctx, leaf.class_name(), cls->class_id(), std::move(version),
+            leaf_preds));
+      }
+      return BatchSourcePtr(std::make_unique<ExtentBatchSource>(
+          ctx, leaf.class_name(), cls->class_id()));
+    }
+    case LogicalOp::kExprSource: {
+      if (ctx.shared_scans != nullptr) {
+        return BatchSourcePtr(
+            std::make_unique<SharedBatchSource>(ctx, leaf.expr()));
+      }
+      return BatchSourcePtr(
+          std::make_unique<ExprBatchSource>(ctx, leaf.expr()));
+    }
+    default:
+      return Status::PlanError("logical node '" +
+                               std::string(LogicalOpName(leaf.op())) +
+                               "' is not a scan leaf");
+  }
+}
+
 /// Shared plan builder. With a null `state` this is the serial
 /// BuildPhysical; with a ParallelPlanState it builds one worker's clone:
 /// the driving leaf becomes a MorselScan over the shared cursor and
@@ -1239,16 +1469,25 @@ Result<PhysOpPtr> BuildPhysicalImpl(const LogicalRef& plan,
       } else {
         VODAK_ASSIGN_OR_RETURN(
             source, MakeLeafBatchSource(*plan, ctx,
-                                        &LeafPredsFor(leaf_preds,
-                                                      plan.get())));
+                                        LeafPredsFor(leaf_preds,
+                                                     plan.get())));
       }
       return PhysOpPtr(new ScanOp(ctx, plan->ref(), std::move(source)));
     }
     case LogicalOp::kSelect: {
+      // A run of stacked selects builds one Filter, lowest select
+      // first (the order stacked Filters would apply them).
+      std::vector<ExprRef> conds;
+      const LogicalRef* below = &plan;
+      for (; (*below)->op() == LogicalOp::kSelect;
+           below = &(*below)->input(0)) {
+        conds.push_back((*below)->expr());
+      }
+      std::reverse(conds.begin(), conds.end());
       VODAK_ASSIGN_OR_RETURN(
           PhysOpPtr child,
-          BuildPhysicalImpl(plan->input(0), ctx, state, leaf_preds));
-      return PhysOpPtr(new Filter(ctx, std::move(child), plan->expr()));
+          BuildPhysicalImpl(*below, ctx, state, leaf_preds));
+      return PhysOpPtr(new Filter(ctx, std::move(child), conds));
     }
     case LogicalOp::kJoin: {
       VODAK_ASSIGN_OR_RETURN(
@@ -1361,50 +1600,6 @@ Result<PhysOpPtr> BuildPhysical(const LogicalRef& plan,
   LeafPredMap leaf_preds;
   CollectLeafPreds(plan, *ctx.catalog, {}, &leaf_preds);
   return BuildPhysicalImpl(plan, ctx, /*state=*/nullptr, &leaf_preds);
-}
-
-Result<BatchSourcePtr> MakeLeafBatchSource(
-    const LogicalNode& leaf, const ExecContext& ctx,
-    const std::vector<storage::SlotPredicate>* preds) {
-  const std::vector<storage::SlotPredicate>& leaf_preds =
-      preds == nullptr ? kNoPreds : *preds;
-  switch (leaf.op()) {
-    case LogicalOp::kGet: {
-      const ClassDef* cls = ctx.catalog->FindClass(leaf.class_name());
-      if (cls == nullptr) {
-        return Status::PlanError("unknown class '" + leaf.class_name() +
-                                 "'");
-      }
-      if (ctx.shared_scans != nullptr) {
-        return BatchSourcePtr(std::make_unique<SharedBatchSource>(
-            ctx, leaf.class_name(), cls->class_id(), leaf_preds));
-      }
-      storage::SegmentVersionRef version =
-          ctx.segments == nullptr
-              ? nullptr
-              : ctx.segments->VersionAt(cls->class_id(),
-                                        ctx.snapshot_epoch);
-      if (version != nullptr) {
-        return BatchSourcePtr(std::make_unique<SegmentBatchSource>(
-            ctx, leaf.class_name(), cls->class_id(), std::move(version),
-            leaf_preds));
-      }
-      return BatchSourcePtr(std::make_unique<ExtentBatchSource>(
-          ctx, leaf.class_name(), cls->class_id()));
-    }
-    case LogicalOp::kExprSource: {
-      if (ctx.shared_scans != nullptr) {
-        return BatchSourcePtr(
-            std::make_unique<SharedBatchSource>(ctx, leaf.expr()));
-      }
-      return BatchSourcePtr(
-          std::make_unique<ExprBatchSource>(ctx, leaf.expr()));
-    }
-    default:
-      return Status::PlanError("logical node '" +
-                               std::string(LogicalOpName(leaf.op())) +
-                               "' is not a scan leaf");
-  }
 }
 
 Result<PhysOpPtr> BuildPhysicalWorker(const LogicalRef& plan,

@@ -64,40 +64,6 @@ class PhysOperator {
 
 using PhysOpPtr = std::unique_ptr<PhysOperator>;
 
-/// Abstract supplier of a leaf scan's rows: one column of values,
-/// delivered batch-at-a-time. Scan leaves are one generic operator
-/// (`ScanOp` in physical.cc) constructed against this interface, so the
-/// same leaf runs over a private cursor (extent / method scan), the
-/// intra-query morsel cursor (parallel worker clones) or a shared-scan
-/// attachment (cross-query sharing, docs/ARCHITECTURE.md §"Shared
-/// scans") — the executor above the leaf cannot tell them apart.
-class BatchSource {
- public:
-  virtual ~BatchSource() = default;
-
-  /// (Re)starts a full pass over the source. Private sources
-  /// materialize here (the scan-pass cost); shared sources attach a
-  /// fresh consumer to the managed scan — which is where a
-  /// late-arriving query joins the in-flight pass.
-  virtual Status Open() = 0;
-  /// Emits the next (dense, single-column) batch; false at end of the
-  /// pass, persistently.
-  virtual Result<bool> NextBatch(RowBatch* batch) = 0;
-  virtual void Close() = 0;
-
-  /// EXPLAIN operator name ("ExtentScan", "MethodScan", "MorselScan",
-  /// "SharedScan", "SegmentScan") and source description (class or
-  /// expression).
-  virtual std::string name() const = 0;
-  virtual std::string describe() const = 0;
-  /// Uniform EXPLAIN source annotation, appended to the leaf operator's
-  /// params: every source kind prints `[source: <kind>]`, and
-  /// segment-pruned kinds add `[segments: scanned S / skipped K]`.
-  virtual std::string annotation() const = 0;
-};
-
-using BatchSourcePtr = std::unique_ptr<BatchSource>;
-
 /// Everything operators need at runtime.
 struct ExecContext {
   const Catalog* catalog = nullptr;
@@ -144,21 +110,10 @@ struct ExecContext {
 /// choice is deterministic and mirrors the cost model: natural joins and
 /// bare-variable equality joins become hash joins, everything else nested
 /// loops; map/flat/select evaluate their (restricted-algebra-decomposed)
-/// expression parameters per row.
+/// expression parameters per row, and each run of stacked selects is
+/// one Filter (docs/ARCHITECTURE.md §"One Filter per run of selects").
 Result<PhysOpPtr> BuildPhysical(const algebra::LogicalRef& plan,
                                 const ExecContext& ctx);
-
-/// Builds the private batch source for a scan leaf (kGet → segment or
-/// extent cursor, kExprSource → method/expression scan), honoring the
-/// context's shared-scan attachment. BuildPhysical's leaves and the VM
-/// backend (exec/vm.h) both come through here — same cursor kinds, same
-/// pinned snapshot epoch. `preds` are the query's sargable predicates
-/// over this leaf's scan variable (normalized `col op const` conjuncts,
-/// extracted by exec/sargable.h) so a segment-backed source can
-/// zone-map-skip; may be null or empty, non-segment sources ignore it.
-Result<BatchSourcePtr> MakeLeafBatchSource(
-    const algebra::LogicalNode& leaf, const ExecContext& ctx,
-    const std::vector<storage::SlotPredicate>* preds);
 
 /// Drains the operator tree into a set of tuples (the algebra's result).
 Result<Value> ExecuteToSet(PhysOperator* root);

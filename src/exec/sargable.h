@@ -1,10 +1,10 @@
 // The shared sargable-predicate classifier: one recognizer for the
-// compare shape both consumers act on — the VM's native kTest lowering
-// (exec/vm_compile.cc) and zone-map segment pruning (storage layer).
-// Keeping a single classifier is the invariant the EXPLAIN output
-// relies on: a predicate the VM runs as a typed compare loop is
-// exactly a predicate segment scans can refute from zone maps, so the
-// two layers never drift apart on what "sargable" means.
+// compare shape both consumers act on — the physical Filter's
+// shared-operand compares (exec/physical.cc) and zone-map segment
+// pruning (storage layer). Keeping a single classifier keeps the two
+// layers from drifting apart on what "sargable" means: a compare the
+// Filter runs against a once-read operand column is the same shape a
+// segment scan can refute from zone maps.
 #ifndef VODAK_EXEC_SARGABLE_H_
 #define VODAK_EXEC_SARGABLE_H_
 
@@ -23,7 +23,7 @@ namespace exec {
 /// (ExprEvaluator::IsLowerableCompare) with exactly one constant side.
 /// `op` is the operator as written; `const_lhs` records which side the
 /// constant was on so consumers can either preserve the written form
-/// (the VM's kTest instruction does) or normalize it.
+/// (the Filter's compares do) or normalize it.
 struct SargableCompare {
   ExprRef operand;   // the non-constant side (kVar, property hop, ...)
   ExprRef constant;  // kConst

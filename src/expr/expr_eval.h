@@ -138,16 +138,41 @@ class ExprEvaluator {
   /// True for the total-order comparison operators (==, !=, <, <=, >,
   /// >=) — the operators whose evaluation reduces to Value::Compare,
   /// never errors, and never yields NIL. These are the compares the
-  /// batch fast paths (EvalPredicateBatch's fused loop, the VM's
-  /// native kTest lowering) may evaluate eagerly without changing
-  /// masked short-circuit semantics.
+  /// batch fast paths (EvalPredicateBatch's fused loop, the physical
+  /// Filter's shared-operand compares) may evaluate eagerly without
+  /// changing masked short-circuit semantics.
   static bool IsLowerableCompare(BinOp op);
 
   /// Whether `lhs <op> rhs` holds under the engine's total order —
   /// exactly ApplyBinary's semantics for the IsLowerableCompare subset
   /// (both reduce to Value::Compare), exposed as a bool so fused
-  /// per-row loops skip Value boxing.
-  static bool CompareHolds(BinOp op, const Value& lhs, const Value& rhs);
+  /// per-row loops skip Value boxing. Inline, with INT against INT —
+  /// the dominant compare — decided without Value::Compare's variant
+  /// dispatch; every other pair takes the generic total order.
+  static bool CompareHolds(BinOp op, const Value& lhs, const Value& rhs) {
+    int c;
+    if (lhs.is_int() && rhs.is_int()) {
+      const int64_t x = lhs.AsInt();
+      const int64_t y = rhs.AsInt();
+      c = x < y ? -1 : (x > y ? 1 : 0);
+    } else {
+      c = Value::Compare(lhs, rhs);
+    }
+    switch (op) {
+      case BinOp::kEq:
+        return c == 0;
+      case BinOp::kNe:
+        return c != 0;
+      case BinOp::kLt:
+        return c < 0;
+      case BinOp::kLe:
+        return c <= 0;
+      case BinOp::kGt:
+        return c > 0;
+      default:
+        return c >= 0;  // kGe
+    }
+  }
 
  private:
   Result<Value> EvalProperty(const Value& base,

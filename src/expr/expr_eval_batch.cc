@@ -475,25 +475,6 @@ bool ExprEvaluator::IsLowerableCompare(BinOp op) {
   }
 }
 
-bool ExprEvaluator::CompareHolds(BinOp op, const Value& lhs,
-                                 const Value& rhs) {
-  int c = Value::Compare(lhs, rhs);
-  switch (op) {
-    case BinOp::kEq:
-      return c == 0;
-    case BinOp::kNe:
-      return c != 0;
-    case BinOp::kLt:
-      return c < 0;
-    case BinOp::kLe:
-      return c <= 0;
-    case BinOp::kGt:
-      return c > 0;
-    default:
-      return c >= 0;  // kGe
-  }
-}
-
 Status ExprEvaluator::EvalPredicateBatch(const ExprRef& e,
                                          const BatchEnv& env,
                                          std::vector<char>* keep) const {

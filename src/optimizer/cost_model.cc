@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "storage/segment_store.h"
-
 namespace vodak {
 namespace opt {
 
@@ -31,10 +29,6 @@ CostModel::CostModel(const Catalog* catalog, const ObjectStore* store,
       store_(store),
       methods_(methods),
       providers_(std::move(providers)) {}
-
-double CostModel::SegmentSurvivalRate() const {
-  return segments_ == nullptr ? 1.0 : segments_->SurvivalRate();
-}
 
 double CostModel::ExtentCardinality(const std::string& class_name) const {
   const ClassDef* cls = catalog_->FindClass(class_name);
@@ -237,10 +231,7 @@ double CostModel::EstimateCardinality(
     const LogicalNode& node, const std::vector<double>& child_cards) const {
   switch (node.op()) {
     case LogicalOp::kGet:
-      // Scaled by the segment store's observed zone-map survival rate:
-      // with pruning history, a scan leaf is expected to emit only the
-      // surviving fraction of the extent.
-      return ExtentCardinality(node.class_name()) * SegmentSurvivalRate();
+      return ExtentCardinality(node.class_name());
     case LogicalOp::kExprSource:
       return std::max(0.0, Fanout(node.expr()));
     case LogicalOp::kSelect:
@@ -275,10 +266,8 @@ double CostModel::LocalCost(const LogicalNode& node,
   switch (node.op()) {
     case LogicalOp::kGet: {
       // Column-at-a-time extent slicing: one emitted value per row plus
-      // the per-batch fill overhead. Rows are survival-scaled like
-      // EstimateCardinality — zone-map-skipped segments cost nothing.
-      const double rows =
-          ExtentCardinality(node.class_name()) * SegmentSurvivalRate();
+      // the per-batch fill overhead.
+      const double rows = ExtentCardinality(node.class_name());
       return kTupleEmitCost * rows + kBatchOverheadCost * BatchCount(rows);
     }
     case LogicalOp::kExprSource: {

@@ -11,10 +11,6 @@
 
 namespace vodak {
 
-namespace storage {
-class SegmentStore;
-}  // namespace storage
-
 namespace opt {
 
 /// Argument-aware method statistics, e.g. the selectivity of
@@ -86,20 +82,6 @@ class CostModel {
             const MethodRegistry* methods,
             std::vector<MethodStatsProvider> providers = {});
 
-  /// Attaches the paged segment store's pruning feedback: kGet leaves
-  /// are priced by the observed zone-map survival rate — scanned /
-  /// (scanned + skipped) over the store's history — so a workload
-  /// whose predicates keep refuting segments teaches the model that
-  /// scans under selective filters are cheap. Null (the default)
-  /// prices full extents.
-  void SetSegmentStore(const storage::SegmentStore* segments) {
-    segments_ = segments;
-  }
-
-  /// The attached store's observed survival rate in (0, 1]; 1.0
-  /// without a store or before any pruning history.
-  double SegmentSurvivalRate() const;
-
   /// |extension(class)|.
   double ExtentCardinality(const std::string& class_name) const;
 
@@ -130,7 +112,6 @@ class CostModel {
   const Catalog* catalog_;
   const ObjectStore* store_;
   const MethodRegistry* methods_;
-  const storage::SegmentStore* segments_ = nullptr;
   std::vector<MethodStatsProvider> providers_;
 };
 

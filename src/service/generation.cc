@@ -226,10 +226,8 @@ void GenerationScheduler::ExecutorLoop() {
 
 void GenerationScheduler::GenerationWorker(const exec::ExecContext& ctx,
                                            uint64_t generation) {
-  // Members drain exactly like a Submit batch member: serial, on the
-  // operator tree.
-  engine::RunOptions run;
-  run.vm = engine::VmMode::kOff;
+  // Members drain exactly like a Submit batch member: serial.
+  const engine::RunOptions run;
   for (;;) {
     ServiceQuery query;
     {

@@ -22,8 +22,7 @@ namespace vodak {
 namespace service {
 
 /// Everything a generation member takes from planning. Physical build,
-/// VM compilation, segment choice and the snapshot pin stay per
-/// execution.
+/// segment choice and the snapshot pin stay per execution.
 struct CachedPlan {
   algebra::LogicalRef plan;
   std::string result_ref;

@@ -190,18 +190,5 @@ Result<std::vector<Oid>> SegmentStore::ReadOids(
   return oids;
 }
 
-double SegmentStore::SurvivalRate() const {
-  const uint64_t scanned =
-      stats_.segments_scanned.load(std::memory_order_relaxed);
-  const uint64_t skipped =
-      stats_.segments_skipped.load(std::memory_order_relaxed);
-  const uint64_t total = scanned + skipped;
-  if (total == 0) return 1.0;
-  // Clamp away from zero: a fully-refuted history must not price
-  // future scans at literally nothing.
-  return std::max(0.01, static_cast<double>(scanned) /
-                            static_cast<double>(total));
-}
-
 }  // namespace storage
 }  // namespace vodak

@@ -51,8 +51,8 @@ struct ZoneMap {
 
 /// One normalized sargable conjunct, `slot op constant` with the
 /// column on the left (the collector flips constant-on-LHS compares).
-/// Same shape the VM's typed compare loops lower natively — one
-/// classifier feeds both (exec/sargable.h).
+/// Same shape the physical Filter compares against a once-read
+/// operand column — one classifier feeds both (exec/sargable.h).
 struct SlotPredicate {
   uint32_t slot = 0;
   BinOp op = BinOp::kEq;
@@ -117,7 +117,7 @@ struct PruneCounts {
 /// Pruning totals since construction/reset. Relaxed atomics read
 /// quiescently by tests (segment_diff_test's
 /// SegmentScansAgreeAcrossAllDrains requires scanned > 0 and
-/// skipped > 0) and the cost model's survival-rate learning.
+/// skipped > 0) and perfbench's per-read segment counters.
 struct SegmentStoreStats {
   std::atomic<uint64_t> segments_scanned{0};
   std::atomic<uint64_t> segments_skipped{0};
@@ -176,11 +176,6 @@ class SegmentStore {
     stats_.segments_scanned.fetch_add(scanned, std::memory_order_relaxed);
     stats_.segments_skipped.fetch_add(skipped, std::memory_order_relaxed);
   }
-
-  /// Observed fraction of segments that survived pruning, in (0, 1];
-  /// 1.0 before any pruning has been observed. The cost model prices
-  /// segment scans by this (docs/ARCHITECTURE.md §"Cost model").
-  double SurvivalRate() const;
 
   const SegmentStoreStats& stats() const { return stats_; }
   SegmentStoreStats* mutable_stats() { return &stats_; }

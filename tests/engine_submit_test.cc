@@ -125,6 +125,52 @@ TEST_F(EngineSubmitTest, BatchMemberExplainShowsTheTreeThatRan) {
   }
 }
 
+TEST_F(EngineSubmitTest, RangeCompareReadsItsPropertyOncePerRow) {
+  // `p.number >= 1 AND p.number <= 1` builds one Filter that reads
+  // p.number once per scanned row and applies both compares to that
+  // column; one Filter per compare would read it again for every row
+  // the first compare kept. Checked for the plain translation (one
+  // select over an AND) and the optimized plan (stacked selects), both
+  // as a lone read and as a member of a private-scan batch whose
+  // sibling reads no property.
+  const std::string query =
+      "ACCESS p FROM p IN Paragraph WHERE p.number >= 1 AND p.number <= 1";
+  const uint64_t paragraphs = 12u * 2u * 3u;
+  const Value expect = Oracle(query);
+  ASSERT_EQ(expect.AsSet().size(), 12u * 2u);
+  ASSERT_TRUE(session_->GenerateOptimizer().ok());
+  const auto& reads = db_.store().stats().property_reads;
+  for (bool optimize : {false, true}) {
+    QueryRequest request = Plain(query);
+    request.plan.optimize = optimize;
+
+    db_.ResetCounters();
+    auto alone = session_->Submit({request});
+    ASSERT_TRUE(alone[0].status.ok()) << alone[0].status.ToString();
+    EXPECT_EQ(alone[0].result.result, expect);
+    EXPECT_EQ(reads.load(std::memory_order_relaxed), paragraphs)
+        << "lone read, optimize=" << optimize << "\n"
+        << alone[0].result.physical_explain;
+    EXPECT_NE(alone[0].result.physical_explain.find(
+                  "[reads once: p.number]"),
+              std::string::npos)
+        << alone[0].result.physical_explain;
+
+    SubmitOptions private_batch;
+    private_batch.lanes = 2;
+    private_batch.shared_scan = false;
+    db_.ResetCounters();
+    auto batch = session_->Submit(
+        {request, Plain("ACCESS d FROM d IN Document")}, private_batch);
+    ASSERT_TRUE(batch[0].status.ok()) << batch[0].status.ToString();
+    ASSERT_TRUE(batch[1].status.ok()) << batch[1].status.ToString();
+    EXPECT_EQ(batch[0].result.result, expect);
+    EXPECT_EQ(reads.load(std::memory_order_relaxed), paragraphs)
+        << "batch member, optimize=" << optimize << "\n"
+        << batch[0].result.physical_explain;
+  }
+}
+
 TEST_F(EngineSubmitTest, CancelBeforeSubmitRejectsOnlyThatMember) {
   exec::CancellationToken cancelled;
   cancelled.Cancel();

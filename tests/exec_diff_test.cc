@@ -1,15 +1,14 @@
-// The compiled-execution backend's headline proof (ISSUE 9, in the
-// PAPERS.md "Provably Correct Systems" spirit): a seeded randomized
-// VQL corpus (tests/query_gen.h) driven through three independent
-// engines — the bytecode VM (RunOptions vm=kForce), the operator tree
-// (vm=kOff) and the row-mode oracle interpreter — which must agree
-// exactly on every query. A second phase repeats the differential
-// under concurrent Submit writer batches: every VM read records its
-// pinned epoch and is replayed post-hoc through the oracle *at that
-// epoch*, so a VM that ever read across a snapshot boundary cannot
-// pass. Runs under TSan in CI (`scripts/ci.sh --vm`) with seeds 1/2/3
-// plus one time-derived seed; any failure prints the query text and
-// the seed for exact replay (--seed=N / VODAK_TEST_SEED=N).
+// The operator tree's differential proof (in the PAPERS.md "Provably
+// Correct Systems" spirit): a seeded randomized VQL corpus
+// (tests/query_gen.h) driven through the operator tree and the
+// row-mode oracle interpreter, which must agree exactly on every
+// query. A second phase repeats the differential under concurrent
+// Submit writer batches: every tree read records its pinned epoch and
+// is replayed post-hoc through the oracle *at that epoch*, so a tree
+// that ever read across a snapshot boundary cannot pass. Runs under
+// TSan in CI (`scripts/ci.sh --mvcc`) with seeds 1/2/3 plus one
+// time-derived seed; any failure prints the query text and the seed
+// for exact replay (--seed=N / VODAK_TEST_SEED=N).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -17,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/vm_stats.h"
 #include "engine/database.h"
 #include "objstore/object_store.h"
 #include "schema/catalog.h"
@@ -31,14 +29,18 @@ namespace {
 
 constexpr int kInitialObjects = 200;
 constexpr int kDiffQueries = 1000;
+/// Phase 1's floor on queries whose Filter reads a shared operand once
+/// (an AND of two or more compares on one property): a tenth of the
+/// corpus. Seeds 1-8 give 18-22%.
+constexpr int kMinReadsOnce = kDiffQueries / 10;
 constexpr int kBuckets = 4;
 constexpr int kWriterRounds = 40;
 constexpr int kReaders = 3;
 constexpr int kReaderIters = 25;
 
-/// One VM read under concurrent writes: enough to replay it at the
+/// One tree read under concurrent writes: enough to replay it at the
 /// exact snapshot it pinned.
-struct VmReadRecord {
+struct ReadRecord {
   int reader = 0;
   int iter = 0;
   std::string query;
@@ -46,7 +48,7 @@ struct VmReadRecord {
   Value result;
 };
 
-class VmDiffTest : public ::testing::Test {
+class ExecDiffTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto cls = catalog_.DefineClass("Item");
@@ -75,28 +77,24 @@ class VmDiffTest : public ::testing::Test {
     }
   }
 
-  /// Runs one query through all three engines and fails (with query +
-  /// seed) on any disagreement. Returns false on failure so fuzz loops
-  /// can stop at the first diverging query.
-  bool CheckThreeWay(engine::Database* session, const std::string& query,
-                     uint64_t seed) {
+  /// Runs one query through the operator tree and the row-mode oracle
+  /// and fails (with query + seed) on any disagreement. Returns false
+  /// on failure so fuzz loops can stop at the first diverging query;
+  /// `*reads_once` is set when the tree's EXPLAIN shows a Filter
+  /// reading a shared operand once.
+  bool CheckTreeAgainstOracle(engine::Database* session,
+                              const std::string& query, uint64_t seed,
+                              bool* reads_once) {
     engine::PlanOptions no_opt;
     no_opt.optimize = false;
 
-    engine::RunOptions vm_run;
-    vm_run.vm = engine::VmMode::kForce;
-    auto vm = session->Run(query, no_opt, vm_run);
-    EXPECT_TRUE(vm.ok()) << "vm: " << vm.status().ToString()
-                         << "\n  query: " << query << "\n  seed: " << seed;
-    if (!vm.ok()) return false;
-
-    engine::RunOptions tree_run;
-    tree_run.vm = engine::VmMode::kOff;
-    auto tree = session->Run(query, no_opt, tree_run);
+    auto tree = session->Run(query, no_opt);
     EXPECT_TRUE(tree.ok()) << "tree: " << tree.status().ToString()
                            << "\n  query: " << query
                            << "\n  seed: " << seed;
     if (!tree.ok()) return false;
+    *reads_once = tree.value().physical_explain.find("[reads once: ") !=
+                  std::string::npos;
 
     vql::Interpreter::Options row;
     row.row_mode = true;
@@ -106,16 +104,12 @@ class VmDiffTest : public ::testing::Test {
                              << "\n  seed: " << seed;
     if (!oracle.ok()) return false;
 
-    const bool vm_tree = vm.value().result == tree.value().result;
-    const bool tree_oracle = tree.value().result == oracle.value();
-    EXPECT_TRUE(vm_tree && tree_oracle)
-        << "three-way divergence (vm==tree: " << vm_tree
-        << ", tree==oracle: " << tree_oracle << ")"
-        << "\n  query: " << query << "\n  seed: " << seed
-        << "\n  vm:     " << vm.value().result.ToString()
-        << "\n  tree:   " << tree.value().result.ToString()
-        << "\n  oracle: " << oracle.value().ToString();
-    return vm_tree && tree_oracle;
+    const bool agree = tree.value().result == oracle.value();
+    EXPECT_TRUE(agree) << "tree diverged from the row-mode oracle"
+                       << "\n  query: " << query << "\n  seed: " << seed
+                       << "\n  tree:   " << tree.value().result.ToString()
+                       << "\n  oracle: " << oracle.value().ToString();
+    return agree;
   }
 
   Catalog catalog_;
@@ -125,37 +119,37 @@ class VmDiffTest : public ::testing::Test {
 };
 
 // Phase 1: the static corpus — kDiffQueries generated queries, each
-// executed through VM, operator tree and row-mode oracle.
-TEST_F(VmDiffTest, ThreeWayDifferentialFuzz) {
+// executed through the operator tree and the row-mode oracle.
+TEST_F(ExecDiffTest, TreeAgreesWithOracleOnGeneratedQueries) {
   const uint64_t seed = testing::TestSeed();
   engine::Database session(&catalog_, &store_, &methods_);
   testing::QueryGenerator gen(seed);
-  const uint64_t compiled_before =
-      VmStats::vm_compiled.load(std::memory_order_relaxed);
+  int reads_once = 0;
   for (int q = 0; q < kDiffQueries; ++q) {
-    if (!CheckThreeWay(&session, gen.NextQuery(), seed)) return;
+    bool shared = false;
+    if (!CheckTreeAgainstOracle(&session, gen.NextQuery(), seed, &shared)) {
+      return;
+    }
+    reads_once += shared ? 1 : 0;
   }
-  // The generator must keep the VM honest: the bulk of the corpus has
-  // to actually compile (a fallback-everything run would "agree"
-  // trivially, tree vs tree).
-  const uint64_t compiled =
-      VmStats::vm_compiled.load(std::memory_order_relaxed) -
-      compiled_before;
-  EXPECT_GT(compiled, static_cast<uint64_t>(kDiffQueries) / 2)
-      << "generated corpus mostly fell back to the operator tree; "
-         "seed: "
+  // The corpus must exercise the Filter's shared-operand path, or the
+  // agreement above says nothing about it.
+  EXPECT_GE(reads_once, kMinReadsOnce)
+      << "too few generated queries built a Filter that reads a shared "
+         "operand once; seed: "
       << seed;
 }
 
 // Phase 2: the same differential under concurrent Submit writer
-// batches. Readers run VM-forced queries and record the epoch each
-// pinned; after the threads join, every record replays serially
-// through the row-mode oracle at its recorded epoch and must match.
-TEST_F(VmDiffTest, VmAgreesWithOracleUnderConcurrentWrites) {
+// batches. Readers run queries on the operator tree and record the
+// epoch each pinned; after the threads join, every record replays
+// serially through the row-mode oracle at its recorded epoch and must
+// match.
+TEST_F(ExecDiffTest, TreeAgreesWithOracleUnderConcurrentWrites) {
   const uint64_t seed = testing::TestSeed() + 29;
   engine::Database writer_session(&catalog_, &store_, &methods_);
 
-  std::vector<std::vector<VmReadRecord>> records(kReaders);
+  std::vector<std::vector<ReadRecord>> records(kReaders);
   {
     std::vector<std::thread> threads;
     threads.emplace_back([&] {
@@ -197,11 +191,9 @@ TEST_F(VmDiffTest, VmAgreesWithOracleUnderConcurrentWrites) {
         testing::QueryGenerator gen(seed * 1315423911u + r + 1);
         engine::PlanOptions no_opt;
         no_opt.optimize = false;
-        engine::RunOptions vm_run;
-        vm_run.vm = engine::VmMode::kForce;
         for (int iter = 0; iter < kReaderIters; ++iter) {
           const std::string query = gen.NextQuery();
-          auto result = session.Run(query, no_opt, vm_run);
+          auto result = session.Run(query, no_opt);
           ASSERT_TRUE(result.ok())
               << result.status().ToString() << "\n  query: " << query
               << "\n  seed: " << seed;
@@ -215,11 +207,11 @@ TEST_F(VmDiffTest, VmAgreesWithOracleUnderConcurrentWrites) {
   }
 
   // Serial oracle replay at each recorded epoch: the row-mode
-  // interpreter shares no VM, batching or selection-vector code.
+  // interpreter shares no batching or selection-vector code.
   engine::Database oracle_session(&catalog_, &store_, &methods_);
   size_t replayed = 0;
   for (int r = 0; r < kReaders; ++r) {
-    for (const VmReadRecord& record : records[r]) {
+    for (const ReadRecord& record : records[r]) {
       vql::Interpreter::Options replay;
       replay.row_mode = true;
       replay.snapshot_epoch = record.epoch;
@@ -227,7 +219,7 @@ TEST_F(VmDiffTest, VmAgreesWithOracleUnderConcurrentWrites) {
       ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
       ++replayed;
       ASSERT_EQ(record.result, oracle.value())
-          << "VM reader " << record.reader << " iter " << record.iter
+          << "tree reader " << record.reader << " iter " << record.iter
           << " diverged from the oracle at epoch " << record.epoch
           << "\n  query: " << record.query << "\n  seed: " << seed;
     }

@@ -342,10 +342,97 @@ TEST_F(ExecSelvecTest, BatchMethodBodiesOnlySeeSelectedRows) {
   EXPECT_EQ(result.value(), Oracle(mapped));
 }
 
+TEST_F(ExecSelvecTest, MergedFilterKeepsConjunctOrder) {
+  // A method select stacked above a compare: merged into one Filter or
+  // not, the method runs only on the compare's survivors — its batch
+  // body sees exactly the rows `p.number == 0` kept.
+  auto get = ctx_->Get("p", "Paragraph").value();
+  auto compare = ctx_->Select(Parse("p.number == 0"), get).value();
+  auto method =
+      ctx_->Select(Parse("p->contains_string('implementation')"), compare)
+          .value();
+  const size_t survivors = 8u * 2u;  // one number-0 paragraph per section
+
+  auto phys = BuildPhysical(method, exec_ctx_);
+  ASSERT_TRUE(phys.ok());
+  db_.ResetCounters();
+  auto result = ExecuteToSet(phys.value().get());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(db_.methods().batch_row_count("Paragraph", "contains_string",
+                                          MethodLevel::kInstance),
+            survivors);
+  EXPECT_EQ(result.value(), Oracle(method));
+}
+
+TEST_F(ExecSelvecTest, MergedFilterSharesReadsAcrossBatches) {
+  // A range over p.number builds one Filter that reads p.number once
+  // per batch. 1,350 paragraphs make two batches, and with 3 paragraphs
+  // per section the second batch's numbers do not repeat the first's,
+  // so a read kept from an earlier batch shows in the result. Stacked
+  // on a two-hop select, the range reads its operand under a selection.
+  workload::DocumentDb db;
+  ASSERT_TRUE(db.Init().ok());
+  workload::CorpusParams params;
+  params.num_documents = 150;
+  params.sections_per_document = 3;
+  params.paragraphs_per_section = 3;
+  ASSERT_TRUE(db.Populate(params).ok());
+  algebra::AlgebraContext ctx(&db.catalog());
+  ExprEvaluator eval(&db.catalog(), &db.store(), &db.methods());
+  ExecContext exec_ctx;
+  exec_ctx.catalog = &db.catalog();
+  exec_ctx.store = &db.store();
+  exec_ctx.methods = &db.methods();
+
+  auto get = ctx.Get("p", "Paragraph").value();
+  auto range = Parse("p.number >= 1 AND 1 >= p.number");
+  auto dense = ctx.Select(range, get).value();
+  auto selected =
+      ctx.Select(range, ctx.Select(Parse("p.section.number != 1"), get)
+                            .value())
+          .value();
+  for (const auto& plan : {dense, selected}) {
+    auto phys = BuildPhysical(plan, exec_ctx);
+    ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+    const std::string explain = ExplainPhysical(*phys.value());
+    EXPECT_NE(explain.find("[reads once: p.number]"), std::string::npos)
+        << explain;
+    auto result = ExecuteToSet(phys.value().get());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto oracle = algebra::EvalLogical(plan, eval);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    EXPECT_EQ(result.value(), oracle.value()) << explain;
+  }
+}
+
+TEST_F(ExecSelvecTest, MergedFilterKeepsAndStrictness) {
+  // A Filter splits a select's AND into conjuncts but keeps the
+  // connective's rule: a NIL conjunct is a TypeError, exactly as the
+  // logical evaluator's AND reports it, while a lone NIL condition
+  // only drops the row.
+  auto mapped =
+      ctx_->Map("b", Parse("NIL"), ctx_->Get("p", "Paragraph").value())
+          .value();
+  auto lone = ctx_->Select(Parse("b"), mapped).value();
+  auto lone_phys = BuildPhysical(lone, exec_ctx_);
+  ASSERT_TRUE(lone_phys.ok());
+  auto lone_rows = ExecuteToSet(lone_phys.value().get());
+  ASSERT_TRUE(lone_rows.ok()) << lone_rows.status().ToString();
+  EXPECT_TRUE(lone_rows.value().AsSet().empty());
+
+  auto conj = ctx_->Select(Parse("p.number >= 1 AND b"), mapped).value();
+  ASSERT_EQ(algebra::EvalLogical(conj, *eval_).status().code(),
+            StatusCode::kTypeError);
+  auto conj_phys = BuildPhysical(conj, exec_ctx_);
+  ASSERT_TRUE(conj_phys.ok());
+  EXPECT_EQ(ExecuteToSet(conj_phys.value().get()).status().code(),
+            StatusCode::kTypeError);
+}
+
 TEST_F(ExecSelvecTest, SelectionViewAccessorsUnit) {
-  // Direct coverage of the selection-view accessors the VM and the
-  // operator tree both build on (ISSUE 9 satellite): install / export
-  // / transplant / clear, plus the row copy helpers.
+  // Direct coverage of the selection-view accessors the operator tree
+  // builds on: install / export / transplant / clear, plus the row
+  // copy helpers.
   RowBatch batch;
   batch.Reset(2);
   Row row = {Value::Int(1), Value::Int(10)};
@@ -395,8 +482,7 @@ TEST_F(ExecSelvecTest, SelectionViewAccessorsUnit) {
   EXPECT_EQ(batch.active_rows(), 3u);
 
   // Reset drops rows and any selection but keeps the column count it
-  // was given (capacity retention is what the VM's steady-state
-  // zero-allocation claim stands on).
+  // was given.
   batch.SetSelection({0});
   batch.Reset(2);
   EXPECT_EQ(batch.num_columns(), 2u);

@@ -81,8 +81,7 @@ class ExecSharedScanTest : public ::testing::Test {
       ctx.shared_scans = &manager;
       ctx.property_cache = manager.property_cache();
     }
-    engine::RunOptions run;
-    run.vm = engine::VmMode::kOff;
+    const engine::RunOptions run;
     std::vector<Value> results(queries.size());
     std::vector<Status> status(queries.size());
     WorkerPool pool(std::min(lanes, queries.size()));

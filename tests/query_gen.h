@@ -1,12 +1,13 @@
 // Seeded random VQL query generator shared by the differential suites
-// (tests/vm_diff_test.cc and friends): ACCESS queries over a dedicated
-// "Item" class with nested AND/OR/NOT predicates, arithmetic maps,
-// tuple projections and a NULL-heavy property, so generated corpora
-// exercise three-valued predicate semantics, selection-vector
-// narrowing and project-dedup without ever generating a query whose
-// semantics differ between the batch pipeline, the bytecode VM and the
-// row-mode oracle (no division, no arithmetic on nullable properties —
-// those would inject TypeErrors rather than result differences).
+// (tests/exec_diff_test.cc and tests/segment_diff_test.cc): ACCESS
+// queries over a dedicated "Item" class with nested AND/OR/NOT
+// predicates, arithmetic maps, tuple projections and a NULL-heavy
+// property, so generated corpora exercise three-valued predicate
+// semantics, selection-vector narrowing and project-dedup without ever
+// generating a query whose semantics differ between the batch pipeline
+// and the row-mode oracle (no division, no arithmetic on nullable
+// properties — those would inject TypeErrors rather than result
+// differences).
 // Seeds come from tests/test_seed.h: any failing query replays with
 // --seed=N / VODAK_TEST_SEED=N plus the printed query text.
 #ifndef VODAK_TESTS_QUERY_GEN_H_
@@ -21,7 +22,7 @@ namespace testing {
 /// The generator's schema contract: callers must define a class named
 /// Item with int properties v1 (dense ascending), v2 (small residues),
 /// v3 (NULL-heavy: left unset on a fraction of objects) and bucket
-/// (small residues). MakeItemCorpus in vm_diff_test.cc is the
+/// (small residues). ExecDiffTest::SetUp in exec_diff_test.cc is the
 /// reference population.
 class QueryGenerator {
  public:
@@ -29,9 +30,10 @@ class QueryGenerator {
 
   /// One random ACCESS query over Item. Shapes covered: bare scans,
   /// predicate chains (nested AND/OR/NOT over total-order compares and
-  /// arithmetic operands), maps hidden inside projected expressions,
-  /// single-value and tuple projections — every query is valid VQL and
-  /// error-free on any Item corpus.
+  /// arithmetic operands, two-sided ranges over one property), maps
+  /// hidden inside projected expressions, single-value and tuple
+  /// projections — every query is valid VQL and error-free on any Item
+  /// corpus.
   std::string NextQuery() {
     std::string query = "ACCESS " + Projection() + " FROM a IN Item";
     if (Pick(8) != 0) query += " WHERE " + Condition(0);
@@ -86,10 +88,22 @@ class QueryGenerator {
     const std::string op = kOps[Pick(6)];
     const std::string constant =
         std::to_string(Pick(250) - (Pick(4) == 0 ? 250 : 0));
-    // Constant on either side: the VM's native lowering has a
-    // dedicated const-on-the-left path that must stay covered.
+    // Constant on either side: the Filter's shared-operand compares
+    // have a dedicated const-on-the-left path that must stay covered.
     if (Pick(4) == 0) return constant + " " + op + " " + Operand();
     return Operand() + " " + op + " " + constant;
+  }
+
+  /// A two-sided range over one property: the shape whose compares a
+  /// Filter applies to one read of the property.
+  std::string Range() {
+    static const char* kProps[] = {"a.v1", "a.v2", "a.v3"};
+    const std::string prop = kProps[Pick(3)];
+    const int low = Pick(200) - 10;
+    const std::string high = std::to_string(low + Pick(80));
+    return "(" + prop + " >= " + std::to_string(low) + " AND " +
+           (Pick(2) == 0 ? prop + " <= " + high : high + " >= " + prop) +
+           ")";
   }
 
   /// Nested AND/OR/NOT tree, depth-bounded. NULL-heavy operands make
@@ -97,13 +111,15 @@ class QueryGenerator {
   /// common rather than rare.
   std::string Condition(int depth) {
     if (depth >= 3 || Pick(3) == 0) return Compare();
-    switch (Pick(3)) {
+    switch (Pick(4)) {
       case 0:
         return "(" + Condition(depth + 1) + " AND " +
                Condition(depth + 1) + ")";
       case 1:
         return "(" + Condition(depth + 1) + " OR " +
                Condition(depth + 1) + ")";
+      case 2:
+        return Range();
       default:
         return "(NOT " + Condition(depth + 1) + ")";
     }

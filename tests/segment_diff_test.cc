@@ -2,8 +2,8 @@
 // storage & segment skipping"): segment-backed scans must be
 // result-invisible. A seeded randomized VQL corpus (tests/query_gen.h)
 // runs through a session with the segment store attached — serial,
-// morsel-parallel, shared-scan Submit batches and the forced bytecode
-// VM — against a plain extent-backed session and the row-mode oracle
+// morsel-parallel and shared-scan Submit batches — against a plain
+// extent-backed session and the row-mode oracle
 // interpreter; all must agree exactly, while the pruning counters
 // prove zone maps actually skipped segments (an agreement with zero
 // skips would prove nothing). A final phase repeats the differential
@@ -117,8 +117,8 @@ class SegmentDiffTest : public ::testing::Test {
     return session;
   }
 
-  /// Runs one query through the segment session (serial, parallel and
-  /// forced-VM), the extent session and the row-mode oracle; fails
+  /// Runs one query through the segment session (serial and parallel),
+  /// the extent session and the row-mode oracle; fails
   /// (with query + seed) on any disagreement.
   bool CheckAllDrains(engine::Database* seg_session,
                       engine::Database* ext_session,
@@ -139,16 +139,12 @@ class SegmentDiffTest : public ::testing::Test {
       engine::Database* session;
       engine::RunOptions run;
     };
-    engine::RunOptions serial;
-    serial.vm = engine::VmMode::kOff;
-    engine::RunOptions parallel = serial;
+    const engine::RunOptions serial;
+    engine::RunOptions parallel;
     parallel.threads = 3;
-    engine::RunOptions vm;
-    vm.vm = engine::VmMode::kForce;
     const Drain drains[] = {
         {"segment-serial", seg_session, serial},
         {"segment-parallel", seg_session, parallel},
-        {"segment-vm", seg_session, vm},
         {"extent-serial", ext_session, serial},
     };
     for (const Drain& d : drains) {
@@ -182,8 +178,7 @@ TEST_F(SegmentDiffTest, ExplainReportsSourceKindAndPruning) {
   engine::Database ext_session(&catalog_, &store_, &methods_);
   engine::PlanOptions no_opt;
   no_opt.optimize = false;
-  engine::RunOptions tree;
-  tree.vm = engine::VmMode::kOff;
+  const engine::RunOptions tree;
 
   const std::string query = "ACCESS a FROM a IN Item WHERE a.v1 < 64";
   auto seg = seg_session->Run(query, no_opt, tree);
@@ -202,11 +197,10 @@ TEST_F(SegmentDiffTest, ExplainReportsSourceKindAndPruning) {
       << ext.value().physical_explain;
 }
 
-// The cost model's survival-rate feedback counts each opened segment
-// leaf once: a drain adds exactly its surviving and refuted segments,
-// whichever backend ran it. Leaves that are built but never opened —
-// the EXPLAIN skeleton beside a parallel or batch drain, the operator
-// tree a compiled VM program replaced — add nothing.
+// The store's pruning totals count each opened segment leaf once: a
+// drain adds exactly its surviving and refuted segments, whichever
+// drain ran it. Leaves that are built but never opened — the EXPLAIN
+// skeleton beside a parallel drain — add nothing.
 TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
   auto seg_session = SegmentSession();
   const std::string query = "ACCESS a FROM a IN Item WHERE a.v1 < 64";
@@ -225,11 +219,8 @@ TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
 
   engine::PlanOptions no_opt;
   no_opt.optimize = false;
-  engine::RunOptions tree;
-  tree.vm = engine::VmMode::kOff;
-  engine::RunOptions vm;
-  vm.vm = engine::VmMode::kForce;
-  engine::RunOptions parallel = tree;
+  const engine::RunOptions tree;
+  engine::RunOptions parallel;
   parallel.threads = 3;
   storage::SegmentStoreStats* stats = segments_->mutable_stats();
   auto expect_counts = [&](const char* drain, uint64_t leaves) {
@@ -245,12 +236,6 @@ TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
   stats->Reset();
   ASSERT_TRUE(seg_session->Run(query, no_opt, tree).ok());
   expect_counts("tree", 1);
-  auto compiled = seg_session->Run(query, no_opt, vm);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  EXPECT_NE(compiled.value().physical_explain.find("[vm: compiled"),
-            std::string::npos)
-      << compiled.value().physical_explain;
-  expect_counts("vm=kForce", 1);
   auto morsels = seg_session->Run(query, no_opt, parallel);
   ASSERT_TRUE(morsels.ok()) << morsels.status().ToString();
   EXPECT_NE(morsels.value().physical_explain.find("[parallel: threads=3"),
@@ -306,8 +291,7 @@ TEST_F(SegmentDiffTest, SelectiveReRunsHitTheSmallCache) {
   auto seg_session = SegmentSession();
   engine::PlanOptions no_opt;
   no_opt.optimize = false;
-  engine::RunOptions tree;
-  tree.vm = engine::VmMode::kOff;
+  const engine::RunOptions tree;
 
   // A full pass first drags every segment through the cache.
   storage::PagerStats* pager = segments_->pager()->mutable_stats();
@@ -420,8 +404,7 @@ TEST_F(SegmentDiffTest, ReadsNeverCountFewerRowsThanTheirPin) {
       auto session = SegmentSession();
       engine::PlanOptions no_opt;
       no_opt.optimize = false;
-      engine::RunOptions run;
-      run.vm = engine::VmMode::kOff;
+      const engine::RunOptions run;
       do {
         auto got = session->Run("ACCESS i FROM i IN Item", no_opt, run);
         if (reads[r]++ == 0) readers_started.fetch_add(1);
@@ -514,20 +497,9 @@ TEST_F(SegmentDiffTest, SegmentReadsAgreeWithOracleUnderConcurrentWrites) {
         no_opt.optimize = false;
         for (int iter = 0; iter < kReaderIters; ++iter) {
           engine::RunOptions run;
-          // Alternate the drain kind so serial, morsel-parallel and
-          // compiled reads all race the writer.
-          switch (iter % 3) {
-            case 0:
-              run.vm = engine::VmMode::kOff;
-              break;
-            case 1:
-              run.vm = engine::VmMode::kOff;
-              run.threads = 3;
-              break;
-            default:
-              run.vm = engine::VmMode::kForce;
-              break;
-          }
+          // Alternate the drain kind so serial and morsel-parallel
+          // reads both race the writer.
+          if (iter % 3 == 1) run.threads = 3;
           const std::string query = gen.NextQuery();
           auto result = session->Run(query, no_opt, run);
           ASSERT_TRUE(result.ok())

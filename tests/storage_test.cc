@@ -445,18 +445,6 @@ TEST_F(SegmentStoreTest, OneVersionPerClassDroppedBeforeCommit) {
   EXPECT_EQ(segments->VersionAt(class_id_, first), nullptr);
 }
 
-TEST_F(SegmentStoreTest, SurvivalRateTracksPruningCounters) {
-  Populate(10);
-  auto segments = OpenStore("seg_survival", 64);
-  EXPECT_EQ(segments->SurvivalRate(), 1.0);  // nothing observed yet
-  segments->NotePruning(1, 3);
-  EXPECT_DOUBLE_EQ(segments->SurvivalRate(), 0.25);
-  segments->NotePruning(0, 16);  // floor: never priced below 1%
-  EXPECT_DOUBLE_EQ(segments->SurvivalRate(), 0.05);
-  segments->mutable_stats()->Reset();
-  EXPECT_EQ(segments->SurvivalRate(), 1.0);
-}
-
 }  // namespace
 }  // namespace storage
 }  // namespace vodak
