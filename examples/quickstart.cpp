@@ -1,8 +1,8 @@
 // Quickstart: build the paper's §2.1 document schema, load a synthetic
 // corpus, register the Example 4 equivalences, run the paper's
 // headline query with and without semantic optimization, then submit
-// a concurrent batch through the Submit API so the queries share one
-// extent pass.
+// a concurrent batch through the Submit API so the queries drain side
+// by side.
 //
 // Build & run:  cmake -B build -G Ninja && cmake --build build
 //               ./build/examples/quickstart
@@ -74,8 +74,8 @@ int main() {
 
   // 4. A concurrent batch through the Submit API: each request carries
   //    its own plan/run knobs (and optionally a deadline or a
-  //    CancellationToken); the batch drains on shared scans, so these
-  //    three Paragraph queries pay one extent pass between them.
+  //    CancellationToken); the three queries drain side by side on
+  //    the session's worker lanes, each over its own scan leaves.
   std::vector<engine::QueryRequest> batch(3);
   batch[0].vql = "ACCESS p FROM p IN Paragraph WHERE p.number >= 2";
   batch[1].vql = "ACCESS p FROM p IN Paragraph WHERE p.number <= 1";

@@ -146,11 +146,11 @@ if [[ -n "$SANITIZE" ]]; then
         ${BUILD_TYPE:+-DCMAKE_BUILD_TYPE="$BUILD_TYPE"}
   cmake --build "$BUILD_DIR" -j"$(nproc)" \
         --target exec_batch_test exec_parallel_test exec_selvec_test \
-                 exec_shared_scan_test engine_submit_test service_test \
-                 mvcc_edge_test mvcc_stress_test exec_diff_test \
-                 storage_test segment_diff_test
+                 engine_submit_test service_test mvcc_edge_test \
+                 mvcc_stress_test exec_diff_test storage_test \
+                 segment_diff_test
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
-        -R 'exec_batch_test|exec_parallel_test|exec_selvec_test|exec_shared_scan_test|engine_submit_test|service_test|mvcc_edge_test|mvcc_stress_test|exec_diff_test|storage_test|segment_diff_test'
+        -R 'exec_batch_test|exec_parallel_test|exec_selvec_test|engine_submit_test|service_test|mvcc_edge_test|mvcc_stress_test|exec_diff_test|storage_test|segment_diff_test'
   echo "== ci.sh ($SANITIZE): all green =="
   exit 0
 fi
@@ -190,7 +190,7 @@ fi
 # segment-store units, then the segment differential harness
 # (tests/segment_diff_test.cc — segment-backed scans vs the in-memory
 # extent vs the row-mode oracle across serial, morsel-parallel and
-# shared-scan drains, the zone-map skip, eviction and
+# multi-read Submit drains, the zone-map skip, eviction and
 # buffer-cache hit counter checks, the commit/re-ingest count check,
 # and concurrent Submit writers replayed at each reader's pinned epoch)
 # under ThreadSanitizer with three fixed seeds and one time-derived
@@ -258,12 +258,6 @@ if ! grep -q "^## Selection vectors" docs/ARCHITECTURE.md; then
 fi
 if ! grep -q "operator-contract" docs/ARCHITECTURE.md; then
   echo "ci.sh: docs/ARCHITECTURE.md lost the operator-contract table" >&2
-  exit 1
-fi
-# The shared-scan chapter (attach/detach protocol, exactly-once batch
-# contract).
-if ! grep -q "^## Shared scans" docs/ARCHITECTURE.md; then
-  echo "ci.sh: docs/ARCHITECTURE.md lost the 'Shared scans' chapter" >&2
   exit 1
 fi
 # The semantic-knowledge chapter (the five knowledge kinds, the rule

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "algebra/translate.h"
-#include "exec/shared_scan.h"
 #include "vql/parser.h"
 
 namespace vodak {
@@ -105,8 +104,7 @@ Status Database::DrainRead(const algebra::LogicalRef& plan,
   const auto start = std::chrono::steady_clock::now();
   const Status status = [&]() -> Status {
     // A query cancelled or expired while it waited for a lane never
-    // opens: it must not attach to a shared scan (and so never claims
-    // ring morsels it would abandon); its siblings drain on unaffected.
+    // opens; its siblings drain on unaffected.
     VODAK_RETURN_IF_ERROR(exec::CheckQueryAlive(ctx.cancel, ctx.deadline));
     exec::PhysOpPtr root;
     if (explain != nullptr) {
@@ -335,29 +333,15 @@ std::vector<QueryOutcome> Database::Submit(
     return out;
   }
 
-  // One manager per batch: its shared scans and property-column cache
-  // live exactly as long as the members that attach to them, and
-  // materialize at the batch's pinned snapshot.
-  exec::SharedScanManager manager(store_, exec::kDefaultMorselSize,
-                                  pin.epoch(), segments_);
-  if (options.shared_scan) {
-    ctx.shared_scans = &manager;
-    ctx.property_cache = manager.property_cache();
-  }
   const RunOptions member_run;  // threads = 1: lanes split the batch
-  const std::string note =
-      "[concurrent batch of " + std::to_string(runnable.size()) +
-      (options.shared_scan ? ": scan leaves attached to shared scans]\n"
-                           : ": private-scan baseline]\n");
   const size_t lanes =
       std::min(exec::ResolveThreads(options.lanes), runnable.size());
   const auto submitted = std::chrono::steady_clock::now();
-  // One task per member; members beyond the lane count queue and run
-  // as lanes free up, attaching late to the in-flight shared scans.
+  // One task per member, each over its own private scan leaves;
+  // members beyond the lane count queue and run as lanes free up.
   EnsurePool(lanes)->ParallelRun(runnable.size(), [&](size_t k) {
     out[runnable[k]].stats.queue_ms = MsSince(submitted);
     drain(k, member_run);
-    out[runnable[k]].result.physical_explain += note;
   });
   return out;
 }

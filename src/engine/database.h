@@ -65,11 +65,8 @@ class Database {
   /// order; the readers then pin one snapshot epoch and drain through
   /// DrainRead. A single read runs under its own RunOptions (threads).
   /// Two or more reads drain concurrently on the session pool, one
-  /// lane per query up to `options.lanes`, each with threads = 1,
-  /// their scan leaves attached to one SharedScanManager per
-  /// batch — K queries over the same extent pay ~1 scan pass and ~1
-  /// property-column read per source instead of K
-  /// (options.shared_scan = false keeps the private-scan baseline).
+  /// lane per query up to `options.lanes`, each with threads = 1 over
+  /// its own private scan leaves.
   /// outcomes[i] belongs to requests[i]; a member that fails to plan,
   /// is cancelled, or misses its deadline reports that in its own
   /// outcome.status without failing its siblings. Every read's
@@ -80,7 +77,7 @@ class Database {
   /// The planning half of Submit as a public step: parse / bind /
   /// (optionally) optimize, no execution. The query service plans on
   /// its event thread through this and hands the PreparedQuery to a
-  /// shared-scan generation drain.
+  /// generation drain.
   Result<PreparedQuery> Prepare(const std::string& vql,
                                 const PlanOptions& options = {});
 
@@ -111,7 +108,7 @@ class Database {
 
   /// Attaches the paged segment store (docs/ARCHITECTURE.md §"Paged
   /// storage & segment skipping"; not owned, outlives the session).
-  /// Read paths — serial, morsel-parallel and shared-scan — then
+  /// Read paths — serial and morsel-parallel — then
   /// prefer segment-backed scans whenever a SegmentVersion covers
   /// their pinned snapshot, and every write commit through this
   /// session drops the touched classes' versions before its epoch is
@@ -141,20 +138,19 @@ class Database {
   /// lone reads and batch members, and the query service's generation
   /// members, all come through here. With run.threads > 1 the
   /// morsel-parallel driver runs when the plan has a driving scan;
-  /// otherwise the operator tree drains serially, over shared leaves
-  /// when ctx.shared_scans is set. `ctx` carries the query's snapshot
-  /// epoch, cancel token, deadline and segment store; a query already
-  /// cancelled or expired never opens, so it never attaches to a
-  /// shared scan. `result` receives result_ref's value set and
-  /// stats->drain_ms this call's wall time. `explain` (optional)
-  /// receives the EXPLAIN text of the tree that ran; null renders none.
+  /// otherwise the operator tree drains serially. `ctx` carries the
+  /// query's snapshot epoch, cancel token, deadline and segment store;
+  /// a query already cancelled or expired never opens. `result`
+  /// receives result_ref's value set and stats->drain_ms this call's
+  /// wall time. `explain` (optional) receives the EXPLAIN text of the
+  /// tree that ran; null renders none.
   Status DrainRead(const algebra::LogicalRef& plan,
                    const std::string& result_ref,
                    const exec::ExecContext& ctx, const RunOptions& run,
                    Value* result, QueryStats* stats,
                    std::string* explain = nullptr);
 
-  /// The next shared-scan generation id; Submit takes one per executed
+  /// The next generation id; Submit takes one per executed
   /// batch and the query service takes one per generation it forms.
   uint64_t NextGenerationId() {
     return next_generation_.fetch_add(1, std::memory_order_relaxed) + 1;

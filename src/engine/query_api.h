@@ -32,8 +32,8 @@ struct PlanOptions {
 };
 
 /// One query's execution knobs, read by Database::DrainRead.
-/// Batch-level knobs (lanes, shared scans) live in SubmitOptions — they
-/// never made sense per query. Morsels are capped at
+/// The batch-level lane count lives in SubmitOptions — it never made
+/// sense per query. Morsels are capped at
 /// exec::kDefaultMorselSize.
 struct RunOptions {
   /// Worker threads for *intra-query* morsel-driven parallelism when
@@ -50,11 +50,6 @@ struct SubmitOptions {
   /// (queries beyond the lane count queue and run as lanes free up).
   /// 0 resolves to the hardware concurrency.
   size_t lanes = 0;
-  /// True attaches every query's scan leaves to one SharedScanManager
-  /// (one scan pass and one property-column read per source for the
-  /// whole batch); false runs the same queries with private cursors —
-  /// the measurable K-independent-queries baseline.
-  bool shared_scan = true;
 };
 
 /// One query of a Submit batch. A request is a *write* when
@@ -115,12 +110,10 @@ struct QueryStats {
   double plan_ms = 0.0;
   /// This query's own drain time.
   double drain_ms = 0.0;
-  /// The shared-scan generation the query drained in (0: never reached
-  /// a drain — rejected at admission or planning failed).
+  /// The generation (Submit batch or service generation) the query
+  /// drained in (0: never reached a drain — rejected at admission or
+  /// planning failed).
   uint64_t generation_id = 0;
-  /// True when the query joined a generation whose shared-scan pass
-  /// was already in flight and circled back for the morsels it missed.
-  bool attached_late = false;
   /// The snapshot this query executed against: readers report the
   /// epoch pinned at admission; write requests report the epoch their
   /// mutation batch committed as.

@@ -13,7 +13,6 @@
 #include "exec/morsel_source.h"
 #include "exec/row_hash.h"
 #include "exec/sargable.h"
-#include "exec/shared_scan.h"
 
 namespace vodak {
 namespace exec {
@@ -41,18 +40,15 @@ std::vector<std::string> RefsOf(const LogicalRef& node) {
 /// Abstract supplier of a leaf scan's rows: one column of values,
 /// delivered batch-at-a-time. Scan leaves are one generic operator
 /// (`ScanOp` below) constructed against this interface, so the
-/// same leaf runs over a private cursor (extent / method scan), the
-/// intra-query morsel cursor (parallel worker clones) or a shared-scan
-/// attachment (cross-query sharing, docs/ARCHITECTURE.md §"Shared
-/// scans") — the executor above the leaf cannot tell them apart.
+/// same leaf runs over a private cursor (extent, segment or method
+/// scan) or the intra-query morsel cursor (parallel worker clones) —
+/// the executor above the leaf cannot tell them apart.
 class BatchSource {
  public:
   virtual ~BatchSource() = default;
 
   /// (Re)starts a full pass over the source. Private sources
-  /// materialize here (the scan-pass cost); shared sources attach a
-  /// fresh consumer to the managed scan — which is where a
-  /// late-arriving query joins the in-flight pass.
+  /// materialize here (the scan-pass cost).
   virtual Status Open() = 0;
   /// Emits the next (dense, single-column) batch; false at end of the
   /// pass, persistently.
@@ -60,7 +56,7 @@ class BatchSource {
   virtual void Close() = 0;
 
   /// EXPLAIN operator name ("ExtentScan", "MethodScan", "MorselScan",
-  /// "SharedScan", "SegmentScan") and source description (class or
+  /// "SegmentScan") and source description (class or
   /// expression).
   virtual std::string name() const = 0;
   virtual std::string describe() const = 0;
@@ -206,8 +202,7 @@ class ExtentBatchSource : public BatchSource {
 class ExprBatchSource : public BatchSource {
  public:
   ExprBatchSource(const ExecContext& ctx, ExprRef expr)
-      : evaluator_(ctx.catalog, ctx.store, ctx.methods,
-                   ctx.property_cache, ctx.snapshot_epoch),
+      : evaluator_(ctx.catalog, ctx.store, ctx.methods, ctx.snapshot_epoch),
         expr_(std::move(expr)) {}
 
   Status Open() override {
@@ -297,103 +292,6 @@ class MorselBatchSource : public BatchSource {
   size_t end_ = 0;
 };
 
-/// Cross-query shared source: attaches to the SharedScanManager's scan
-/// for this leaf's source on every Open (so a re-opened leaf — or a
-/// query that arrives while the batch is mid-scan — is a fresh
-/// late-attaching consumer that circles back for what it missed) and
-/// emits the consumer's morsels batch by batch. The materialization
-/// cost is paid by the whole query batch exactly once, inside the
-/// manager.
-class SharedBatchSource : public BatchSource {
- public:
-  /// Extent form. `preds` are this query's sargable conjuncts over the
-  /// scan variable: when the manager materialized the ring from the
-  /// segment store, morsels whose merged zone maps refute them are
-  /// skipped — per consumer, since the ring is shared by queries with
-  /// different predicates.
-  SharedBatchSource(const ExecContext& ctx, std::string class_name,
-                    uint32_t class_id,
-                    std::vector<storage::SlotPredicate> preds)
-      : manager_(ctx.shared_scans),
-        class_name_(std::move(class_name)),
-        class_id_(class_id),
-        preds_(std::move(preds)) {}
-  /// Method-scan form: `expr` is materialized (once per manager) via a
-  /// private evaluator, exactly like ExprBatchSource::Open would.
-  SharedBatchSource(const ExecContext& ctx, ExprRef expr)
-      : manager_(ctx.shared_scans),
-        evaluator_(std::make_unique<ExprEvaluator>(
-            ctx.catalog, ctx.store, ctx.methods, ctx.property_cache,
-            ctx.snapshot_epoch)),
-        expr_(std::move(expr)) {}
-
-  Status Open() override {
-    if (expr_ != nullptr) {
-      VODAK_ASSIGN_OR_RETURN(
-          consumer_,
-          manager_->AttachSource(expr_->ToString(), [this] {
-            return evaluator_->EvalClosed(expr_);
-          }));
-    } else {
-      VODAK_ASSIGN_OR_RETURN(consumer_, manager_->AttachExtent(class_id_));
-    }
-    pos_ = 0;
-    end_ = 0;
-    return Status::OK();
-  }
-  Result<bool> NextBatch(RowBatch* batch) override {
-    while (pos_ >= end_) {
-      Morsel morsel;
-      size_t index = 0;
-      if (!consumer_.Next(&morsel, &index)) {
-        batch->Reset(1);
-        return false;
-      }
-      if (!preds_.empty()) {
-        // Segment-backed rings carry per-morsel merged zone maps; a
-        // refuted morsel is skipped without touching its rows. The
-        // skip is private to this consumer — other queries on the
-        // same ring have their own predicates.
-        const std::vector<storage::ZoneMap>* zones =
-            consumer_.scan().MorselZones(index);
-        if (zones != nullptr && storage::ZonesRefute(*zones, preds_)) {
-          if (manager_->segments() != nullptr) {
-            manager_->segments()->NotePruning(0, 1);
-          }
-          continue;
-        }
-        if (zones != nullptr && manager_->segments() != nullptr) {
-          manager_->segments()->NotePruning(1, 0);
-        }
-      }
-      pos_ = morsel.begin;
-      end_ = morsel.end;
-    }
-    // Filling against end_ keeps a batch inside the current morsel,
-    // like MorselBatchSource.
-    return FillScanBatch(batch, end_, &pos_, [this](size_t i) {
-             return consumer_.scan().ValueAt(i);
-           }) > 0;
-  }
-  void Close() override { consumer_ = SharedScanConsumer(); }
-  std::string name() const override { return "SharedScan"; }
-  std::string describe() const override {
-    return expr_ != nullptr ? expr_->ToString() : class_name_;
-  }
-  std::string annotation() const override { return "[source: shared]"; }
-
- private:
-  SharedScanManager* manager_;
-  std::unique_ptr<ExprEvaluator> evaluator_;
-  ExprRef expr_;
-  std::string class_name_;
-  uint32_t class_id_ = 0;
-  std::vector<storage::SlotPredicate> preds_;
-  SharedScanConsumer consumer_;
-  size_t pos_ = 0;
-  size_t end_ = 0;
-};
-
 /// Paged segment cursor: streams a class extent segment-by-segment
 /// through the pager's buffer cache, skipping segments whose zone maps
 /// refute the query's sargable predicates (docs/ARCHITECTURE.md
@@ -476,7 +374,7 @@ class SegmentBatchSource : public BatchSource {
 };
 
 /// The one leaf operator: a scan over an abstract BatchSource. Which
-/// cursor actually feeds it — private, morsel, shared or segment — is
+/// cursor actually feeds it — private, morsel or segment — is
 /// decided at plan-build time; the EXPLAIN name comes from the source
 /// so plans read the same as before the refactor.
 class ScanOp : public PhysOperator {
@@ -565,8 +463,7 @@ class Filter : public PhysOperator {
   Filter(const ExecContext& ctx, PhysOpPtr child,
          const std::vector<ExprRef>& conds)
       : PhysOperator(child->refs()),
-        evaluator_(ctx.catalog, ctx.store, ctx.methods,
-                   ctx.property_cache, ctx.snapshot_epoch),
+        evaluator_(ctx.catalog, ctx.store, ctx.methods, ctx.snapshot_epoch),
         child_(std::move(child)),
         conds_(conds) {
     // Steps of one-hop property compares, by property operand text.
@@ -727,8 +624,7 @@ class NestedLoopJoin : public PhysOperator {
                  ExprRef cond, std::vector<std::string> refs,
                  SharedInnerRows* shared = nullptr)
       : PhysOperator(std::move(refs)),
-        evaluator_(ctx.catalog, ctx.store, ctx.methods,
-                   ctx.property_cache, ctx.snapshot_epoch),
+        evaluator_(ctx.catalog, ctx.store, ctx.methods, ctx.snapshot_epoch),
         left_(std::move(left)),
         right_(std::move(right)),
         cond_(std::move(cond)),
@@ -1033,8 +929,7 @@ class MapOp : public PhysOperator {
   MapOp(const ExecContext& ctx, PhysOpPtr child, std::string ref,
         ExprRef expr, std::vector<std::string> refs)
       : PhysOperator(std::move(refs)),
-        evaluator_(ctx.catalog, ctx.store, ctx.methods,
-                   ctx.property_cache, ctx.snapshot_epoch),
+        evaluator_(ctx.catalog, ctx.store, ctx.methods, ctx.snapshot_epoch),
         child_(std::move(child)),
         new_ref_(std::move(ref)),
         expr_(std::move(expr)) {
@@ -1112,8 +1007,7 @@ class FlatOp : public PhysOperator {
   FlatOp(const ExecContext& ctx, PhysOpPtr child, std::string ref,
          ExprRef expr, std::vector<std::string> refs)
       : PhysOperator(std::move(refs)),
-        evaluator_(ctx.catalog, ctx.store, ctx.methods,
-                   ctx.property_cache, ctx.snapshot_epoch),
+        evaluator_(ctx.catalog, ctx.store, ctx.methods, ctx.snapshot_epoch),
         child_(std::move(child)),
         new_ref_(std::move(ref)),
         expr_(std::move(expr)) {
@@ -1400,9 +1294,8 @@ const std::vector<storage::SlotPredicate>& LeafPredsFor(
   return it == map->end() ? kNoPreds : it->second;
 }
 
-/// Builds the private batch source for a scan leaf (kGet → shared,
-/// segment or extent cursor, kExprSource → shared or method/expression
-/// scan), honoring the context's shared-scan attachment. `preds` are
+/// Builds the private batch source for a scan leaf (kGet → segment or
+/// extent cursor, kExprSource → method/expression scan). `preds` are
 /// the query's sargable predicates over this leaf's scan variable
 /// (normalized `col op const` conjuncts, extracted by exec/sargable.h)
 /// so a segment-backed source can zone-map-skip; non-segment sources
@@ -1416,10 +1309,6 @@ Result<BatchSourcePtr> MakeLeafBatchSource(
       if (cls == nullptr) {
         return Status::PlanError("unknown class '" + leaf.class_name() +
                                  "'");
-      }
-      if (ctx.shared_scans != nullptr) {
-        return BatchSourcePtr(std::make_unique<SharedBatchSource>(
-            ctx, leaf.class_name(), cls->class_id(), leaf_preds));
       }
       storage::SegmentVersionRef version =
           ctx.segments == nullptr
@@ -1435,10 +1324,6 @@ Result<BatchSourcePtr> MakeLeafBatchSource(
           ctx, leaf.class_name(), cls->class_id()));
     }
     case LogicalOp::kExprSource: {
-      if (ctx.shared_scans != nullptr) {
-        return BatchSourcePtr(
-            std::make_unique<SharedBatchSource>(ctx, leaf.expr()));
-      }
       return BatchSourcePtr(
           std::make_unique<ExprBatchSource>(ctx, leaf.expr()));
     }
@@ -1686,7 +1571,7 @@ Result<ParallelPlanStatePtr> PrepareParallelPlan(const LogicalRef& plan,
     state->leaf_is_extent = true;
   } else {
     ExprEvaluator evaluator(ctx.catalog, ctx.store, ctx.methods,
-                            ctx.property_cache, ctx.snapshot_epoch);
+                            ctx.snapshot_epoch);
     VODAK_ASSIGN_OR_RETURN(Value set, evaluator.EvalClosed(node->expr()));
     if (set.is_null()) {
       state->elements.clear();

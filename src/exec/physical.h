@@ -19,12 +19,7 @@
 #include "storage/segment_store.h"
 
 namespace vodak {
-
-class PropertyColumnCache;
-
 namespace exec {
-
-class SharedScanManager;
 
 /// The paper's physical algebra, grown from the classic Volcano
 /// open/next/close iterator into a batch-at-a-time pipeline: NextBatch
@@ -69,19 +64,6 @@ struct ExecContext {
   const Catalog* catalog = nullptr;
   ObjectStore* store = nullptr;
   MethodRegistry* methods = nullptr;
-  /// Cross-query shared-scan attachment point. When set, every scan
-  /// leaf (extent and method scan) attaches to this manager's shared
-  /// cursors instead of opening a private one, so the K queries of a
-  /// concurrent batch pay ~1 scan pass per source instead of K. Null —
-  /// the default, and the measurable baseline Submit batches and
-  /// service generations keep behind their shared_scan flag — builds
-  /// private-cursor leaves.
-  SharedScanManager* shared_scans = nullptr;
-  /// Cross-query property-column cache (normally the manager's own);
-  /// threaded into every operator's evaluator so attached queries share
-  /// column reads as well as the scan pass. Null reads the store
-  /// directly.
-  PropertyColumnCache* property_cache = nullptr;
   /// This query's cancel flag (null: not cancellable) and deadline
   /// (default: none). Polled at batch boundaries — every scan leaf's
   /// NextBatch/refill and every nested-loop join output batch — so a

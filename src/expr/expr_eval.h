@@ -10,7 +10,6 @@
 
 namespace vodak {
 
-class PropertyColumnCache;
 
 /// Variable bindings for one evaluation (query variable -> value).
 using Env = std::map<std::string, Value>;
@@ -65,22 +64,14 @@ struct BatchEnv {
 /// invoked for all objects in the set").
 class ExprEvaluator {
  public:
-  /// `property_cache` (optional) routes the *batched* property-column
-  /// reads through a shared read-through cache — the shared-scan
-  /// pipeline's cross-query column sharing (docs/ARCHITECTURE.md
-  /// §"Shared scans"). The scalar Eval path always reads the store
-  /// directly, so the row-mode oracle stays cache-independent.
   /// `snapshot` is the epoch every store read resolves at — the query's
   /// pinned snapshot; the kEpochLatest default keeps read-only callers
   /// (tests, loaders) on live state.
   ExprEvaluator(const Catalog* catalog, ObjectStore* store,
-                MethodRegistry* methods,
-                PropertyColumnCache* property_cache = nullptr,
-                Epoch snapshot = kEpochLatest)
+                MethodRegistry* methods, Epoch snapshot = kEpochLatest)
       : catalog_(catalog),
         store_(store),
         methods_(methods),
-        property_cache_(property_cache),
         snapshot_(snapshot) {}
 
   Result<Value> Eval(const ExprRef& e, const Env& env) const;
@@ -125,8 +116,7 @@ class ExprEvaluator {
   /// are raw pointers, so the copy is free; the interpreter uses this
   /// to re-aim its const evaluator at a query's pinned epoch.
   ExprEvaluator WithSnapshot(Epoch snapshot) const {
-    return ExprEvaluator(catalog_, store_, methods_, property_cache_,
-                         snapshot);
+    return ExprEvaluator(catalog_, store_, methods_, snapshot);
   }
 
   /// Applies a binary operator to already-evaluated operands. Exposed so
@@ -202,7 +192,6 @@ class ExprEvaluator {
   const Catalog* catalog_;
   ObjectStore* store_;
   MethodRegistry* methods_;
-  PropertyColumnCache* property_cache_;
   Epoch snapshot_;
 };
 

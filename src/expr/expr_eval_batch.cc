@@ -10,7 +10,6 @@
 #include <algorithm>
 
 #include "common/copy_stats.h"
-#include "objstore/property_cache.h"
 
 namespace vodak {
 
@@ -146,17 +145,8 @@ Result<ValueColumn> ExprEvaluator::EvalPropertyColumn(
     if (run.empty()) return Status::OK();
     // Range-scoped read: one atomic stats bump for the whole run, so
     // parallel morsel workers don't contend per row on the counter.
-    // With a shared property cache installed (the shared-scan
-    // pipeline), the run is served from the cross-query column
-    // snapshot instead — the store pays one full-column read per
-    // (class, slot) however many queries ask.
-    if (property_cache_ != nullptr) {
-      VODAK_RETURN_IF_ERROR(property_cache_->ReadColumn(
-          run_class, run_prop->slot, run, 0, run.size(), &out, snapshot_));
-    } else {
-      VODAK_RETURN_IF_ERROR(store_->GetPropertyColumn(
-          run_class, run_prop->slot, run, 0, run.size(), &out, snapshot_));
-    }
+    VODAK_RETURN_IF_ERROR(store_->GetPropertyColumn(
+        run_class, run_prop->slot, run, 0, run.size(), &out, snapshot_));
     run.clear();
     return Status::OK();
   };

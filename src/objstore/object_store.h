@@ -182,10 +182,10 @@ class ObjectStore {
                            Epoch at = kEpochLatest) const;
 
   /// Oid-vector variant of the range-scoped column read, for callers
-  /// that already hold a materialized extent (shared-scan seeds, the
-  /// segment ingester): reads oids[begin, end) directly, so no caller
-  /// ever copies an extent into a separate locals index vector just to
-  /// satisfy the column API. Every oid must belong to `class_id`.
+  /// that already hold a materialized extent (the segment ingester):
+  /// reads oids[begin, end) directly, so no caller ever copies an
+  /// extent into a separate locals index vector just to satisfy the
+  /// column API. Every oid must belong to `class_id`.
   Status GetPropertyColumn(uint32_t class_id, uint32_t slot,
                            const std::vector<Oid>& oids,
                            size_t begin, size_t end,

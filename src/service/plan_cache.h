@@ -13,7 +13,6 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "algebra/logical.h"
 #include "objstore/epoch.h"
@@ -26,8 +25,6 @@ namespace service {
 struct CachedPlan {
   algebra::LogicalRef plan;
   std::string result_ref;
-  /// PlanScanSourceKeys(plan): the late-attach overlap test's input.
-  std::vector<std::string> scan_keys;
 };
 
 /// When a plan was made: the store's committed epoch and the session's

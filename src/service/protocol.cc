@@ -164,7 +164,6 @@ std::string FormatReplyLine(const std::string& id, const Status& status,
     line += " hash=" + DigestHex(digest);
   }
   line += " gen=" + std::to_string(stats.generation_id);
-  line += std::string(" late=") + (stats.attached_late ? "1" : "0");
   line += " queue_ms=" + FormatMs(stats.queue_ms);
   line += " plan_ms=" + FormatMs(stats.plan_ms);
   line += " drain_ms=" + FormatMs(stats.drain_ms);
@@ -193,21 +192,18 @@ Result<Reply> ParseReplyLine(const std::string& line) {
     }
     i += 2;
   }
-  uint64_t late = 0;
   const bool stats_ok =
-      i + 5 <= tokens.size() && TakeField(tokens[i], "gen", &v) &&
+      i + 4 <= tokens.size() && TakeField(tokens[i], "gen", &v) &&
       ParseU64(v, &reply.stats.generation_id) &&
-      TakeField(tokens[i + 1], "late", &v) && ParseU64(v, &late) &&
-      TakeField(tokens[i + 2], "queue_ms", &v) &&
+      TakeField(tokens[i + 1], "queue_ms", &v) &&
       ParseDouble(v, &reply.stats.queue_ms) &&
-      TakeField(tokens[i + 3], "plan_ms", &v) &&
+      TakeField(tokens[i + 2], "plan_ms", &v) &&
       ParseDouble(v, &reply.stats.plan_ms) &&
-      TakeField(tokens[i + 4], "drain_ms", &v) &&
+      TakeField(tokens[i + 3], "drain_ms", &v) &&
       ParseDouble(v, &reply.stats.drain_ms);
   if (!stats_ok) {
     return Status::InvalidArgument("bad reply stats fields: " + line);
   }
-  reply.stats.attached_late = late != 0;
   if (!reply.ok()) {
     const size_t msg_pos = line.find(" msg=");
     if (msg_pos != std::string::npos) {

@@ -3,7 +3,7 @@
 // §"Query service & admission control"). Kept dependency-free on the
 // socket layer so the same parse/format code serves the service,
 // perfbench's socket clients and the tests (service_test's
-// ClosedLoopClientsShareGenerationsScansAndPlans drives K of them).
+// ClosedLoopClientsMatchOracleAndHitPlanCache drives K of them).
 //
 // Requests:
 //   Q <id> <deadline_ms> <vql...>   submit; <id> is a client-chosen
@@ -12,12 +12,12 @@
 //   C <id>                          cancel the in-flight query <id>
 //   S                               service stats snapshot
 // Replies:
-//   R <id> OK rows=<n> hash=<16 hex> gen=<g> late=<0|1>
+//   R <id> OK rows=<n> hash=<16 hex> gen=<g>
 //       queue_ms=<f> plan_ms=<f> drain_ms=<f>
-//   R <id> CANCELLED|DEADLINE_EXCEEDED|ERROR:<Code> gen=... late=...
+//   R <id> CANCELLED|DEADLINE_EXCEEDED|ERROR:<Code> gen=...
 //       queue_ms=... plan_ms=... drain_ms=... msg=<rest of line>
 //   T queries=... ok=... cancelled=... expired=... failed=...
-//       generations=... late=... extent_passes=... property_reads=...
+//       generations=... late=0 extent_passes=... property_reads=...
 //       plan_cache_hits=... plan_cache_misses=...
 //   E <message>                     protocol-level error (malformed
 //                                   line, duplicate in-flight id, or a
@@ -82,6 +82,8 @@ struct ServiceStats {
   uint64_t queries_expired = 0;
   uint64_t queries_failed = 0;
   uint64_t generations = 0;
+  /// Always 0: generations take no late members. Kept, with its `late`
+  /// field on the `T` line, because perfbench still reads it.
   uint64_t late_attached = 0;
   /// Store-counter deltas accumulated over all generation drains.
   uint64_t extent_passes = 0;

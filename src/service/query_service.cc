@@ -35,7 +35,7 @@ double MsBetween(std::chrono::steady_clock::time_point a,
 QueryService::QueryService(engine::Database* db, ServiceOptions options)
     : db_(db),
       options_(options),
-      scheduler_(db, {options.lanes, options.shared_scan}) {}
+      scheduler_(db, options.lanes) {}
 
 QueryService::~QueryService() { Stop(); }
 
@@ -191,7 +191,6 @@ void QueryService::HandleLine(Connection& conn, const std::string& line) {
   const CachedPlan& plan = *planned.value();
   query.plan = plan.plan;
   query.result_ref = plan.result_ref;
-  query.scan_keys = plan.scan_keys;
   query.admitted_at = std::chrono::steady_clock::now();
   conn.inflight[req.id] = query.cancel;
   const uint64_t conn_id = conn.id;
@@ -225,7 +224,6 @@ Result<const CachedPlan*> QueryService::PlanFor(const std::string& vql) {
   CachedPlan plan;
   plan.plan = prepared.planned.chosen_plan;
   plan.result_ref = std::move(prepared.result_ref);
-  plan.scan_keys = PlanScanSourceKeys(plan.plan, db_->catalog());
   return plan_cache_.Insert(vql, stamp, std::move(plan));
 }
 

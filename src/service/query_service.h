@@ -1,6 +1,6 @@
 // The query service front-end: a long-running loopback TCP endpoint
 // accepting a stream of VQL queries in the newline-framed protocol of
-// service/protocol.h, admitting them into shared-scan generations
+// service/protocol.h, admitting them into generations
 // (service/generation.h) and streaming replies back as members
 // complete (docs/ARCHITECTURE.md §"Query service & admission
 // control"). Plain poll(2) over nonblocking sockets — no event-loop
@@ -40,8 +40,8 @@ struct ServiceOptions {
   uint16_t port = 0;
   /// Worker lanes per generation drain; 0 = hardware concurrency.
   size_t lanes = 0;
-  /// False drains with private cursors (the baseline service_test's
-  /// ClosedLoopClientsShareGenerationsScansAndPlans compares against).
+  /// Ignored: every generation drains on private scan leaves. Kept
+  /// declared because perfbench still sets it.
   bool shared_scan = true;
   /// Plan with the generated optimizer. Off by default: the service is
   /// usable on a session without GenerateOptimizer().

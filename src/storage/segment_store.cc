@@ -110,7 +110,6 @@ Status SegmentStore::IngestClass(const ObjectStore& store, uint32_t class_id,
   for (size_t begin = 0; begin < extent.size(); begin += step) {
     const size_t end = std::min(extent.size(), begin + step);
     Segment seg;
-    seg.first_row = begin;
     seg.row_count = static_cast<uint32_t>(end - begin);
 
     locals.clear();
@@ -186,7 +185,7 @@ Result<std::vector<Oid>> SegmentStore::ReadOids(
     VODAK_ASSIGN_OR_RETURN(std::vector<uint32_t> locals, ReadLocals(seg));
     for (uint32_t local : locals) oids.push_back(Oid(version.class_id, local));
   }
-  if (counts != nullptr) *counts = tally;
+  *counts = tally;
   return oids;
 }
 

@@ -70,19 +70,16 @@ struct BlobRef {
   uint64_t byte_size = 0;
 };
 
-/// One segment: `row_count` consecutive extent rows starting at extent
-/// position `first_row`, with the OID column and one zone map per
-/// property slot.
+/// One segment: `row_count` consecutive extent rows, with the OID
+/// column and one zone map per property slot.
 struct Segment {
-  uint64_t first_row = 0;
   uint32_t row_count = 0;
   BlobRef locals;              // row_count u32 locals, extent order
   std::vector<ZoneMap> zones;  // indexed by slot
 };
 
 /// True when `preds` (ANDed conjuncts) refute a row range summarized
-/// by `zones` (indexed by slot): a segment's own zones, or a shared
-/// scan morsel's merged ones. Predicates over slots outside `zones`
+/// by `zones` (indexed by slot). Predicates over slots outside `zones`
 /// never refute.
 bool ZonesRefute(const std::vector<ZoneMap>& zones,
                  const std::vector<SlotPredicate>& preds);
@@ -163,12 +160,12 @@ class SegmentStore {
   Result<std::vector<uint32_t>> ReadLocals(const Segment& seg) const;
 
   /// The OIDs of every segment of `version` that `preds` do not
-  /// refute, in extent order. `counts` (optional) receives the
-  /// scanned/skipped tallies; the caller decides whether they count
-  /// toward NotePruning.
+  /// refute, in extent order. `counts` receives the scanned/skipped
+  /// tallies; the caller decides whether they count toward
+  /// NotePruning.
   Result<std::vector<Oid>> ReadOids(const SegmentVersion& version,
                                     const std::vector<SlotPredicate>& preds,
-                                    PruneCounts* counts = nullptr) const;
+                                    PruneCounts* counts) const;
 
   /// Records one pruning decision round (scan-open time): bumped once
   /// per source construction, not per batch.

@@ -1,8 +1,8 @@
 // Tests of the PR 7 query API: Database::Submit as the one execution
 // entry point — per-query outcomes, honest per-query stats, and
 // cancellation / deadline propagation into a concurrent batch whose
-// siblings must drain unaffected (their shared-scan exactly-once
-// contract intact).
+// siblings must drain unaffected, and multi-read batches of mixed
+// shapes against the row-mode oracle.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -105,23 +105,21 @@ TEST_F(EngineSubmitTest, StatsArePerQuery) {
 }
 
 TEST_F(EngineSubmitTest, BatchMemberExplainShowsTheTreeThatRan) {
-  // A batch member's EXPLAIN renders the operator tree it drained: its
-  // scan leaves are SharedScan when the batch shares scans, and private
-  // cursors when it runs the baseline.
+  // A batch member's EXPLAIN renders the operator tree it drained: the
+  // same private-leaf tree the query drains when it runs alone.
   std::vector<QueryRequest> requests;
   for (const char* q : kQueries) requests.push_back(Plain(q));
   SubmitOptions options;
   options.lanes = 2;
-  for (bool shared : {true, false}) {
-    options.shared_scan = shared;
-    for (const QueryOutcome& o : session_->Submit(requests, options)) {
-      ASSERT_TRUE(o.status.ok()) << o.status.ToString();
-      const std::string& explain = o.result.physical_explain;
-      EXPECT_EQ(explain.find("SharedScan") != std::string::npos, shared)
-          << (shared ? "shared" : "private") << " batch:\n" << explain;
-      EXPECT_NE(explain.find("[concurrent batch of 4"), std::string::npos)
-          << explain;
-    }
+  const std::vector<QueryOutcome> batch = session_->Submit(requests, options);
+  ASSERT_EQ(batch.size(), requests.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(batch[i].status.ok()) << batch[i].status.ToString();
+    auto alone = session_->Run(kQueries[i], {/*optimize=*/false});
+    ASSERT_TRUE(alone.ok());
+    const std::string& explain = batch[i].result.physical_explain;
+    EXPECT_NE(explain.find("[source: "), std::string::npos) << explain;
+    EXPECT_EQ(explain, alone.value().physical_explain) << kQueries[i];
   }
 }
 
@@ -131,8 +129,8 @@ TEST_F(EngineSubmitTest, RangeCompareReadsItsPropertyOncePerRow) {
   // column; one Filter per compare would read it again for every row
   // the first compare kept. Checked for the plain translation (one
   // select over an AND) and the optimized plan (stacked selects), both
-  // as a lone read and as a member of a private-scan batch whose
-  // sibling reads no property.
+  // as a lone read and as a member of a two-query batch whose sibling
+  // reads no property.
   const std::string query =
       "ACCESS p FROM p IN Paragraph WHERE p.number >= 1 AND p.number <= 1";
   const uint64_t paragraphs = 12u * 2u * 3u;
@@ -156,12 +154,11 @@ TEST_F(EngineSubmitTest, RangeCompareReadsItsPropertyOncePerRow) {
               std::string::npos)
         << alone[0].result.physical_explain;
 
-    SubmitOptions private_batch;
-    private_batch.lanes = 2;
-    private_batch.shared_scan = false;
+    SubmitOptions two_lanes;
+    two_lanes.lanes = 2;
     db_.ResetCounters();
     auto batch = session_->Submit(
-        {request, Plain("ACCESS d FROM d IN Document")}, private_batch);
+        {request, Plain("ACCESS d FROM d IN Document")}, two_lanes);
     ASSERT_TRUE(batch[0].status.ok()) << batch[0].status.ToString();
     ASSERT_TRUE(batch[1].status.ok()) << batch[1].status.ToString();
     EXPECT_EQ(batch[0].result.result, expect);
@@ -169,6 +166,82 @@ TEST_F(EngineSubmitTest, RangeCompareReadsItsPropertyOncePerRow) {
         << "batch member, optimize=" << optimize << "\n"
         << batch[0].result.physical_explain;
   }
+}
+
+TEST_F(EngineSubmitTest, MixedBatchesMatchTheOracle) {
+  // Mixed shapes: stored-property filters, method predicates, a hash
+  // join across two extents, flatten + dependent range, projects.
+  const std::vector<std::string> pool = {
+      "ACCESS p FROM p IN Paragraph WHERE p.number >= 1",
+      "ACCESS p.number FROM p IN Paragraph",
+      "ACCESS s FROM s IN Section WHERE s.number == 1",
+      "ACCESS p FROM s IN Section, p IN Paragraph WHERE p.section == s",
+      "ACCESS d.title FROM d IN Document, p IN d->paragraphs() WHERE "
+      "p->contains_string('implementation')",
+      "ACCESS p FROM p IN Paragraph WHERE "
+      "p->contains_string('implementation')",
+      "ACCESS d.title FROM d IN Document",
+      "ACCESS p FROM p IN Paragraph, q IN Paragraph WHERE "
+      "p->sameDocument(q) AND p.number == 0 AND q.number > 0",
+  };
+  SubmitOptions options;
+  options.lanes = 4;
+  for (size_t k : {1u, 2u, 8u}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    std::vector<QueryRequest> requests;
+    for (size_t i = 0; i < k; ++i) {
+      requests.push_back(Plain(pool[i % pool.size()]));
+    }
+    auto outcomes = session_->Submit(requests, options);
+    ASSERT_EQ(outcomes.size(), k);
+    for (size_t i = 0; i < k; ++i) {
+      ASSERT_TRUE(outcomes[i].status.ok())
+          << requests[i].vql << ": " << outcomes[i].status.ToString();
+      EXPECT_EQ(outcomes[i].result.result, Oracle(requests[i].vql))
+          << requests[i].vql;
+    }
+  }
+}
+
+TEST_F(EngineSubmitTest, OneLaneMultiReadBatchAgreesWithTheOracle) {
+  // One lane serializes the members on the caller: each drains after
+  // the previous one finished, over its own scan leaves.
+  const std::string query =
+      "ACCESS p FROM p IN Paragraph WHERE p.number >= 1";
+  std::vector<QueryRequest> requests(4, Plain(query));
+  SubmitOptions options;
+  options.lanes = 1;
+  const Value oracle = Oracle(query);
+  for (const QueryOutcome& o : session_->Submit(requests, options)) {
+    ASSERT_TRUE(o.status.ok()) << o.status.ToString();
+    EXPECT_EQ(o.result.result, oracle);
+  }
+}
+
+TEST_F(EngineSubmitTest, SubmitBatchMatchesRunAndNaive) {
+  const std::vector<std::string> texts = {
+      "ACCESS p FROM p IN Paragraph WHERE p.number >= 1",
+      "ACCESS d.title FROM d IN Document",
+      "ACCESS s FROM s IN Section WHERE s.number == 1",
+  };
+  std::vector<QueryRequest> requests;
+  for (const std::string& text : texts) requests.push_back(Plain(text));
+  SubmitOptions options;
+  options.lanes = 4;
+  auto batch = session_->Submit(requests, options);
+  ASSERT_EQ(batch.size(), texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) {
+    ASSERT_TRUE(batch[i].status.ok()) << batch[i].status.ToString();
+    auto alone = session_->Run(texts[i], requests[i].plan);
+    ASSERT_TRUE(alone.ok()) << texts[i];
+    EXPECT_EQ(alone.value().result, batch[i].result.result) << texts[i];
+    auto naive = session_->RunNaive(texts[i]);
+    ASSERT_TRUE(naive.ok());
+    EXPECT_EQ(naive.value(), batch[i].result.result) << texts[i];
+  }
+
+  // An empty batch is a no-op, not a pool spawn.
+  EXPECT_TRUE(session_->Submit({}, options).empty());
 }
 
 TEST_F(EngineSubmitTest, CancelBeforeSubmitRejectsOnlyThatMember) {
@@ -237,8 +310,8 @@ TEST_F(EngineSubmitTest, CancelMidDrainStopsAtABatchBoundary) {
 TEST_F(EngineSubmitTest, CancelMidGenerationLeavesSiblingsExactlyOnce) {
   // Trip a member's token from another thread while the batch drains.
   // Whatever point the cancel lands at (queued, mid-drain, or already
-  // finished), the siblings' results must stay correct — their shared
-  // scan morsels delivered exactly once.
+  // finished), the siblings' results must stay correct — every row
+  // delivered exactly once.
   for (int round = 0; round < 8; ++round) {
     exec::CancellationToken token;
     std::vector<QueryRequest> requests;

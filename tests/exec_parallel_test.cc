@@ -3,9 +3,10 @@
 // serial NextBatch drain, the same set as the naive logical evaluator
 // (algebra::EvalLogical), and the same value set as the naive
 // interpreter running in row mode (which shares no batched-evaluation
-// code with the executor at all). Plus unit tests for the worker pool
-// and the morsel source, and the morsel boundary edge cases: empty
-// extent, extent smaller than one morsel, morsel size 1.
+// code with the executor at all). Plus unit tests for the worker pool,
+// the ResolveThreads(0) convention and the morsel source, and the
+// morsel boundary edge cases: empty extent, extent smaller than one
+// morsel, morsel size 1.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -47,7 +48,9 @@ class ExecParallelTest : public ::testing::Test {
     ctx_ = std::make_unique<algebra::AlgebraContext>(&db_.catalog());
     eval_ = std::make_unique<ExprEvaluator>(&db_.catalog(), &db_.store(),
                                             &db_.methods());
-    exec_ctx_ = ExecContext{&db_.catalog(), &db_.store(), &db_.methods()};
+    exec_ctx_.catalog = &db_.catalog();
+    exec_ctx_.store = &db_.store();
+    exec_ctx_.methods = &db_.methods();
   }
 
   /// The multiset reference: the serial NextBatch drain, sorted, itself
@@ -195,6 +198,16 @@ TEST(WorkerPoolTest, MoreLanesThanTasks) {
   EXPECT_EQ(ran.load(), 2);
 }
 
+TEST(ResolveThreadsTest, ZeroResolvesThroughTheSingleHelper) {
+  // The one shared convention (no per-call-site hardware_concurrency
+  // guards): 0 -> hardware concurrency, itself guarded to at least 1,
+  // everywhere — including the pool itself.
+  EXPECT_GE(ResolveThreads(0), 1u);
+  EXPECT_EQ(ResolveThreads(3), 3u);
+  WorkerPool pool(0);
+  EXPECT_EQ(pool.parallelism(), ResolveThreads(0));
+}
+
 TEST(MorselSourceTest, ClaimsPartitionTheRangeExactly) {
   MorselSource source;
   source.Reset(10, 3);
@@ -291,8 +304,10 @@ TEST_F(ExecParallelTest, EmptyExtentParallelizes) {
   workload::DocumentDb empty_db;
   ASSERT_TRUE(empty_db.Init().ok());  // classes registered, no objects
   algebra::AlgebraContext ctx(&empty_db.catalog());
-  ExecContext exec_ctx{&empty_db.catalog(), &empty_db.store(),
-                       &empty_db.methods()};
+  ExecContext exec_ctx;
+  exec_ctx.catalog = &empty_db.catalog();
+  exec_ctx.store = &empty_db.store();
+  exec_ctx.methods = &empty_db.methods();
   auto q = vql::ParseQuery("ACCESS p FROM p IN Paragraph");
   ASSERT_TRUE(q.ok());
   vql::Binder binder(&empty_db.catalog());

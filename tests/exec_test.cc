@@ -23,7 +23,9 @@ class ExecTest : public ::testing::Test {
     ctx_ = std::make_unique<algebra::AlgebraContext>(&db_.catalog());
     eval_ = std::make_unique<ExprEvaluator>(&db_.catalog(), &db_.store(),
                                             &db_.methods());
-    exec_ctx_ = ExecContext{&db_.catalog(), &db_.store(), &db_.methods()};
+    exec_ctx_.catalog = &db_.catalog();
+    exec_ctx_.store = &db_.store();
+    exec_ctx_.methods = &db_.methods();
   }
 
   /// Builds, executes and compares against the naive algebra evaluator.

@@ -10,9 +10,7 @@
 #include <vector>
 
 #include "engine/database.h"
-#include "exec/shared_scan.h"
 #include "objstore/object_store.h"
-#include "objstore/property_cache.h"
 #include "schema/catalog.h"
 #include "vql/binder.h"
 #include "vql/interpreter.h"
@@ -62,131 +60,90 @@ class MvccEdgeTest : public ::testing::Test {
   std::vector<Oid> oids_;
 };
 
-// ------------------------------------------- delete vs. draining scan
-// A shared scan pinned at epoch E keeps serving E's extent (and E's
-// property values) even when a later batch deletes rows mid-drain: the
-// ring's exactly-once contract is over the *pinned* extent, so every
-// consumer still sees all 8 rows, none of them torn.
-TEST_F(MvccEdgeTest, DeleteWhileSharedScanDraining) {
+// ------------------------------------- writes vs. a draining member
+// Submit batch members and service generation members drain through
+// Database::DrainRead under the epoch their batch pinned. A delete and
+// an update that commit after the pin — after the member's tree opened
+// and before its first batch, or before the member starts — change
+// nothing it returns: all 8 pinned rows, none torn, none with the new
+// value. A drain pinned after the commits sees the new world.
+TEST_F(MvccEdgeTest, MemberDrainsItsPinnedEpochWhileDeleteAndUpdateCommit) {
+  engine::Database session(&catalog_, &store_, &methods_);
+  auto values = session.Prepare("ACCESS a.v1 FROM a IN Account",
+                                {/*optimize=*/false});
+  auto untorn = session.Prepare(
+      "ACCESS a FROM a IN Account WHERE a.v1 == a.v2", {/*optimize=*/false});
+  ASSERT_TRUE(values.ok()) << values.status().ToString();
+  ASSERT_TRUE(untorn.ok()) << untorn.status().ToString();
+  std::vector<Value> pinned_values;
+  for (int i = 0; i < 8; ++i) pinned_values.push_back(Value::Int(i));
+  const Value expect_values = Value::Set(pinned_values);
+
   EpochPin pin(&store_);
-  exec::SharedScanManager manager(&store_, /*morsel_size=*/2,
-                                  pin.epoch());
-  auto consumer = manager.AttachExtent(class_id_);
-  ASSERT_TRUE(consumer.ok()) << consumer.status().ToString();
+  exec::ExecContext ctx;
+  ctx.catalog = &catalog_;
+  ctx.store = &store_;
+  ctx.methods = &methods_;
+  ctx.snapshot_epoch = pin.epoch();
 
-  // Drain half the ring, then delete 3 objects and update the rest.
-  exec::Morsel morsel;
-  size_t seen = 0;
-  ASSERT_TRUE(consumer.value().Next(&morsel));
-  seen += morsel.end - morsel.begin;
-  ASSERT_TRUE(consumer.value().Next(&morsel));
-  seen += morsel.end - morsel.begin;
-
+  // Open the member's tree (the extent is read here), then commit.
+  auto root = exec::BuildPhysical(values.value().planned.chosen_plan, ctx);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_TRUE(root.value()->Open().ok());
   std::vector<Mutation> batch = {Mutation::Delete(oids_[0]),
                                  Mutation::Delete(oids_[3]),
                                  Mutation::Delete(oids_[7])};
   ASSERT_TRUE(store_.Apply(batch).ok());
   CommitAll(999);
 
-  // The drain continues over the pinned extent: all 8 rows, exactly
-  // once, with their pinned-epoch property values.
-  while (consumer.value().Next(&morsel)) {
-    seen += morsel.end - morsel.begin;
+  // The drain continues over the pinned extent and pinned values.
+  const int ref = root.value()->RefIndex(values.value().result_ref);
+  ASSERT_GE(ref, 0);
+  std::vector<Value> drained;
+  exec::RowBatch rows;
+  for (;;) {
+    auto more = root.value()->NextBatch(&rows);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.value()) break;
+    for (size_t i = 0; i < rows.active_rows(); ++i) {
+      drained.push_back(rows.column(ref)[rows.RowAt(i)]);
+    }
   }
-  EXPECT_EQ(seen, 8u);
-  auto extent = manager.SharedExtent(class_id_);
-  ASSERT_TRUE(extent.ok());
-  ASSERT_EQ(extent.value()->size(), 8u);
-  for (Oid oid : *extent.value()) {
-    auto v1 = store_.GetProperty(oid, 0, pin.epoch());
-    auto v2 = store_.GetProperty(oid, 1, pin.epoch());
-    ASSERT_TRUE(v1.ok()) << "deleted row vanished from pinned snapshot";
-    ASSERT_TRUE(v2.ok());
-    EXPECT_EQ(v1.value(), v2.value()) << "torn read at pinned epoch";
-    EXPECT_NE(v1.value(), Value::Int(999));
-  }
+  root.value()->Close();
+  EXPECT_EQ(Value::Set(drained), expect_values);
 
-  // A manager built after the commit sees the new world: 5 rows.
-  exec::SharedScanManager fresh(&store_, /*morsel_size=*/2,
-                                store_.CurrentEpoch());
-  auto fresh_extent = fresh.SharedExtent(class_id_);
-  ASSERT_TRUE(fresh_extent.ok());
-  EXPECT_EQ(fresh_extent.value()->size(), 5u);
-}
-
-// --------------------------------------- update vs. warm cache column
-// A PropertyColumnCache entry filled at epoch E stays warm and stays
-// E-valued after a writer commits E+1; the new epoch reads through a
-// *different* key and sees the new values. Invalidation is versioned,
-// never absent.
-TEST_F(MvccEdgeTest, UpdateInvalidatesWarmCacheEntryByVersioning) {
-  const Epoch before = store_.CurrentEpoch();
-  PropertyColumnCache cache(&store_);
-  auto extent = std::make_shared<std::vector<Oid>>(oids_.begin(),
-                                                   oids_.end());
-  auto locals = std::make_shared<std::vector<uint32_t>>();
-  for (Oid oid : oids_) locals->push_back(oid.local);
-  cache.SeedExtent(class_id_, before, extent);
-
-  // Warm the (class, slot 0, before) column.
-  std::vector<Value> warm;
-  ASSERT_TRUE(cache.ReadColumn(class_id_, 0, *locals, 0, locals->size(),
-                               &warm, before)
+  // A member that starts after the commits drains the same world.
+  const engine::RunOptions serial;
+  Value result;
+  engine::QueryStats stats;
+  ASSERT_TRUE(session
+                  .DrainRead(values.value().planned.chosen_plan,
+                             values.value().result_ref, ctx, serial,
+                             &result, &stats)
                   .ok());
-  ASSERT_EQ(warm.size(), 8u);
-  EXPECT_EQ(warm[3], Value::Int(3));
-  EXPECT_EQ(cache.fill_count(), 1u);
-
-  const Epoch after = CommitAll(555);
-  ASSERT_GT(after, before);
-
-  // The warm entry still serves the old epoch — no store read, no new
-  // fill, old values.
-  std::vector<Value> still_warm;
-  ASSERT_TRUE(cache.ReadColumn(class_id_, 0, *locals, 0, locals->size(),
-                               &still_warm, before)
+  EXPECT_EQ(result, expect_values);
+  ASSERT_TRUE(session
+                  .DrainRead(untorn.value().planned.chosen_plan,
+                             untorn.value().result_ref, ctx, serial,
+                             &result, &stats)
                   .ok());
-  EXPECT_EQ(still_warm, warm);
-  EXPECT_EQ(cache.fill_count(), 1u);
+  EXPECT_EQ(result.AsSet().size(), 8u) << "torn or lost row at the pin";
 
-  // The new epoch is a different key: seeded + filled independently,
-  // and it sees the update.
-  cache.SeedExtent(class_id_, after, extent);
-  std::vector<Value> fresh;
-  ASSERT_TRUE(cache.ReadColumn(class_id_, 0, *locals, 0, locals->size(),
-                               &fresh, after)
+  // Pinned after the commits: 5 rows, all carrying the update.
+  EpochPin later(&store_);
+  ctx.snapshot_epoch = later.epoch();
+  ASSERT_TRUE(session
+                  .DrainRead(untorn.value().planned.chosen_plan,
+                             untorn.value().result_ref, ctx, serial,
+                             &result, &stats)
                   .ok());
-  EXPECT_EQ(cache.fill_count(), 2u);
-  for (const Value& v : fresh) EXPECT_EQ(v, Value::Int(555));
-}
-
-// --------------------------------- late attach into an older snapshot
-// A consumer attaching to a manager *after* later epochs committed
-// still drains the manager's pinned snapshot — the late attacher joins
-// the generation's world, not the store's current one.
-TEST_F(MvccEdgeTest, LateAttachJoinsGenerationsPinnedEpoch) {
-  EpochPin pin(&store_);
-  exec::SharedScanManager manager(&store_, /*morsel_size=*/4,
-                                  pin.epoch());
-  // First consumer materializes the extent at the pinned epoch.
-  auto first = manager.AttachExtent(class_id_);
-  ASSERT_TRUE(first.ok());
-
-  ASSERT_TRUE(store_.Apply({Mutation::Delete(oids_[1])}).ok());
-  CommitAll(777);
-
-  // The late attacher sees the pinned extent (8 rows) and pinned
-  // values, sharing the already-materialized pass.
-  auto late = manager.AttachExtent(class_id_);
-  ASSERT_TRUE(late.ok());
-  size_t rows = 0;
-  exec::Morsel morsel;
-  while (late.value().Next(&morsel)) rows += morsel.end - morsel.begin;
-  EXPECT_EQ(rows, 8u);
-  EXPECT_EQ(manager.materialized_scans(), 1u);
-  auto v = store_.GetProperty(oids_[1], 0, manager.snapshot());
-  ASSERT_TRUE(v.ok()) << "late attacher lost a row its generation pinned";
-  EXPECT_EQ(v.value(), Value::Int(1));
+  EXPECT_EQ(result.AsSet().size(), 5u);
+  ASSERT_TRUE(session
+                  .DrainRead(values.value().planned.chosen_plan,
+                             values.value().result_ref, ctx, serial,
+                             &result, &stats)
+                  .ok());
+  EXPECT_EQ(result, Value::Set({Value::Int(999)}));
 }
 
 // ------------------------------------------ reclaim vs. the last unpin

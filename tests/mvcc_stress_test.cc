@@ -1,6 +1,6 @@
 // The epoch-snapshot mutation path's headline proof: a seeded,
 // randomized differential stress harness interleaving writer batches
-// with concurrent readers on the batch, shared-scan and service paths.
+// with concurrent readers on the lone-read, batch and service paths.
 // Every reader records the epoch it pinned and the result it saw; after
 // the threads join, every recorded read is replayed serially through
 // the fully independent row-mode oracle *at the recorded epoch* and
@@ -185,7 +185,7 @@ class MvccStressTest : public ::testing::Test {
                          std::to_string(result.value().snapshot_epoch));
           break;
         }
-        case 1: {  // multi-query Submit: the shared-scan ring
+        case 1: {  // multi-query Submit: a two-member batch
           const std::string sibling = BucketQuery(pick(kBuckets));
           engine::SubmitOptions options;
           options.lanes = 2;
@@ -197,14 +197,14 @@ class MvccStressTest : public ::testing::Test {
           for (size_t q = 0; q < results.size(); ++q) {
             ASSERT_TRUE(results[q].status.ok())
                 << results[q].status.ToString();
-            records->push_back({id, iter, "shared-scan",
+            records->push_back({id, iter, "batch",
                                 requests[q].vql,
                                 results[q].result.snapshot_epoch,
                                 results[q].result.result});
           }
           log->push_back(
               "reader=" + std::to_string(id) + " iter=" +
-              std::to_string(iter) + " path=shared-scan epoch=" +
+              std::to_string(iter) + " path=batch epoch=" +
               std::to_string(results[0].result.snapshot_epoch));
           break;
         }
@@ -217,8 +217,6 @@ class MvccStressTest : public ::testing::Test {
           sq.result_ref = prepared.value().result_ref;
           sq.cancel = std::make_shared<exec::CancellationToken>();
           sq.admitted_at = std::chrono::steady_clock::now();
-          sq.scan_keys =
-              service::PlanScanSourceKeys(sq.plan, &catalog_);
           std::promise<service::QueryReply> done;
           auto reply_future = done.get_future();
           sq.done = [&done](service::QueryReply reply) {
@@ -303,9 +301,7 @@ TEST_F(MvccStressTest, DifferentialOracleReplay) {
   const uint64_t seed = testing::TestSeed();
   engine::Database writer_session(&catalog_, &store_, &methods_);
   engine::Database service_session(&catalog_, &store_, &methods_);
-  service::SchedulerOptions svc_options;
-  svc_options.lanes = 2;
-  service::GenerationScheduler scheduler(&service_session, svc_options);
+  service::GenerationScheduler scheduler(&service_session, /*lanes=*/2);
   scheduler.Start();
 
   std::vector<std::string> commit_log;
@@ -328,8 +324,7 @@ TEST_F(MvccStressTest, DifferentialOracleReplay) {
   ExpectMixedLoadCounters(records, commit_log);
 
   // Serial differential replay: the row-mode interpreter shares no
-  // batched-evaluation, shared-scan or cache code with any of the
-  // three concurrent paths.
+  // batched-evaluation code with any of the three concurrent paths.
   engine::Database oracle_session(&catalog_, &store_, &methods_);
   size_t replayed = 0;
   for (int r = 0; r < kReaders; ++r) {
@@ -377,7 +372,7 @@ TEST_F(MvccStressTest, ReclaimRacingReaders) {
   store_.StartBackgroundReclaim();
   engine::Database writer_session(&catalog_, &store_, &methods_);
   engine::Database service_session(&catalog_, &store_, &methods_);
-  service::GenerationScheduler scheduler(&service_session, {});
+  service::GenerationScheduler scheduler(&service_session);
   scheduler.Start();
 
   std::vector<std::string> commit_log;
@@ -643,7 +638,7 @@ TEST_F(DocumentWritesTest, DeletedSearchHitLeavesEveryIndexedPlan) {
   ASSERT_TRUE(doc.is_oid());
   const std::string title = Get(doc.AsOid(), "Document", "title").AsString();
   Commit(DeleteBatch(hits.front()));
-  for (const std::string query : {
+  for (const std::string& query : {
            std::string("ACCESS d.title FROM d IN Document, p IN "
                        "d->paragraphs() WHERE "
                        "p->contains_string('implementation')"),

@@ -2,7 +2,7 @@
 // storage & segment skipping"): segment-backed scans must be
 // result-invisible. A seeded randomized VQL corpus (tests/query_gen.h)
 // runs through a session with the segment store attached — serial,
-// morsel-parallel and shared-scan Submit batches — against a plain
+// morsel-parallel and multi-read Submit batches — against a plain
 // extent-backed session and the row-mode oracle
 // interpreter; all must agree exactly, while the pruning counters
 // prove zone maps actually skipped segments (an agreement with zero
@@ -40,8 +40,8 @@ namespace {
 constexpr int kInitialObjects = 600;
 constexpr uint32_t kRowsPerSegment = 64;  // ~10 segments over the corpus
 constexpr int kDiffQueries = 300;
-constexpr int kSharedBatches = 30;
-constexpr int kSharedBatchSize = 4;
+constexpr int kSubmitBatches = 30;
+constexpr int kSubmitBatchSize = 4;
 constexpr int kBuckets = 4;
 constexpr int kWriterRounds = 30;
 constexpr int kReaders = 3;
@@ -250,11 +250,10 @@ TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
   }
   engine::SubmitOptions batch;
   batch.lanes = 2;
-  batch.shared_scan = false;
   for (const engine::QueryOutcome& o : seg_session->Submit(requests, batch)) {
     ASSERT_TRUE(o.status.ok()) << o.status.ToString();
   }
-  expect_counts("private batch of 2", 2);
+  expect_counts("batch of 2", 2);
 }
 
 // Phase 1: the static corpus — kDiffQueries generated queries, each
@@ -312,11 +311,11 @@ TEST_F(SegmentDiffTest, SelectiveReRunsHitTheSmallCache) {
   EXPECT_GT(hits, misses);
 }
 
-// Phase 2: shared-scan Submit batches. The segment session's batches
-// drain over a segment-backed fan-out ring (with per-consumer morsel
-// skipping); the extent session's over the in-memory extent; both must
-// match the oracle per member.
-TEST_F(SegmentDiffTest, SharedScanBatchesAgreeWithOracle) {
+// Phase 2: multi-read Submit batches. Each member of the segment
+// session's batches drains its own segment-backed leaves; the extent
+// session's members drain the in-memory extent; both must match the
+// oracle per member.
+TEST_F(SegmentDiffTest, SubmitBatchesAgreeWithOracle) {
   const uint64_t seed = testing::TestSeed() + 17;
   auto seg_session = SegmentSession();
   engine::Database ext_session(&catalog_, &store_, &methods_);
@@ -325,13 +324,12 @@ TEST_F(SegmentDiffTest, SharedScanBatchesAgreeWithOracle) {
   no_opt.optimize = false;
   engine::SubmitOptions submit;
   submit.lanes = 3;
-  submit.shared_scan = true;
   vql::Interpreter::Options row;
   row.row_mode = true;
 
-  for (int batch = 0; batch < kSharedBatches; ++batch) {
+  for (int batch = 0; batch < kSubmitBatches; ++batch) {
     std::vector<std::string> queries;
-    for (int i = 0; i < kSharedBatchSize; ++i) {
+    for (int i = 0; i < kSubmitBatchSize; ++i) {
       queries.push_back(gen.NextQuery());
     }
     std::vector<engine::QueryRequest> requests(queries.size());
@@ -341,7 +339,7 @@ TEST_F(SegmentDiffTest, SharedScanBatchesAgreeWithOracle) {
     }
     auto seg = seg_session->Submit(requests, submit);
     auto ext = ext_session.Submit(requests, submit);
-    for (int i = 0; i < kSharedBatchSize; ++i) {
+    for (int i = 0; i < kSubmitBatchSize; ++i) {
       ASSERT_TRUE(seg[i].status.ok())
           << seg[i].status.ToString() << "\n  seed: " << seed;
       ASSERT_TRUE(ext[i].status.ok())
@@ -349,10 +347,10 @@ TEST_F(SegmentDiffTest, SharedScanBatchesAgreeWithOracle) {
       auto oracle = seg_session->RunNaive(queries[i], row);
       ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
       ASSERT_EQ(seg[i].result.result, oracle.value())
-          << "shared segment drain diverged from the oracle"
+          << "segment batch member diverged from the oracle"
           << "\n  query: " << queries[i] << "\n  seed: " << seed;
       ASSERT_EQ(ext[i].result.result, oracle.value())
-          << "shared extent drain diverged from the oracle"
+          << "extent batch member diverged from the oracle"
           << "\n  query: " << queries[i] << "\n  seed: " << seed;
     }
   }
@@ -486,7 +484,9 @@ TEST_F(SegmentDiffTest, SegmentReadsAgreeWithOracleUnderConcurrentWrites) {
         // Re-ingest every few commits: segment versions reopen at the
         // new epoch, so later readers take the segment path again
         // instead of permanently falling back to the extent.
-        if (round % 5 == 4) ASSERT_TRUE(Ingest().ok());
+        if (round % 5 == 4) {
+          ASSERT_TRUE(Ingest().ok());
+        }
       }
     });
     for (int r = 0; r < kReaders; ++r) {

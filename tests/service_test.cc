@@ -1,5 +1,5 @@
 // End-to-end tests of the query service: protocol parsing, the socket
-// front-end, shared-scan generations, per-query deadlines and
+// front-end, generations, per-query deadlines and
 // cancellation over the wire (docs/ARCHITECTURE.md §"Query service &
 // admission control").
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -62,7 +61,6 @@ TEST(ProtocolTest, ReplyLineRoundTrips) {
   stats.plan_ms = 0.25;
   stats.drain_ms = 3.75;
   stats.generation_id = 7;
-  stats.attached_late = true;
   Value result = Value::Set({Value::Int(1), Value::Int(2)});
   const std::string ok_line =
       FormatReplyLine("q9", Status::OK(), &result, stats);
@@ -73,7 +71,6 @@ TEST(ProtocolTest, ReplyLineRoundTrips) {
   EXPECT_EQ(ok.value().rows, 2u);
   EXPECT_EQ(ok.value().hash, DigestHex(ResultDigest(result)));
   EXPECT_EQ(ok.value().stats.generation_id, 7u);
-  EXPECT_TRUE(ok.value().stats.attached_late);
   EXPECT_DOUBLE_EQ(ok.value().stats.drain_ms, 3.75);
 
   const std::string bad_line = FormatReplyLine(
@@ -239,7 +236,6 @@ class ServiceTest : public ::testing::Test {
     CachedPlan plan;
     plan.plan = ctx.Get(ref, "Paragraph").value();
     plan.result_ref = ref;
-    plan.scan_keys = PlanScanSourceKeys(plan.plan, &db_.catalog());
     return plan;
   }
 
@@ -394,12 +390,10 @@ TEST_F(ServiceTest, OverlongLineGetsOneErrorAndItsConnectionCloses) {
   service.Stop();
 }
 
-TEST_F(ServiceTest, ClosedLoopClientsShareGenerationsScansAndPlans) {
-  // K closed-loop socket clients over a repeating mix, once with
-  // shared-scan generations and once with private cursors. Every reply
-  // must equal the row-mode oracle's digest; the shared run must group
-  // arrivals (fewer generations than queries), pay fewer extent passes
-  // than the private run, and plan repeated texts from the plan cache.
+TEST_F(ServiceTest, ClosedLoopClientsMatchOracleAndHitPlanCache) {
+  // K closed-loop socket clients over a repeating mix. Every reply must
+  // equal the row-mode oracle's digest, and repeated texts must be
+  // planned from the plan cache.
   const std::vector<std::string> mix = {
       "ACCESS p.number FROM p IN Paragraph",
       "ACCESS p FROM p IN Paragraph WHERE p.number >= 1",
@@ -414,59 +408,40 @@ TEST_F(ServiceTest, ClosedLoopClientsShareGenerationsScansAndPlans) {
   constexpr size_t kClients = 8;
   constexpr size_t kRequests = 25;
 
-  struct ModeRun {
-    ServiceStats stats;
-    uint64_t extent_passes = 0;
-    size_t wrong = 0;
-  };
-  auto run_mode = [&](bool shared_scan) {
-    ServiceOptions options;
-    options.shared_scan = shared_scan;
-    QueryService service(session_.get(), options);
-    EXPECT_TRUE(service.Start().ok());
-    ModeRun run;
-    const std::atomic<uint64_t>& extent_scans =
-        db_.store().stats().extent_scans;
-    const uint64_t before = extent_scans.load(std::memory_order_relaxed);
-    std::vector<size_t> wrong(kClients, 0);
-    std::vector<std::thread> threads;
-    for (size_t c = 0; c < kClients; ++c) {
-      threads.emplace_back([&, c] {
-        LineClient client(service.port());
-        for (size_t r = 0; r < kRequests; ++r) {
-          const size_t q = (c + r) % mix.size();
-          const std::string id =
-              "c" + std::to_string(c) + "r" + std::to_string(r);
-          if (!client.SendBytes("Q " + id + " 0 " + mix[q] + "\n")) {
-            ++wrong[c];
-            continue;
-          }
-          auto reply = ParseReplyLine(client.ReadLine());
-          if (!reply.ok() || !reply.value().ok() ||
-              reply.value().id != id || reply.value().hash != oracle[q]) {
-            ++wrong[c];
-          }
+  QueryService service(session_.get());
+  ASSERT_TRUE(service.Start().ok());
+  std::vector<size_t> wrong(kClients, 0);
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      LineClient client(service.port());
+      for (size_t r = 0; r < kRequests; ++r) {
+        const size_t q = (c + r) % mix.size();
+        const std::string id =
+            "c" + std::to_string(c) + "r" + std::to_string(r);
+        if (!client.SendBytes("Q " + id + " 0 " + mix[q] + "\n")) {
+          ++wrong[c];
+          continue;
         }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    // The generation count is bumped after a drain's replies are out.
-    service.Stop();
-    run.stats = service.stats();
-    run.extent_passes = extent_scans.load(std::memory_order_relaxed) - before;
-    for (size_t w : wrong) run.wrong += w;
-    return run;
-  };
-  const ModeRun shared = run_mode(/*shared_scan=*/true);
-  const ModeRun priv = run_mode(/*shared_scan=*/false);
+        auto reply = ParseReplyLine(client.ReadLine());
+        if (!reply.ok() || !reply.value().ok() ||
+            reply.value().id != id || reply.value().hash != oracle[q]) {
+          ++wrong[c];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  // The outcome counters are bumped after a drain's replies are out.
+  service.Stop();
+  const ServiceStats stats = service.stats();
+  size_t wrong_total = 0;
+  for (size_t w : wrong) wrong_total += w;
 
-  EXPECT_EQ(shared.wrong, 0u);
-  EXPECT_EQ(priv.wrong, 0u);
-  EXPECT_EQ(shared.stats.queries_ok, kClients * kRequests);
-  EXPECT_EQ(priv.stats.queries_ok, kClients * kRequests);
-  EXPECT_LT(shared.stats.generations, shared.stats.queries_admitted);
-  EXPECT_LT(shared.extent_passes, priv.extent_passes);
-  EXPECT_GT(shared.stats.plan_cache_hits, 0u);
+  EXPECT_EQ(wrong_total, 0u);
+  EXPECT_EQ(stats.queries_ok, kClients * kRequests);
+  EXPECT_GT(stats.plan_cache_hits, 0u);
+  EXPECT_EQ(stats.late_attached, 0u);
 }
 
 // ------------------------------------------------------- plan cache
@@ -595,9 +570,8 @@ TEST_F(ServiceTest, ConnectionsSharingATextShareOnePlan) {
   LineClient b(service.port());
   ASSERT_TRUE(a.connected());
   ASSERT_TRUE(b.connected());
-  // Both arrive back to back, so they usually land in one generation
-  // (together or by late attach); either way the second reuses the
-  // first's plan.
+  // Both arrive back to back, so they usually land in one generation;
+  // either way the second reuses the first's plan.
   a.Send("Q a 0 " + query);
   b.Send("Q b 0 " + query);
   for (LineClient* client : {&a, &b}) {
@@ -729,7 +703,7 @@ TEST_F(ServiceTest, PlanCacheStaysWithinCapacityEvictingLru) {
 
 // ------------------------------------------------ scheduler (direct)
 
-TEST_F(ServiceTest, SchedulerRejectsDeadArrivalsBeforeAttach) {
+TEST_F(ServiceTest, SchedulerRejectsDeadArrivalsAtAdmission) {
   GenerationScheduler scheduler(session_.get());
   scheduler.Start();
 
@@ -744,8 +718,6 @@ TEST_F(ServiceTest, SchedulerRejectsDeadArrivalsBeforeAttach) {
   query.cancel = std::make_shared<exec::CancellationToken>();
   query.cancel->Cancel();
   query.admitted_at = std::chrono::steady_clock::now();
-  query.scan_keys = PlanScanSourceKeys(query.plan, &db_.catalog());
-  EXPECT_FALSE(query.scan_keys.empty());
 
   Status got;
   query.done = [&](QueryReply reply) { got = reply.status; };

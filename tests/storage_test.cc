@@ -227,8 +227,7 @@ TEST(ZoneMapTest, ZonesRefuteIsConjunctiveAndSlotBounded) {
   EXPECT_FALSE(ZonesRefute(
       zones, {{0, BinOp::kLe, Value::Int(5)},
               {1, BinOp::kGe, Value::Int(100)}}));
-  // A predicate over a slot beyond the zone vector can never refute
-  // (shared-scan morsel zones may be shorter than the slot space).
+  // A predicate over a slot beyond the zone vector can never refute.
   EXPECT_FALSE(ZonesRefute(zones, {{7, BinOp::kEq, Value::Int(-1)}}));
   EXPECT_TRUE(ZonesRefute({}, {}) == false);
 }
