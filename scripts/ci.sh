@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify (configure, build, ctest — which includes the service
-# load gate in service_test and the bench_parallel smoke run), with
+# load gate in service_test), with
 # sanitizer modes that run the executor tests under TSan/ASan/UBSan —
-# races in the morsel-driven worker pool (and UB the optimizer could
+# races in the worker pool and the concurrent drains (and UB the optimizer could
 # weaponize) must fail the build, not corrupt results silently — and
 # static-analysis modes: `--lint` runs the repo's own contract lint
 # (scripts/lint.py) plus the clang-format drift check on src/exec/,
@@ -22,7 +22,7 @@
 # `--storage` runs the paged-storage gate: the pager/zone-map unit
 # suite plus the segment differential harness (tests/segment_diff_test.cc
 # — segment-backed scans vs the in-memory extent vs the row-mode
-# oracle, across serial/parallel drains and under concurrent
+# oracle, across lone reads, Submit batches and under concurrent
 # writers) under ThreadSanitizer with seeds 1/2/3 plus a time-derived
 # seed.
 #
@@ -189,7 +189,7 @@ fi
 # The paged-storage gate: the deterministic pager/OID-layout/zone-map/
 # segment-store units, then the segment differential harness
 # (tests/segment_diff_test.cc — segment-backed scans vs the in-memory
-# extent vs the row-mode oracle across serial, morsel-parallel and
+# extent vs the row-mode oracle across lone-read and
 # multi-read Submit drains, the zone-map skip, eviction and
 # buffer-cache hit counter checks, the commit/re-ingest count check,
 # and concurrent Submit writers replayed at each reader's pinned epoch)

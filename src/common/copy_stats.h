@@ -15,7 +15,7 @@
 namespace vodak {
 
 /// Relaxed atomics: the counters are bumped once per compaction/gather
-/// (not per value) from parallel morsel workers, and read only by the
+/// (not per value) from concurrent drains, and read only by the
 /// benchmark/test harness while no query is in flight.
 struct BatchCopyStats {
   /// Values physically moved by RowBatch::Compact.

@@ -98,49 +98,16 @@ Result<PreparedQuery> Database::Prepare(const std::string& vql,
 
 Status Database::DrainRead(const algebra::LogicalRef& plan,
                            const std::string& result_ref,
-                           const exec::ExecContext& ctx,
-                           const RunOptions& run, Value* result,
+                           const exec::ExecContext& ctx, Value* result,
                            QueryStats* stats, std::string* explain) {
   const auto start = std::chrono::steady_clock::now();
   const Status status = [&]() -> Status {
     // A query cancelled or expired while it waited for a lane never
     // opens; its siblings drain on unaffected.
     VODAK_RETURN_IF_ERROR(exec::CheckQueryAlive(ctx.cancel, ctx.deadline));
-    exec::PhysOpPtr root;
-    if (explain != nullptr) {
-      VODAK_ASSIGN_OR_RETURN(root, exec::BuildPhysical(plan, ctx));
-      *explain = exec::ExplainPhysical(*root);
-    }
-    const size_t threads = exec::ResolveThreads(run.threads);
-    if (threads > 1) {
-      VODAK_ASSIGN_OR_RETURN(
-          exec::ParallelPlanStatePtr pstate,
-          exec::PrepareParallelPlan(plan, ctx, threads,
-                                    exec::kDefaultMorselSize));
-      // A plan without a parallelizable driving scan (set ops on the
-      // driving path) falls through to the serial drain below.
-      if (pstate != nullptr) {
-        if (explain != nullptr) {
-          // The serial tree above is only the EXPLAIN skeleton; mark
-          // that execution ran worker clones over shared morsels.
-          *explain += "[parallel: threads=" + std::to_string(threads) +
-                      ", morsel<=" +
-                      std::to_string(exec::kDefaultMorselSize) +
-                      "; driving scan executed as per-worker MorselScan "
-                      "clones]\n";
-        }
-        exec::ParallelOptions popts;
-        popts.threads = threads;
-        popts.pool = EnsurePool(threads);
-        VODAK_ASSIGN_OR_RETURN(
-            *result, exec::ParallelExecuteColumn(plan, ctx, result_ref,
-                                                 popts, std::move(pstate)));
-        return Status::OK();
-      }
-    }
-    if (root == nullptr) {
-      VODAK_ASSIGN_OR_RETURN(root, exec::BuildPhysical(plan, ctx));
-    }
+    VODAK_ASSIGN_OR_RETURN(exec::PhysOpPtr root,
+                           exec::BuildPhysical(plan, ctx));
+    if (explain != nullptr) *explain = exec::ExplainPhysical(*root);
     VODAK_ASSIGN_OR_RETURN(*result,
                            exec::ExecuteColumn(root.get(), result_ref));
     return Status::OK();
@@ -309,7 +276,7 @@ std::vector<QueryOutcome> Database::Submit(
   ctx.snapshot_epoch = pin.epoch();
   ctx.segments = segments_;
   const uint64_t generation = NextGenerationId();
-  auto drain = [&](size_t k, const RunOptions& run) {
+  auto drain = [&](size_t k) {
     QueryOutcome& o = out[runnable[k]];
     const QueryRequest& request = requests[runnable[k]];
     o.stats.snapshot_epoch = pin.epoch();
@@ -319,21 +286,18 @@ std::vector<QueryOutcome> Database::Submit(
     member_ctx.cancel = request.cancel;
     member_ctx.deadline = request.deadline;
     o.status = DrainRead(o.result.chosen_plan, result_refs[k], member_ctx,
-                         run, &o.result.result, &o.stats,
+                         &o.result.result, &o.stats,
                          &o.result.physical_explain);
     // The honest per-query number: this drain, not the batch's.
     o.result.execute_ms = o.stats.drain_ms;
   };
 
   if (runnable.size() == 1) {
-    // A lone query gets the intra-query morsel-parallel path: its
-    // RunOptions::threads splits the one plan over morsels instead of
-    // the batch lanes splitting queries.
-    drain(0, requests[runnable[0]].run);
+    // A lone query drains on the calling thread.
+    drain(0);
     return out;
   }
 
-  const RunOptions member_run;  // threads = 1: lanes split the batch
   const size_t lanes =
       std::min(exec::ResolveThreads(options.lanes), runnable.size());
   const auto submitted = std::chrono::steady_clock::now();
@@ -341,7 +305,7 @@ std::vector<QueryOutcome> Database::Submit(
   // members beyond the lane count queue and run as lanes free up.
   EnsurePool(lanes)->ParallelRun(runnable.size(), [&](size_t k) {
     out[runnable[k]].stats.queue_ms = MsSince(submitted);
-    drain(k, member_run);
+    drain(k);
   });
   return out;
 }

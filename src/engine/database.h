@@ -8,7 +8,6 @@
 
 #include "common/thread_annotations.h"
 #include "engine/query_api.h"
-#include "exec/parallel.h"
 #include "exec/physical.h"
 #include "exec/worker_pool.h"
 #include "semantics/generator.h"
@@ -56,17 +55,15 @@ class Database {
     return optimizer_generation_.load(std::memory_order_acquire);
   }
 
-  bool HasOptimizer() const { return module_.optimizer != nullptr; }
-
   /// The one execution entry point everything else shims over: submits
   /// a batch of queries that plan serially (parse / bind / optimize —
   /// the optimizer module is not built for concurrent Optimize calls).
   /// Write requests commit during that admission pass, in request
   /// order; the readers then pin one snapshot epoch and drain through
-  /// DrainRead. A single read runs under its own RunOptions (threads).
-  /// Two or more reads drain concurrently on the session pool, one
-  /// lane per query up to `options.lanes`, each with threads = 1 over
-  /// its own private scan leaves.
+  /// DrainRead. A single read drains on the calling thread. Two or
+  /// more reads drain concurrently on the session pool, one lane per
+  /// query up to `options.lanes`, each over its own private scan
+  /// leaves.
   /// outcomes[i] belongs to requests[i]; a member that fails to plan,
   /// is cancelled, or misses its deadline reports that in its own
   /// outcome.status without failing its siblings. Every read's
@@ -108,13 +105,13 @@ class Database {
 
   /// Attaches the paged segment store (docs/ARCHITECTURE.md §"Paged
   /// storage & segment skipping"; not owned, outlives the session).
-  /// Read paths — serial and morsel-parallel — then
-  /// prefer segment-backed scans whenever a SegmentVersion covers
-  /// their pinned snapshot, and every write commit through this
-  /// session drops the touched classes' versions before its epoch is
-  /// published, so stale segments are never read. Writes that bypass
-  /// the session (direct store mutations) are invisible here:
-  /// re-ingest before relying on segment scans after such writes.
+  /// Read drains then prefer segment-backed scans whenever a
+  /// SegmentVersion covers their pinned snapshot, and every write
+  /// commit through this session drops the touched classes' versions
+  /// before its epoch is published, so stale segments are never read.
+  /// Writes that bypass the session (direct store mutations) are
+  /// invisible here: re-ingest before relying on segment scans after
+  /// such writes.
   void AttachSegmentStore(storage::SegmentStore* segments) {
     segments_ = segments;
   }
@@ -128,17 +125,16 @@ class Database {
   Status RefreshSegments() EXCLUDES(write_mu_);
 
   /// The session's worker pool of exactly `threads` lanes, created on
-  /// first request and reused across queries so repeated parallel Runs
-  /// don't pay thread spawn latency. Pools live as long as the session:
+  /// first request and reused across Submit batches so they don't pay
+  /// thread spawn latency. Pools live as long as the session:
   /// a caller may hold the pointer (the query service's scheduler does,
   /// for its whole lifetime) while other callers ask for other sizes.
   exec::WorkerPool* EnsurePool(size_t threads) EXCLUDES(pool_mu_);
 
   /// The one code path that builds and drains a read plan: Submit's
   /// lone reads and batch members, and the query service's generation
-  /// members, all come through here. With run.threads > 1 the
-  /// morsel-parallel driver runs when the plan has a driving scan;
-  /// otherwise the operator tree drains serially. `ctx` carries the
+  /// members, all come through here. It builds the operator tree once
+  /// and drains it on the calling thread. `ctx` carries the
   /// query's snapshot epoch, cancel token, deadline and segment store;
   /// a query already cancelled or expired never opens. `result`
   /// receives result_ref's value set and stats->drain_ms this call's
@@ -146,9 +142,8 @@ class Database {
   /// tree that ran; null renders none.
   Status DrainRead(const algebra::LogicalRef& plan,
                    const std::string& result_ref,
-                   const exec::ExecContext& ctx, const RunOptions& run,
-                   Value* result, QueryStats* stats,
-                   std::string* explain = nullptr);
+                   const exec::ExecContext& ctx, Value* result,
+                   QueryStats* stats, std::string* explain = nullptr);
 
   /// The next generation id; Submit takes one per executed
   /// batch and the query service takes one per generation it forms.

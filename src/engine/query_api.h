@@ -1,8 +1,8 @@
-// The session's query API types. PR 7 split the old catch-all
-// ExecOptions into PlanOptions (planning knobs) / RunOptions (one
-// query's execution knobs) / SubmitOptions (batch-level knobs), and
-// made Database::Submit(std::vector<QueryRequest>) →
-// std::vector<QueryOutcome> the one entry point (Run is a one-query
+// The session's query API types: PlanOptions (planning knobs),
+// RunOptions (one query's execution knobs; none has an effect today)
+// and SubmitOptions (batch-level knobs).
+// Database::Submit(std::vector<QueryRequest>) →
+// std::vector<QueryOutcome> is the one entry point (Run is a one-query
 // shim over it); the migration table is in
 // docs/ARCHITECTURE.md §"Query service & admission control".
 #ifndef VODAK_ENGINE_QUERY_API_H_
@@ -31,16 +31,12 @@ struct PlanOptions {
   bool trace = false;
 };
 
-/// One query's execution knobs, read by Database::DrainRead.
-/// The batch-level lane count lives in SubmitOptions — it never made
-/// sense per query. Morsels are capped at
-/// exec::kDefaultMorselSize.
+/// One query's execution knobs. The batch-level lane count lives in
+/// SubmitOptions.
 struct RunOptions {
-  /// Worker threads for *intra-query* morsel-driven parallelism when
-  /// the query runs alone. 1 keeps the serial pipeline, 0 resolves to
-  /// the hardware concurrency. Multi-query Submit batches drain every
-  /// member with threads = 1; SubmitOptions::lanes sizes their
-  /// inter-query parallelism instead.
+  /// Ignored: every read drains its operator tree on one thread.
+  /// Kept only because perfbench's stale-answer re-check still
+  /// assigns it; it goes with that assignment.
   size_t threads = 1;
 };
 

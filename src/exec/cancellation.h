@@ -1,9 +1,9 @@
 // Per-query cancellation and deadlines for the batch executor. A query
 // carries an optional CancellationToken plus a Deadline in its
-// ExecContext; the pipeline polls both at batch boundaries — ScanOp's
-// NextBatch/refill and the morsel drain loop — so a cancel lands within
-// ~one batch (~kDefaultBatchSize rows) of being requested, without any
-// per-row cost. Cancellation points are catalogued in
+// ExecContext; the pipeline polls both at batch boundaries — every scan
+// leaf's NextBatch and every nested-loop join output batch — so a
+// cancel lands within ~one batch (~kDefaultBatchSize rows) of being
+// requested, without any per-row cost. Cancellation points are catalogued in
 // docs/ARCHITECTURE.md §"Query service & admission control".
 #ifndef VODAK_EXEC_CANCELLATION_H_
 #define VODAK_EXEC_CANCELLATION_H_
@@ -38,8 +38,7 @@ class CancellationToken {
 };
 
 /// An absolute steady-clock deadline; `armed == false` (the default)
-/// means "no deadline". Value type: copied freely into ExecContexts and
-/// worker clones.
+/// means "no deadline". Value type: copied freely into ExecContexts.
 struct Deadline {
   std::chrono::steady_clock::time_point at{};
   bool armed = false;

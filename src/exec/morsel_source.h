@@ -1,5 +1,5 @@
-// Morsels: the atomic-cursor unit of work stealing in the parallel
-// pipeline (docs/ARCHITECTURE.md §"Morsel-driven parallelism").
+// Morsels: the atomic-cursor unit of work stealing in the naive
+// interpreter's parallel outer-range loop (vql/interpreter.h).
 #ifndef VODAK_EXEC_MORSEL_SOURCE_H_
 #define VODAK_EXEC_MORSEL_SOURCE_H_
 
@@ -11,7 +11,7 @@ namespace vodak {
 namespace exec {
 
 /// Target number of rows per morsel handed to a parallel worker. Morsels
-/// are the unit of work stealing in the morsel-driven pipeline: big
+/// are the unit of work stealing in the interpreter's outer loop: big
 /// enough that a worker amortizes the (single) atomic claim over many
 /// NextBatch calls, small enough that a scan splits into more morsels
 /// than workers so the pool load-balances dynamically.
@@ -19,8 +19,7 @@ constexpr size_t kDefaultMorselSize = 16384;
 
 /// Morsel size giving each of `threads` workers several morsels of a
 /// `total`-row source for dynamic load balance, clamped to
-/// [min(1024, cap), cap]. Shared by the physical parallel driver and
-/// the interpreter's outer-range loop so both balance identically.
+/// [min(1024, cap), cap].
 inline size_t BalancedMorselSize(size_t total, size_t threads,
                                  size_t cap) {
   if (cap == 0) cap = 1;
@@ -30,8 +29,8 @@ inline size_t BalancedMorselSize(size_t total, size_t threads,
   return std::max(floor_size, std::min(cap, target));
 }
 
-/// A half-open index range [begin, end) into the driving scan's
-/// materialized source (extent Oids or method-scan elements).
+/// A half-open index range [begin, end) into the outer range's
+/// materialized extent.
 struct Morsel {
   size_t begin = 0;
   size_t end = 0;
@@ -73,9 +72,6 @@ class MorselSource {
     morsel->end = std::min(begin + morsel_size_, total_);
     return true;
   }
-
-  size_t total() const { return total_; }
-  size_t morsel_size() const { return morsel_size_; }
 
  private:
   std::atomic<size_t> cursor_{0};

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/string_util.h"
 #include "common/vm_stats.h"
-#include "exec/morsel_source.h"
 #include "exec/row_hash.h"
 #include "exec/sargable.h"
 
@@ -40,24 +38,22 @@ std::vector<std::string> RefsOf(const LogicalRef& node) {
 /// Abstract supplier of a leaf scan's rows: one column of values,
 /// delivered batch-at-a-time. Scan leaves are one generic operator
 /// (`ScanOp` below) constructed against this interface, so the
-/// same leaf runs over a private cursor (extent, segment or method
-/// scan) or the intra-query morsel cursor (parallel worker clones) —
-/// the executor above the leaf cannot tell them apart.
+/// same leaf runs over an extent, segment or method-scan cursor — the
+/// executor above the leaf cannot tell them apart.
 class BatchSource {
  public:
   virtual ~BatchSource() = default;
 
-  /// (Re)starts a full pass over the source. Private sources
-  /// materialize here (the scan-pass cost).
+  /// (Re)starts a full pass over the source; extent and method-scan
+  /// sources materialize here (the scan-pass cost).
   virtual Status Open() = 0;
   /// Emits the next (dense, single-column) batch; false at end of the
   /// pass, persistently.
   virtual Result<bool> NextBatch(RowBatch* batch) = 0;
   virtual void Close() = 0;
 
-  /// EXPLAIN operator name ("ExtentScan", "MethodScan", "MorselScan",
-  /// "SegmentScan") and source description (class or
-  /// expression).
+  /// EXPLAIN operator name ("ExtentScan", "MethodScan", "SegmentScan")
+  /// and source description (class or expression).
   virtual std::string name() const = 0;
   virtual std::string describe() const = 0;
   /// Uniform EXPLAIN source annotation, appended to the leaf operator's
@@ -96,69 +92,8 @@ size_t FillScanBatch(RowBatch* batch, size_t size, size_t* pos,
   return n;
 }
 
-}  // namespace
-
-// Row hashing/equality shared with the parallel driver: exec/row_hash.h.
+// Row hashing/equality: exec/row_hash.h.
 using JoinTable = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
-
-/// Once-built hash-join table shared read-only by the worker clones of
-/// one logical join node. The winner of the call_once races builds from
-/// its own (deterministic) build subtree; everyone probes the result.
-///
-/// Concurrency contract (docs/ARCHITECTURE.md §"Static analysis &
-/// concurrency contracts"): `table`/`status` are published by `once` —
-/// call_once's release/acquire edge is the only synchronization, so
-/// they are written exclusively inside the call_once body and
-/// read-only ever after. No mutex, hence no GUARDED_BY: the once_flag
-/// plays the capability's role and TSan verifies the edge.
-struct SharedJoinBuild {
-  std::once_flag once;
-  JoinTable table;
-  Status status = Status::OK();
-};
-
-/// Same sharing (and the same once-publication contract) for a
-/// nested-loop join's materialized inner side.
-struct SharedInnerRows {
-  std::once_flag once;
-  std::vector<Row> rows;
-  Status status = Status::OK();
-};
-
-/// See physical.h. Configured single-threaded by PrepareParallelPlan;
-/// after workers start, the only mutations go through the atomic morsel
-/// cursor and the per-join once_flags.
-class ParallelPlanState {
- public:
-  /// The driving scan: the leaf reached by following input(0) edges.
-  const algebra::LogicalNode* driving_leaf = nullptr;
-  bool leaf_is_extent = false;
-  std::vector<Oid> extent;   // kGet driving leaf
-  ValueSet elements;         // kExprSource driving leaf
-  MorselSource morsels;
-  bool needs_final_dedup = false;
-  /// Segment pruning applied while materializing an extent driving
-  /// leaf from the paged segment store: `extent` holds only the rows
-  /// of the `pruning.scanned` surviving segments; `pruning.skipped`
-  /// segments were refuted by zone maps. Both 0 when the leaf came
-  /// from the in-memory store.
-  bool segment_backed = false;
-  storage::PruneCounts pruning;
-  /// Pre-created entries for every join node in the plan (keyed by node
-  /// identity), so worker-side plan construction never mutates the maps.
-  std::map<const algebra::LogicalNode*, SharedJoinBuild> hash_builds;
-  std::map<const algebra::LogicalNode*, SharedInnerRows> inner_rows;
-
-  size_t driving_total() const {
-    return leaf_is_extent ? extent.size() : elements.size();
-  }
-};
-
-bool ParallelPlanNeedsFinalDedup(const ParallelPlanState& state) {
-  return state.needs_final_dedup;
-}
-
-namespace {
 
 /// Private extent cursor (the classic physical `get`): materializes the
 /// class extension in Open — one scan pass per query per Open — and
@@ -237,61 +172,6 @@ class ExprBatchSource : public BatchSource {
   size_t pos_ = 0;
 };
 
-/// Intra-query parallel source: one worker's view of the shared driving
-/// scan. The source (extent Oids or method-scan elements) was
-/// materialized once by PrepareParallelPlan; workers claim disjoint
-/// [begin, end) morsels from the shared atomic cursor and emit them
-/// batch by batch. A batch never spans a morsel boundary, so per-worker
-/// output stays cache-local.
-class MorselBatchSource : public BatchSource {
- public:
-  MorselBatchSource(std::string source_desc, ParallelPlanState* state)
-      : source_desc_(std::move(source_desc)), state_(state) {}
-
-  Status Open() override {
-    pos_ = 0;
-    end_ = 0;
-    return Status::OK();
-  }
-  Result<bool> NextBatch(RowBatch* batch) override {
-    batch->Reset(1);
-    if (pos_ >= end_ && !ClaimMorsel()) return false;
-    const size_t n = std::min(kDefaultBatchSize, end_ - pos_);
-    auto& col = batch->column(0);
-    col.reserve(n);
-    for (size_t i = 0; i < n; ++i) col.push_back(ValueAt(pos_++));
-    batch->set_num_rows(n);
-    return true;
-  }
-  void Close() override {}
-  std::string name() const override { return "MorselScan"; }
-  std::string describe() const override { return source_desc_; }
-  std::string annotation() const override {
-    if (!state_->segment_backed) return "[source: morsel]";
-    return "[source: morsel] [segments: scanned " +
-           std::to_string(state_->pruning.scanned) + " / skipped " +
-           std::to_string(state_->pruning.skipped) + "]";
-  }
-
- private:
-  bool ClaimMorsel() {
-    Morsel morsel;
-    if (!state_->morsels.Next(&morsel)) return false;
-    pos_ = morsel.begin;
-    end_ = morsel.end;
-    return true;
-  }
-  Value ValueAt(size_t i) const {
-    return state_->leaf_is_extent ? Value::OfOid(state_->extent[i])
-                                  : state_->elements[i];
-  }
-
-  std::string source_desc_;
-  ParallelPlanState* state_;
-  size_t pos_ = 0;
-  size_t end_ = 0;
-};
-
 /// Paged segment cursor: streams a class extent segment-by-segment
 /// through the pager's buffer cache, skipping segments whose zone maps
 /// refute the query's sargable predicates (docs/ARCHITECTURE.md
@@ -299,8 +179,8 @@ class MorselBatchSource : public BatchSource {
 /// computed at construction — EXPLAIN renders before Open, and the
 /// prospective counts are exactly what a drain will do. The store's
 /// pruning totals are bumped on the first Open only: a leaf that is
-/// built but never drained (an EXPLAIN skeleton beside a parallel
-/// drain) counts nothing, and a re-Open counts nothing again.
+/// built but never drained counts nothing, and a re-Open counts
+/// nothing again.
 class SegmentBatchSource : public BatchSource {
  public:
   SegmentBatchSource(const ExecContext& ctx, std::string class_name,
@@ -374,7 +254,7 @@ class SegmentBatchSource : public BatchSource {
 };
 
 /// The one leaf operator: a scan over an abstract BatchSource. Which
-/// cursor actually feeds it — private, morsel or segment — is
+/// cursor actually feeds it — extent, segment or method scan — is
 /// decided at plan-build time; the EXPLAIN name comes from the source
 /// so plans read the same as before the refactor.
 class ScanOp : public PhysOperator {
@@ -621,8 +501,7 @@ class Filter : public PhysOperator {
 class NestedLoopJoin : public PhysOperator {
  public:
   NestedLoopJoin(const ExecContext& ctx, PhysOpPtr left, PhysOpPtr right,
-                 ExprRef cond, std::vector<std::string> refs,
-                 SharedInnerRows* shared = nullptr)
+                 ExprRef cond, std::vector<std::string> refs)
       : PhysOperator(std::move(refs)),
         evaluator_(ctx.catalog, ctx.store, ctx.methods, ctx.snapshot_epoch),
         left_(std::move(left)),
@@ -630,7 +509,6 @@ class NestedLoopJoin : public PhysOperator {
         cond_(std::move(cond)),
         cross_product_(cond_->kind() == ExprKind::kConst &&
                        cond_->value().is_bool() && cond_->value().AsBool()),
-        shared_(shared),
         cancel_(ctx.cancel),
         deadline_(ctx.deadline) {
     for (const std::string& ref : refs_) {
@@ -642,19 +520,8 @@ class NestedLoopJoin : public PhysOperator {
 
   Status Open() override {
     VODAK_RETURN_IF_ERROR(left_->Open());
-    if (shared_ != nullptr) {
-      // Inner side shared across worker clones: the call_once winner
-      // drains its own copy of the subtree, everyone reads the result.
-      std::call_once(shared_->once, [&] {
-        shared_->status = MaterializeInner(&shared_->rows);
-      });
-      VODAK_RETURN_IF_ERROR(shared_->status);
-      right_rows_ = &shared_->rows;
-    } else {
-      own_rows_.clear();
-      VODAK_RETURN_IF_ERROR(MaterializeInner(&own_rows_));
-      right_rows_ = &own_rows_;
-    }
+    inner_.clear();
+    VODAK_RETURN_IF_ERROR(MaterializeInner());
     left_batch_.Reset(0);
     left_pos_ = 0;
     right_pos_ = 0;
@@ -664,7 +531,7 @@ class NestedLoopJoin : public PhysOperator {
 
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
-    const std::vector<Row>& inner = *right_rows_;
+    const std::vector<Row>& inner = inner_;
     while (!left_done_ && !inner.empty()) {
       VODAK_RETURN_IF_ERROR(CheckQueryAlive(cancel_, deadline_));
       batch->Reset(refs_.size());
@@ -717,7 +584,7 @@ class NestedLoopJoin : public PhysOperator {
   }
   void Close() override {
     left_->Close();
-    own_rows_.clear();
+    inner_.clear();
     left_batch_.Reset(0);
   }
   std::string name() const override { return "NestedLoopJoin"; }
@@ -727,7 +594,7 @@ class NestedLoopJoin : public PhysOperator {
   }
 
  private:
-  Status MaterializeInner(std::vector<Row>* out) {
+  Status MaterializeInner() {
     VODAK_RETURN_IF_ERROR(right_->Open());
     RowBatch build;
     Row row;
@@ -738,7 +605,7 @@ class NestedLoopJoin : public PhysOperator {
       build.Compact();
       for (size_t r = 0; r < build.num_rows(); ++r) {
         build.CopyRowTo(r, &row);
-        out->push_back(row);
+        inner_.push_back(row);
       }
     }
     right_->Close();
@@ -750,11 +617,9 @@ class NestedLoopJoin : public PhysOperator {
   PhysOpPtr right_;
   ExprRef cond_;
   bool cross_product_;  // constant TRUE condition: no evaluation
-  SharedInnerRows* shared_;
   const CancellationToken* cancel_;
   Deadline deadline_;
-  std::vector<Row> own_rows_;
-  const std::vector<Row>* right_rows_ = nullptr;
+  std::vector<Row> inner_;  // the materialized inner side
   RowBatch left_batch_;
   size_t left_pos_ = 0;   // live-row index into left_batch_
   size_t right_pos_ = 0;  // next inner row for the current left row
@@ -776,14 +641,12 @@ class HashJoin : public PhysOperator {
   HashJoin(PhysOpPtr left, PhysOpPtr right,
            std::vector<std::string> left_keys,
            std::vector<std::string> right_keys,
-           std::vector<std::string> refs,
-           SharedJoinBuild* shared = nullptr)
+           std::vector<std::string> refs)
       : PhysOperator(std::move(refs)),
         left_(std::move(left)),
         right_(std::move(right)),
         left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)),
-        shared_(shared) {
+        right_keys_(std::move(right_keys)) {
     for (const std::string& ref : refs_) {
       int li = left_->RefIndex(ref);
       int ri = right_->RefIndex(ref);
@@ -799,14 +662,14 @@ class HashJoin : public PhysOperator {
   }
 
   Status Open() override {
-    own_table_.clear();
-    table_ = nullptr;
+    table_.clear();
     built_ = false;
     return left_->Open();
   }
 
-  /// Drains the build (right) side into `out`.
-  Status BuildInto(JoinTable* out) {
+  /// Deferred build on the first NextBatch call: drains the build
+  /// (right) side into the table.
+  Status BuildTable() {
     VODAK_RETURN_IF_ERROR(right_->Open());
     RowBatch build;
     Row row;
@@ -822,28 +685,10 @@ class HashJoin : public PhysOperator {
         key.clear();
         key.reserve(right_key_idx_.size());
         for (int i : right_key_idx_) key.push_back(row[i]);
-        (*out)[key].push_back(row);
+        table_[key].push_back(row);
       }
     }
     right_->Close();
-    return Status::OK();
-  }
-
-  /// Deferred build on the first NextBatch call. With a shared build,
-  /// the call_once winner builds the table once from its own
-  /// (deterministic) build subtree and every worker probes it
-  /// read-only thereafter.
-  Status BuildTable() {
-    if (shared_ != nullptr) {
-      std::call_once(shared_->once, [&] {
-        shared_->status = BuildInto(&shared_->table);
-      });
-      VODAK_RETURN_IF_ERROR(shared_->status);
-      table_ = &shared_->table;
-    } else {
-      VODAK_RETURN_IF_ERROR(BuildInto(&own_table_));
-      table_ = &own_table_;
-    }
     built_ = true;
     return Status::OK();
   }
@@ -866,8 +711,8 @@ class HashJoin : public PhysOperator {
         for (int i : left_key_idx_) {
           key.push_back(probe_batch_.column(i)[r]);
         }
-        auto it = table_->find(key);
-        if (it == table_->end()) continue;
+        auto it = table_.find(key);
+        if (it == table_.end()) continue;
         for (const Row& right_row : it->second) {
           for (size_t c = 0; c < refs_.size(); ++c) {
             batch->column(c).push_back(
@@ -886,7 +731,7 @@ class HashJoin : public PhysOperator {
   }
   void Close() override {
     left_->Close();
-    own_table_.clear();
+    table_.clear();
   }
   std::string name() const override { return "HashJoin"; }
   std::string params() const override {
@@ -908,9 +753,7 @@ class HashJoin : public PhysOperator {
   std::vector<std::string> right_keys_;
   std::vector<int> left_key_idx_;
   std::vector<int> right_key_idx_;
-  SharedJoinBuild* shared_;
-  JoinTable own_table_;
-  const JoinTable* table_ = nullptr;
+  JoinTable table_;
   bool built_ = false;
   RowBatch probe_batch_;
   std::vector<int> from_left_;
@@ -1334,29 +1177,18 @@ Result<BatchSourcePtr> MakeLeafBatchSource(
   }
 }
 
-/// Shared plan builder. With a null `state` this is the serial
-/// BuildPhysical; with a ParallelPlanState it builds one worker's clone:
-/// the driving leaf becomes a MorselScan over the shared cursor and
-/// joins attach to their pre-created shared build slots.
+/// Recursive plan builder behind BuildPhysical; `leaf_preds` holds
+/// each scan leaf's sargable conjuncts.
 Result<PhysOpPtr> BuildPhysicalImpl(const LogicalRef& plan,
                                     const ExecContext& ctx,
-                                    ParallelPlanState* state,
                                     const LeafPredMap* leaf_preds) {
   switch (plan->op()) {
     case LogicalOp::kGet:
     case LogicalOp::kExprSource: {
-      BatchSourcePtr source;
-      if (state != nullptr && plan.get() == state->driving_leaf) {
-        source = std::make_unique<MorselBatchSource>(
-            plan->op() == LogicalOp::kGet ? plan->class_name()
-                                          : plan->expr()->ToString(),
-            state);
-      } else {
-        VODAK_ASSIGN_OR_RETURN(
-            source, MakeLeafBatchSource(*plan, ctx,
-                                        LeafPredsFor(leaf_preds,
-                                                     plan.get())));
-      }
+      VODAK_ASSIGN_OR_RETURN(
+          BatchSourcePtr source,
+          MakeLeafBatchSource(*plan, ctx,
+                              LeafPredsFor(leaf_preds, plan.get())));
       return PhysOpPtr(new ScanOp(ctx, plan->ref(), std::move(source)));
     }
     case LogicalOp::kSelect: {
@@ -1370,17 +1202,14 @@ Result<PhysOpPtr> BuildPhysicalImpl(const LogicalRef& plan,
       }
       std::reverse(conds.begin(), conds.end());
       VODAK_ASSIGN_OR_RETURN(
-          PhysOpPtr child,
-          BuildPhysicalImpl(*below, ctx, state, leaf_preds));
+          PhysOpPtr child, BuildPhysicalImpl(*below, ctx, leaf_preds));
       return PhysOpPtr(new Filter(ctx, std::move(child), conds));
     }
     case LogicalOp::kJoin: {
       VODAK_ASSIGN_OR_RETURN(
-          PhysOpPtr left,
-          BuildPhysicalImpl(plan->input(0), ctx, state, leaf_preds));
+          PhysOpPtr left, BuildPhysicalImpl(plan->input(0), ctx, leaf_preds));
       VODAK_ASSIGN_OR_RETURN(
-          PhysOpPtr right,
-          BuildPhysicalImpl(plan->input(1), ctx, state, leaf_preds));
+          PhysOpPtr right, BuildPhysicalImpl(plan->input(1), ctx, leaf_preds));
       const ExprRef& cond = plan->expr();
       // Bare-variable equality spanning both sides → hash join (the
       // deterministic algorithm choice shared with the cost model).
@@ -1393,55 +1222,49 @@ Result<PhysOpPtr> BuildPhysicalImpl(const LogicalRef& plan,
         if (plan->input(0)->HasRef(b)) std::swap(a, b);
         if (plan->input(0)->HasRef(a) && plan->input(1)->HasRef(b)) {
           return PhysOpPtr(new HashJoin(
-              std::move(left), std::move(right), {a}, {b}, RefsOf(plan),
-              state == nullptr ? nullptr
-                               : &state->hash_builds.at(plan.get())));
+              std::move(left), std::move(right), {a}, {b}, RefsOf(plan)));
         }
       }
       return PhysOpPtr(new NestedLoopJoin(
-          ctx, std::move(left), std::move(right), cond, RefsOf(plan),
-          state == nullptr ? nullptr
-                           : &state->inner_rows.at(plan.get())));
+          ctx, std::move(left), std::move(right), cond, RefsOf(plan)));
     }
     case LogicalOp::kNaturalJoin: {
-      VODAK_ASSIGN_OR_RETURN(PhysOpPtr left,
-                             BuildPhysicalImpl(plan->input(0), ctx, state, leaf_preds));
-      VODAK_ASSIGN_OR_RETURN(PhysOpPtr right,
-                             BuildPhysicalImpl(plan->input(1), ctx, state, leaf_preds));
+      VODAK_ASSIGN_OR_RETURN(
+          PhysOpPtr left, BuildPhysicalImpl(plan->input(0), ctx, leaf_preds));
+      VODAK_ASSIGN_OR_RETURN(
+          PhysOpPtr right, BuildPhysicalImpl(plan->input(1), ctx, leaf_preds));
       std::vector<std::string> shared;
       for (const auto& [ref, type] : plan->input(0)->schema()) {
         if (plan->input(1)->HasRef(ref)) shared.push_back(ref);
       }
       return PhysOpPtr(new HashJoin(
-          std::move(left), std::move(right), shared, shared, RefsOf(plan),
-          state == nullptr ? nullptr
-                           : &state->hash_builds.at(plan.get())));
+          std::move(left), std::move(right), shared, shared, RefsOf(plan)));
     }
     case LogicalOp::kUnion:
     case LogicalOp::kDiff: {
-      VODAK_ASSIGN_OR_RETURN(PhysOpPtr left,
-                             BuildPhysicalImpl(plan->input(0), ctx, state, leaf_preds));
-      VODAK_ASSIGN_OR_RETURN(PhysOpPtr right,
-                             BuildPhysicalImpl(plan->input(1), ctx, state, leaf_preds));
+      VODAK_ASSIGN_OR_RETURN(
+          PhysOpPtr left, BuildPhysicalImpl(plan->input(0), ctx, leaf_preds));
+      VODAK_ASSIGN_OR_RETURN(
+          PhysOpPtr right, BuildPhysicalImpl(plan->input(1), ctx, leaf_preds));
       return PhysOpPtr(new SetOp(std::move(left), std::move(right),
                                  plan->op() == LogicalOp::kUnion,
                                  RefsOf(plan)));
     }
     case LogicalOp::kMap: {
-      VODAK_ASSIGN_OR_RETURN(PhysOpPtr child,
-                             BuildPhysicalImpl(plan->input(0), ctx, state, leaf_preds));
+      VODAK_ASSIGN_OR_RETURN(
+          PhysOpPtr child, BuildPhysicalImpl(plan->input(0), ctx, leaf_preds));
       return PhysOpPtr(new MapOp(ctx, std::move(child), plan->ref(),
                                  plan->expr(), RefsOf(plan)));
     }
     case LogicalOp::kFlat: {
-      VODAK_ASSIGN_OR_RETURN(PhysOpPtr child,
-                             BuildPhysicalImpl(plan->input(0), ctx, state, leaf_preds));
+      VODAK_ASSIGN_OR_RETURN(
+          PhysOpPtr child, BuildPhysicalImpl(plan->input(0), ctx, leaf_preds));
       return PhysOpPtr(new FlatOp(ctx, std::move(child), plan->ref(),
                                   plan->expr(), RefsOf(plan)));
     }
     case LogicalOp::kProject: {
-      VODAK_ASSIGN_OR_RETURN(PhysOpPtr child,
-                             BuildPhysicalImpl(plan->input(0), ctx, state, leaf_preds));
+      VODAK_ASSIGN_OR_RETURN(
+          PhysOpPtr child, BuildPhysicalImpl(plan->input(0), ctx, leaf_preds));
       return PhysOpPtr(
           new ProjectDedup(std::move(child), plan->projection()));
     }
@@ -1452,143 +1275,13 @@ Result<PhysOpPtr> BuildPhysicalImpl(const LogicalRef& plan,
   return Status::Internal("unreachable logical op in plan builder");
 }
 
-/// Occurrences of `target` in the plan DAG. The driving leaf must occur
-/// exactly once: a shared subtree node reached through another path
-/// would wrongly read from the same morsel cursor.
-size_t CountOccurrences(const LogicalRef& plan,
-                        const algebra::LogicalNode* target) {
-  size_t n = plan.get() == target ? 1 : 0;
-  for (const LogicalRef& input : plan->inputs()) {
-    n += CountOccurrences(input, target);
-  }
-  return n;
-}
-
-/// Pre-creates the shared build slots for every join node in the plan,
-/// so worker-side construction only ever reads the maps.
-void CreateSharedJoinSlots(const LogicalRef& plan,
-                           ParallelPlanState* state) {
-  if (plan->op() == LogicalOp::kJoin ||
-      plan->op() == LogicalOp::kNaturalJoin) {
-    state->hash_builds[plan.get()];
-    state->inner_rows[plan.get()];
-  }
-  for (const LogicalRef& input : plan->inputs()) {
-    CreateSharedJoinSlots(input, state);
-  }
-}
-
 }  // namespace
 
 Result<PhysOpPtr> BuildPhysical(const LogicalRef& plan,
                                 const ExecContext& ctx) {
   LeafPredMap leaf_preds;
   CollectLeafPreds(plan, *ctx.catalog, {}, &leaf_preds);
-  return BuildPhysicalImpl(plan, ctx, /*state=*/nullptr, &leaf_preds);
-}
-
-Result<PhysOpPtr> BuildPhysicalWorker(const LogicalRef& plan,
-                                      const ExecContext& ctx,
-                                      const ParallelPlanStatePtr& state) {
-  if (state == nullptr) {
-    return Status::Internal("BuildPhysicalWorker without plan state");
-  }
-  LeafPredMap leaf_preds;
-  CollectLeafPreds(plan, *ctx.catalog, {}, &leaf_preds);
-  return BuildPhysicalImpl(plan, ctx, state.get(), &leaf_preds);
-}
-
-Result<ParallelPlanStatePtr> PrepareParallelPlan(const LogicalRef& plan,
-                                                 const ExecContext& ctx,
-                                                 size_t threads,
-                                                 size_t max_morsel_size) {
-  auto state = std::make_shared<ParallelPlanState>();
-
-  // Walk the driving path: the input(0) chain from the root. Joins
-  // drive through their probe (outer) side; set operators interleave
-  // their own right-side emission with the left drain and stay serial.
-  const LogicalNode* node = plan.get();
-  for (bool at_leaf = false; !at_leaf;) {
-    switch (node->op()) {
-      case LogicalOp::kSelect:
-      case LogicalOp::kMap:
-      case LogicalOp::kFlat:
-      case LogicalOp::kJoin:
-      case LogicalOp::kNaturalJoin:
-        node = node->input(0).get();
-        break;
-      case LogicalOp::kProject:
-        // Workers dedup locally; the driver must dedup the merge.
-        state->needs_final_dedup = true;
-        node = node->input(0).get();
-        break;
-      case LogicalOp::kGet:
-      case LogicalOp::kExprSource:
-        at_leaf = true;
-        break;
-      case LogicalOp::kUnion:
-      case LogicalOp::kDiff:
-      case LogicalOp::kGroupRef:
-        return ParallelPlanStatePtr();  // serial fallback
-    }
-  }
-
-  if (CountOccurrences(plan, node) != 1) {
-    return ParallelPlanStatePtr();  // shared leaf subtree: stay serial
-  }
-
-  // Materialize the driving scan once, exactly like the serial leaf's
-  // Open() would (same stats, same errors).
-  state->driving_leaf = node;
-  if (node->op() == LogicalOp::kGet) {
-    const ClassDef* cls = ctx.catalog->FindClass(node->class_name());
-    if (cls == nullptr) {
-      return Status::PlanError("unknown class '" + node->class_name() +
-                               "'");
-    }
-    const storage::SegmentVersionRef version =
-        ctx.segments == nullptr
-            ? nullptr
-            : ctx.segments->VersionAt(cls->class_id(), ctx.snapshot_epoch);
-    if (version != nullptr) {
-      // Segment-backed: zone-map pruning happens here, before the
-      // morsel cursor is sized, so refuted segments never become
-      // morsels and every worker clone shares the savings.
-      LeafPredMap leaf_preds;
-      CollectLeafPreds(plan, *ctx.catalog, {}, &leaf_preds);
-      state->segment_backed = true;
-      VODAK_ASSIGN_OR_RETURN(
-          state->extent,
-          ctx.segments->ReadOids(*version, LeafPredsFor(&leaf_preds, node),
-                                 &state->pruning));
-      ctx.segments->NotePruning(state->pruning.scanned,
-                                state->pruning.skipped);
-    } else {
-      VODAK_ASSIGN_OR_RETURN(state->extent,
-                             ctx.store->Extent(cls->class_id(),
-                                               ctx.snapshot_epoch));
-    }
-    state->leaf_is_extent = true;
-  } else {
-    ExprEvaluator evaluator(ctx.catalog, ctx.store, ctx.methods,
-                            ctx.snapshot_epoch);
-    VODAK_ASSIGN_OR_RETURN(Value set, evaluator.EvalClosed(node->expr()));
-    if (set.is_null()) {
-      state->elements.clear();
-    } else if (set.is_set()) {
-      state->elements = set.AsSet();
-    } else {
-      return Status::ExecError("expr_source evaluated to non-set " +
-                               set.ToString());
-    }
-  }
-
-  const size_t total = state->driving_total();
-  state->morsels.Reset(
-      total, BalancedMorselSize(total, threads, max_morsel_size));
-
-  CreateSharedJoinSlots(plan, state.get());
-  return state;
+  return BuildPhysicalImpl(plan, ctx, &leaf_preds);
 }
 
 Result<Value> ExecuteToSet(PhysOperator* root) {

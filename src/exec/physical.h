@@ -1,10 +1,10 @@
 // Physical operators: the batch-at-a-time (NextBatch) pipeline. The
-// operator-by-operator batch behavior and the parallel worker-clone
-// machinery are documented in docs/ARCHITECTURE.md §"The NextBatch
-// pipeline" and §"Morsel-driven parallelism". Each operator's density contract — whether it accepts
-// and emits selected or compacted batches — is the operator-contract
-// table in docs/ARCHITECTURE.md §"Selection vectors"; the per-operator
-// comments in physical.cc name their row.
+// operator-by-operator batch behavior is documented in
+// docs/ARCHITECTURE.md §"The NextBatch pipeline". Each operator's
+// density contract — whether it accepts and emits selected or
+// compacted batches — is the operator-contract table in
+// docs/ARCHITECTURE.md §"Selection vectors"; the per-operator comments
+// in physical.cc name their row.
 #ifndef VODAK_EXEC_PHYSICAL_H_
 #define VODAK_EXEC_PHYSICAL_H_
 
@@ -68,8 +68,7 @@ struct ExecContext {
   /// (default: none). Polled at batch boundaries — every scan leaf's
   /// NextBatch/refill and every nested-loop join output batch — so a
   /// cancel or an expired deadline surfaces as kCancelled /
-  /// kDeadlineExceeded within ~one batch. Worker clones
-  /// copy the context, so all lanes of one query observe the same flag.
+  /// kDeadlineExceeded within ~one batch.
   const CancellationToken* cancel = nullptr;
   Deadline deadline;
   /// The epoch every store read of this query resolves at — pinned by
@@ -102,38 +101,6 @@ Result<Value> ExecuteToSet(PhysOperator* root);
 
 /// Drains the tree and projects one reference, returning a value set.
 Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref);
-
-/// Shared, per-query state behind the morsel-driven parallel pipeline
-/// (exec/parallel.h): the materialized driving scan with its atomic
-/// morsel cursor, plus once-built hash-join tables and nested-loop
-/// materializations shared read-only by the worker-local plan clones.
-/// Opaque outside physical.cc; created by PrepareParallelPlan and
-/// consumed by BuildPhysicalWorker.
-class ParallelPlanState;
-using ParallelPlanStatePtr = std::shared_ptr<ParallelPlanState>;
-
-/// Analyzes `plan` for morsel-driven execution and materializes the
-/// driving scan (the input(0)-chain leaf: extent or method scan) once.
-/// Returns a null pointer — not an error — when the plan has no
-/// parallelizable driving path (set operators on the path); callers
-/// then fall back to the serial pipeline. `threads` sizes morsels for
-/// load balance; `max_morsel_size` caps the rows per morsel.
-Result<ParallelPlanStatePtr> PrepareParallelPlan(
-    const algebra::LogicalRef& plan, const ExecContext& ctx,
-    size_t threads, size_t max_morsel_size);
-
-/// True when worker-local results must pass through a final
-/// single-threaded dedup (the plan dedups on the driving path, which
-/// workers can only apply locally).
-bool ParallelPlanNeedsFinalDedup(const ParallelPlanState& state);
-
-/// Builds one worker's clone of the plan: the driving leaf reads
-/// morsels from the shared cursor and joins share their build side
-/// through `state`. Each worker drains its own clone; the merged
-/// per-worker outputs form the plan's result multiset.
-Result<PhysOpPtr> BuildPhysicalWorker(const algebra::LogicalRef& plan,
-                                      const ExecContext& ctx,
-                                      const ParallelPlanStatePtr& state);
 
 /// Indented physical EXPLAIN with the restricted-algebra decomposition
 /// of operator parameters (§6.1): complex expressions are shown as

@@ -11,8 +11,7 @@ namespace vodak {
 namespace exec {
 
 /// Row hashing/equality/ordering shared by the physical operators (hash
-/// join tables, dedup sets), the parallel driver's final merge-dedup
-/// pass and the parity tests.
+/// join tables, dedup sets) and the parity tests.
 
 inline uint64_t HashRow(const Row& row) {
   uint64_t h = 0x9e3779b97f4a7c15ULL;

@@ -144,7 +144,7 @@ Result<ValueColumn> ExprEvaluator::EvalPropertyColumn(
   auto flush_run = [&]() -> Status {
     if (run.empty()) return Status::OK();
     // Range-scoped read: one atomic stats bump for the whole run, so
-    // parallel morsel workers don't contend per row on the counter.
+    // concurrent drains don't contend per row on the counter.
     VODAK_RETURN_IF_ERROR(store_->GetPropertyColumn(
         run_class, run_prop->slot, run, 0, run.size(), &out, snapshot_));
     run.clear();

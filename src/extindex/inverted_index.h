@@ -73,7 +73,7 @@ class InvertedTextIndex {
   /// word -> sorted postings list.
   std::map<std::string, std::vector<Oid>> postings_;
   uint64_t indexed_count_ = 0;
-  // Relaxed atomics: searches run from parallel morsel workers.
+  // Relaxed atomics: searches run from concurrent drains.
   mutable std::atomic<uint64_t> search_count_{0};
   mutable std::atomic<uint64_t> postings_scanned_{0};
 };

@@ -38,21 +38,6 @@ Status MethodRegistry::Register(const std::string& class_name,
   return Status::OK();
 }
 
-Status MethodRegistry::InstallQueryThunk(const std::string& class_name,
-                                         const std::string& method,
-                                         MethodLevel level, NativeFn thunk) {
-  auto it = methods_.find(Key{class_name, method, level});
-  if (it == methods_.end()) {
-    return Status::NotFound("method '" + class_name + "::" + method + "'");
-  }
-  if (it->second.impl.kind != MethodImplKind::kQueryDefined) {
-    return Status::InvalidArgument("method '" + class_name + "::" + method +
-                                   "' is not query-defined");
-  }
-  it->second.impl.native = std::move(thunk);
-  return Status::OK();
-}
-
 const MethodRegistry::RegisteredMethod* MethodRegistry::Find(
     const std::string& class_name, const std::string& method,
     MethodLevel level) const {
@@ -116,7 +101,6 @@ Result<Value> MethodRegistry::Dispatch(MethodCallContext& ctx,
       }
       return EvalPath(ctx, method.impl.path, self.AsOid());
     case MethodImplKind::kNative:
-    case MethodImplKind::kQueryDefined:
       if (!method.impl.native) {
         return Status::Internal("method '" + method.sig.name +
                                 "' has no runnable implementation");

@@ -78,9 +78,8 @@ using NativeBatchFn = std::function<Status(
 /// The paper's implementation dimension (§2.1): internally encoded
 /// (kPath covers the `RETURN section.document` style; kNative with
 /// `is_external=false` covers other internal code), externally
-/// implemented (kNative with `is_external=true`), and methods whose body
-/// is a declarative query (§5.1 "methods may incorporate queries").
-enum class MethodImplKind { kNative, kPath, kQueryDefined };
+/// implemented (kNative with `is_external=true`).
+enum class MethodImplKind { kNative, kPath };
 
 /// Implementation payload of a registered method.
 struct MethodImpl {
@@ -92,9 +91,6 @@ struct MethodImpl {
   NativeBatchFn native_batch;
   /// For kPath: the property chain, e.g. {"section", "document"}.
   std::vector<std::string> path;
-  /// For kQueryDefined: the VQL text (documentation / rule derivation);
-  /// the runnable thunk is installed into `native` by the engine.
-  std::string query_text;
   /// Marks the §2.1 external-implementation category (IR functions etc.).
   bool is_external = false;
 };
@@ -131,7 +127,7 @@ class MethodRegistry {
     /// Dispatches of the implementation. A scalar dispatch counts 1 per
     /// row; a native batch dispatch counts 1 per *batch* — that is the
     /// observable amortization the method_batch_test counters assert.
-    /// Relaxed atomic: dispatch is counted from parallel morsel workers.
+    /// Relaxed atomic: dispatch is counted from concurrent drains.
     mutable std::atomic<uint64_t> invocations{0};
     /// Set-at-a-time dispatches (one per batch handed to native_batch).
     mutable std::atomic<uint64_t> batch_invocations{0};
@@ -159,12 +155,6 @@ class MethodRegistry {
   /// catalog class `class_name`.
   Status Register(const std::string& class_name, MethodSig sig,
                   MethodImpl impl, MethodCost cost = MethodCost{});
-
-  /// Replaces the runnable thunk of a query-defined method (installed by
-  /// the engine once the interpreter exists).
-  Status InstallQueryThunk(const std::string& class_name,
-                           const std::string& method, MethodLevel level,
-                           NativeFn thunk);
 
   const RegisteredMethod* Find(const std::string& class_name,
                                const std::string& method,

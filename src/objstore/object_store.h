@@ -22,7 +22,7 @@ namespace vodak {
 /// calibration read these to *measure* property accesses and extent scans
 /// instead of guessing, which is how we validate the paper's claims about
 /// access cost asymmetry between attributes and methods. Relaxed atomics:
-/// morsel-driven workers read properties concurrently, and counting must
+/// concurrent drains read properties at the same time, and counting must
 /// never race (column reads bump property_reads once per column, so the
 /// hot path pays one fetch_add per batch, not per row).
 struct StoreStats {
@@ -170,8 +170,8 @@ class ObjectStore {
                            std::vector<Value>* out,
                            Epoch at = kEpochLatest) const;
 
-  /// Range-scoped variant reading locals[begin, end): parallel morsel
-  /// workers can share one locals vector and each read a disjoint slice
+  /// Range-scoped variant reading locals[begin, end): concurrent
+  /// callers can share one locals vector and each read a disjoint slice
   /// without coordination — each slice takes the reader side of the
   /// store lock and resolves against the same epoch, and the stats
   /// counter is bumped once, atomically, for the whole slice.

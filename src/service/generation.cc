@@ -136,8 +136,7 @@ void GenerationScheduler::ExecutorLoop() {
 
 void GenerationScheduler::GenerationWorker(const exec::ExecContext& ctx,
                                            uint64_t generation) {
-  // Members drain exactly like a Submit batch member: serial.
-  const engine::RunOptions run;
+  // Members drain exactly like a Submit batch member.
   for (;;) {
     ServiceQuery query;
     {
@@ -156,7 +155,7 @@ void GenerationScheduler::GenerationWorker(const exec::ExecContext& ctx,
     member_ctx.cancel = query.cancel.get();
     member_ctx.deadline = query.deadline;
     reply.status = db_->DrainRead(query.plan, query.result_ref, member_ctx,
-                                  run, &reply.result, &reply.stats);
+                                  &reply.result, &reply.stats);
     {
       MutexLock lock(mu_);
       CountOutcome(reply.status);

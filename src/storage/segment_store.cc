@@ -170,24 +170,5 @@ Result<std::vector<uint32_t>> SegmentStore::ReadLocals(
   return locals;
 }
 
-Result<std::vector<Oid>> SegmentStore::ReadOids(
-    const SegmentVersion& version, const std::vector<SlotPredicate>& preds,
-    PruneCounts* counts) const {
-  PruneCounts tally;
-  std::vector<Oid> oids;
-  oids.reserve(version.total_rows);
-  for (const Segment& seg : version.segments) {
-    if (SegmentRefuted(seg, preds)) {
-      ++tally.skipped;
-      continue;
-    }
-    ++tally.scanned;
-    VODAK_ASSIGN_OR_RETURN(std::vector<uint32_t> locals, ReadLocals(seg));
-    for (uint32_t local : locals) oids.push_back(Oid(version.class_id, local));
-  }
-  *counts = tally;
-  return oids;
-}
-
 }  // namespace storage
 }  // namespace vodak

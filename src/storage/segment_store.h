@@ -105,12 +105,6 @@ struct IngestOptions {
   uint32_t rows_per_segment = 64 * 1024;
 };
 
-/// One scan's pruning outcome: segments read vs refuted by zone maps.
-struct PruneCounts {
-  uint64_t scanned = 0;
-  uint64_t skipped = 0;
-};
-
 /// Pruning totals since construction/reset. Relaxed atomics read
 /// quiescently by tests (segment_diff_test's
 /// SegmentScansAgreeAcrossAllDrains requires scanned > 0 and
@@ -158,14 +152,6 @@ class SegmentStore {
   /// Reads a segment's OID column (u32 locals, extent order). A blob
   /// whose size is not 4 * row_count is a Status, not a short read.
   Result<std::vector<uint32_t>> ReadLocals(const Segment& seg) const;
-
-  /// The OIDs of every segment of `version` that `preds` do not
-  /// refute, in extent order. `counts` receives the scanned/skipped
-  /// tallies; the caller decides whether they count toward
-  /// NotePruning.
-  Result<std::vector<Oid>> ReadOids(const SegmentVersion& version,
-                                    const std::vector<SlotPredicate>& preds,
-                                    PruneCounts* counts) const;
 
   /// Records one pruning decision round (scan-open time): bumped once
   /// per source construction, not per batch.

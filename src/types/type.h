@@ -61,8 +61,6 @@ class Type {
   bool IsNumeric() const {
     return kind_ == TypeKind::kInt || kind_ == TypeKind::kReal;
   }
-  bool IsSet() const { return kind_ == TypeKind::kSet; }
-  bool IsOid() const { return kind_ == TypeKind::kOid; }
 
   /// Structural equality. kAny equals only kAny.
   bool Equals(const Type& other) const;

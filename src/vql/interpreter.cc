@@ -129,8 +129,7 @@ Status Interpreter::RunParallel(const BoundQuery& query,
                                 const std::vector<Oid>& extent,
                                 size_t threads,
                                 std::vector<Value>* out) const {
-  // Morselize the outermost extent with the same load-balanced sizing
-  // as the physical parallel driver.
+  // Morselize the outermost extent, several morsels per worker.
   exec::MorselSource morsels;
   morsels.Reset(extent.size(),
                 exec::BalancedMorselSize(extent.size(), threads,

@@ -123,6 +123,23 @@ TEST_F(EngineSubmitTest, BatchMemberExplainShowsTheTreeThatRan) {
   }
 }
 
+TEST_F(EngineSubmitTest, ThreadsKnobDrainsTheSameSerialTree) {
+  // RunOptions::threads is ignored: a lone read submitted with
+  // threads = 4 returns the oracle's answer and renders exactly the
+  // EXPLAIN of its threads = 1 drain.
+  for (const char* q : kQueries) {
+    QueryRequest four = Plain(q);
+    four.run.threads = 4;
+    const std::vector<QueryOutcome> got = session_->Submit({four});
+    ASSERT_TRUE(got[0].status.ok()) << q << ": " << got[0].status.ToString();
+    EXPECT_EQ(got[0].result.result, Oracle(q)) << q;
+    const std::vector<QueryOutcome> one = session_->Submit({Plain(q)});
+    ASSERT_TRUE(one[0].status.ok()) << q << ": " << one[0].status.ToString();
+    EXPECT_EQ(got[0].result.physical_explain, one[0].result.physical_explain)
+        << q;
+  }
+}
+
 TEST_F(EngineSubmitTest, RangeCompareReadsItsPropertyOncePerRow) {
   // `p.number >= 1 AND p.number <= 1` builds one Filter that reads
   // p.number once per scanned row and applies both compares to that

@@ -5,7 +5,9 @@
 // filters, maps, flattens and both join algorithms; targeted cases pin
 // the nested-loop join and set-operator batch edges (selected inputs,
 // inner sides wider than a batch, empty sides, the TRUE cross product,
-// overlapping set-op inputs) and the join's cancel/deadline polling.
+// overlapping set-op inputs, an empty extent) and the join's
+// cancel/deadline polling; ExecuteColumn's value sets are checked
+// against the row-mode interpreter as well.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,6 +20,8 @@
 #include "algebra/eval.h"
 #include "algebra/translate.h"
 #include "exec/physical.h"
+#include "vql/binder.h"
+#include "vql/interpreter.h"
 #include "vql/parser.h"
 #include "workload/document_db.h"
 
@@ -91,7 +95,9 @@ class ExecBatchTest : public ::testing::Test {
     return rows.size();
   }
 
-  void CheckQueryParity(const std::string& text) {
+  void CheckQueryParity(const std::string& text,
+                        vql::BoundQuery* bound_out = nullptr,
+                        algebra::LogicalRef* plan_out = nullptr) {
     auto q = vql::ParseQuery(text);
     ASSERT_TRUE(q.ok()) << text;
     vql::Binder binder(&db_->catalog());
@@ -100,6 +106,8 @@ class ExecBatchTest : public ::testing::Test {
     auto plan = algebra::TranslateQuery(*ctx_, bound.value());
     ASSERT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
     CheckParity(plan.value(), text);
+    if (bound_out != nullptr) *bound_out = std::move(bound).value();
+    if (plan_out != nullptr) *plan_out = plan.value();
   }
 
   /// The nested-loop join of the cancel/deadline checks: paragraphs
@@ -271,6 +279,59 @@ TEST_F(ExecBatchTest, ConstOperandSetOpsDoNotTakeComparisonFastPath) {
       "p IS-IN Paragraph->retrieve_by_string('implementation')");
 }
 
+TEST_F(ExecBatchTest, ColumnDrainMatchesRowModeInterpreter) {
+  // ExecuteColumn's value set against the row-mode interpreter, which
+  // shares no batched-evaluation code with the executor: scans,
+  // dependent ranges, self-joins, method predicates, an index scan,
+  // and projections whose values repeat across rows (the dedup).
+  const std::vector<std::string> queries = {
+      "ACCESS p FROM p IN Paragraph",
+      "ACCESS p.number FROM p IN Paragraph",
+      "ACCESS p FROM p IN Paragraph WHERE p.number >= 1",
+      "ACCESS s FROM s IN Section WHERE s.number == 1",
+      "ACCESS d.title FROM d IN Document",
+      "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 20",
+      "ACCESS d.title FROM d IN Document, p IN d->paragraphs() WHERE "
+      "p->contains_string('implementation')",
+      "ACCESS p FROM p IN Paragraph, q IN Paragraph WHERE "
+      "p->sameDocument(q) AND p.number == 0 AND q.number > 0",
+      "ACCESS p FROM s IN Section, p IN Paragraph WHERE p.section == s",
+      "ACCESS p FROM p IN Paragraph WHERE p.section.document IS-IN "
+      "Document->select_by_index('Title 1')",
+  };
+  vql::Interpreter interpreter(&db_->catalog(), &db_->store(),
+                               &db_->methods());
+  vql::Interpreter::Options row_mode;
+  row_mode.row_mode = true;
+  for (const std::string& query : queries) {
+    SCOPED_TRACE(query);
+    vql::BoundQuery bound;
+    algebra::LogicalRef plan;
+    CheckQueryParity(query, &bound, &plan);
+    ASSERT_NE(plan, nullptr);
+    auto oracle = interpreter.Run(bound, row_mode);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    auto phys = BuildPhysical(plan, exec_ctx_);
+    ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+    auto got = ExecuteColumn(phys.value().get(), algebra::ResultRef(bound));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), oracle.value());
+  }
+}
+
+TEST_F(ExecBatchTest, EmptyExtentDrainsNothing) {
+  workload::DocumentDb empty_db;
+  ASSERT_TRUE(empty_db.Init().ok());  // classes registered, no objects
+  algebra::AlgebraContext ctx(&empty_db.catalog());
+  ExecContext exec_ctx;
+  exec_ctx.catalog = &empty_db.catalog();
+  exec_ctx.store = &empty_db.store();
+  exec_ctx.methods = &empty_db.methods();
+  auto phys = BuildPhysical(ctx.Get("p", "Paragraph").value(), exec_ctx);
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  EXPECT_TRUE(BatchDrainSorted(phys.value().get()).empty());
+}
+
 TEST_F(ExecBatchTest, ScanBatchesRespectDefaultBatchSize) {
   auto plan = ctx_->Get("p", "Paragraph").value();
   auto phys = BuildPhysical(plan, exec_ctx_);
@@ -312,6 +373,22 @@ TEST_F(ExecBatchTest, NestedLoopJoinOverSelectedLeftInput) {
       ctx_->Join(Parse("p.section.document == s.document"), left, right)
           .value(),
       "nlj over selected left and right");
+}
+
+TEST_F(ExecBatchTest, NestedLoopJoinOverFullAndFilteredOuter) {
+  // The unfiltered outer scan, and a filtered outer under a path
+  // condition and under the TRUE cross product.
+  EXPECT_GT(CheckParity(WideJoin(), "nlj"), 0u);
+  auto low = Select("p.number <= 1", Get("p", "Paragraph"));
+  EXPECT_GT(CheckParity(ctx_->Join(Parse("p.section == s"), low,
+                                   Get("s", "Section"))
+                            .value(),
+                        "nlj over filtered outer"),
+            0u);
+  EXPECT_EQ(CheckParity(ctx_->Join(Parse("TRUE"), low, Get("s", "Section"))
+                            .value(),
+                        "cross product over filtered outer"),
+            (8u * 2u * 2u) * (8u * 2u));
 }
 
 TEST_F(ExecBatchTest, NestedLoopJoinInnerSideWiderThanABatch) {

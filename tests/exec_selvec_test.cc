@@ -4,8 +4,8 @@
 // selection view, and density is restored only at the explicit
 // Compact() boundaries. These tests pin the edge cases — empty and full
 // selections, selections surviving through hash-join probe and
-// project-dedup, set parity against the naive logical evaluator
-// (serially and under threads {1, 4}), the copy-counter bound on a
+// project-dedup, set parity against the naive logical evaluator, the
+// copy-counter bound on a
 // selection chain (no more value moves than scanned rows), and the
 // tripwire that batch method bodies only ever see selected rows.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "algebra/eval.h"
 #include "algebra/translate.h"
 #include "common/copy_stats.h"
-#include "exec/parallel.h"
 #include "exec/physical.h"
 #include "vql/parser.h"
 #include "workload/document_db.h"
@@ -241,26 +240,6 @@ TEST_F(ExecSelvecTest, SelectionSurvivesJoinProbeAndProjectDedup) {
   CheckOracleParity(join, "join over filtered inputs");
   CheckOracleParity(ctx_->Project({"p"}, join).value(),
                       "project-dedup over join");
-}
-
-TEST_F(ExecSelvecTest, ParallelChainParityAtThreads1And4) {
-  const algebra::LogicalRef plan = ChainPlan();
-  const Value oracle = Oracle(plan);
-  ASSERT_FALSE(oracle.AsSet().empty());
-  auto phys = BuildPhysical(plan, exec_ctx_);
-  ASSERT_TRUE(phys.ok());
-  for (size_t threads : {1u, 4u}) {
-    ParallelOptions options;
-    options.threads = threads;
-    auto rows = ParallelDrainRows(plan, exec_ctx_, options);
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    // The chain's rows are distinct, so the multiset has the set's size.
-    ASSERT_EQ(rows.value().size(), oracle.AsSet().size())
-        << "threads=" << threads;
-    EXPECT_EQ(vodak::testing::RowsToSet(phys.value()->refs(), rows.value()),
-              oracle)
-        << "threads=" << threads << " vs EvalLogical";
-  }
 }
 
 TEST_F(ExecSelvecTest, BareVariableChainMovesNothing) {

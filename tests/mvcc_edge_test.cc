@@ -113,19 +113,18 @@ TEST_F(MvccEdgeTest, MemberDrainsItsPinnedEpochWhileDeleteAndUpdateCommit) {
   EXPECT_EQ(Value::Set(drained), expect_values);
 
   // A member that starts after the commits drains the same world.
-  const engine::RunOptions serial;
   Value result;
   engine::QueryStats stats;
   ASSERT_TRUE(session
                   .DrainRead(values.value().planned.chosen_plan,
-                             values.value().result_ref, ctx, serial,
-                             &result, &stats)
+                             values.value().result_ref, ctx, &result,
+                             &stats)
                   .ok());
   EXPECT_EQ(result, expect_values);
   ASSERT_TRUE(session
                   .DrainRead(untorn.value().planned.chosen_plan,
-                             untorn.value().result_ref, ctx, serial,
-                             &result, &stats)
+                             untorn.value().result_ref, ctx, &result,
+                             &stats)
                   .ok());
   EXPECT_EQ(result.AsSet().size(), 8u) << "torn or lost row at the pin";
 
@@ -134,14 +133,14 @@ TEST_F(MvccEdgeTest, MemberDrainsItsPinnedEpochWhileDeleteAndUpdateCommit) {
   ctx.snapshot_epoch = later.epoch();
   ASSERT_TRUE(session
                   .DrainRead(untorn.value().planned.chosen_plan,
-                             untorn.value().result_ref, ctx, serial,
-                             &result, &stats)
+                             untorn.value().result_ref, ctx, &result,
+                             &stats)
                   .ok());
   EXPECT_EQ(result.AsSet().size(), 5u);
   ASSERT_TRUE(session
                   .DrainRead(values.value().planned.chosen_plan,
-                             values.value().result_ref, ctx, serial,
-                             &result, &stats)
+                             values.value().result_ref, ctx, &result,
+                             &stats)
                   .ok());
   EXPECT_EQ(result, Value::Set({Value::Int(999)}));
 }

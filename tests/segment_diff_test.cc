@@ -1,8 +1,8 @@
 // The paged-storage headline proof (docs/ARCHITECTURE.md §"Paged
 // storage & segment skipping"): segment-backed scans must be
 // result-invisible. A seeded randomized VQL corpus (tests/query_gen.h)
-// runs through a session with the segment store attached — serial,
-// morsel-parallel and multi-read Submit batches — against a plain
+// runs through a session with the segment store attached — lone
+// reads and multi-read Submit batches — against a plain
 // extent-backed session and the row-mode oracle
 // interpreter; all must agree exactly, while the pruning counters
 // prove zone maps actually skipped segments (an agreement with zero
@@ -117,8 +117,8 @@ class SegmentDiffTest : public ::testing::Test {
     return session;
   }
 
-  /// Runs one query through the segment session (serial and parallel),
-  /// the extent session and the row-mode oracle; fails
+  /// Runs one query through the segment session, the extent session
+  /// and the row-mode oracle; fails
   /// (with query + seed) on any disagreement.
   bool CheckAllDrains(engine::Database* seg_session,
                       engine::Database* ext_session,
@@ -137,18 +137,13 @@ class SegmentDiffTest : public ::testing::Test {
     struct Drain {
       const char* name;
       engine::Database* session;
-      engine::RunOptions run;
     };
-    const engine::RunOptions serial;
-    engine::RunOptions parallel;
-    parallel.threads = 3;
     const Drain drains[] = {
-        {"segment-serial", seg_session, serial},
-        {"segment-parallel", seg_session, parallel},
-        {"extent-serial", ext_session, serial},
+        {"segment", seg_session},
+        {"extent", ext_session},
     };
     for (const Drain& d : drains) {
-      auto got = d.session->Run(query, no_opt, d.run);
+      auto got = d.session->Run(query, no_opt);
       EXPECT_TRUE(got.ok()) << d.name << ": " << got.status().ToString()
                             << "\n  query: " << query
                             << "\n  seed: " << seed;
@@ -199,8 +194,7 @@ TEST_F(SegmentDiffTest, ExplainReportsSourceKindAndPruning) {
 
 // The store's pruning totals count each opened segment leaf once: a
 // drain adds exactly its surviving and refuted segments, whichever
-// drain ran it. Leaves that are built but never opened — the EXPLAIN
-// skeleton beside a parallel drain — add nothing.
+// drain ran it.
 TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
   auto seg_session = SegmentSession();
   const std::string query = "ACCESS a FROM a IN Item WHERE a.v1 < 64";
@@ -220,8 +214,6 @@ TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
   engine::PlanOptions no_opt;
   no_opt.optimize = false;
   const engine::RunOptions tree;
-  engine::RunOptions parallel;
-  parallel.threads = 3;
   storage::SegmentStoreStats* stats = segments_->mutable_stats();
   auto expect_counts = [&](const char* drain, uint64_t leaves) {
     EXPECT_EQ(stats->segments_scanned.load(std::memory_order_relaxed),
@@ -236,12 +228,6 @@ TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
   stats->Reset();
   ASSERT_TRUE(seg_session->Run(query, no_opt, tree).ok());
   expect_counts("tree", 1);
-  auto morsels = seg_session->Run(query, no_opt, parallel);
-  ASSERT_TRUE(morsels.ok()) << morsels.status().ToString();
-  EXPECT_NE(morsels.value().physical_explain.find("[parallel: threads=3"),
-            std::string::npos)
-      << morsels.value().physical_explain;
-  expect_counts("threads=3", 1);
 
   std::vector<engine::QueryRequest> requests(2);
   for (engine::QueryRequest& request : requests) {
@@ -257,7 +243,7 @@ TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
 }
 
 // Phase 1: the static corpus — kDiffQueries generated queries, each
-// executed through four engine drains plus the oracle, with the
+// executed through the segment and extent sessions plus the oracle, with the
 // pruning counters checked afterwards (skipping must really happen).
 TEST_F(SegmentDiffTest, SegmentScansAgreeAcrossAllDrains) {
   const uint64_t seed = testing::TestSeed();
@@ -496,12 +482,8 @@ TEST_F(SegmentDiffTest, SegmentReadsAgreeWithOracleUnderConcurrentWrites) {
         engine::PlanOptions no_opt;
         no_opt.optimize = false;
         for (int iter = 0; iter < kReaderIters; ++iter) {
-          engine::RunOptions run;
-          // Alternate the drain kind so serial and morsel-parallel
-          // reads both race the writer.
-          if (iter % 3 == 1) run.threads = 3;
           const std::string query = gen.NextQuery();
-          auto result = session->Run(query, no_opt, run);
+          auto result = session->Run(query, no_opt);
           ASSERT_TRUE(result.ok())
               << result.status().ToString() << "\n  query: " << query
               << "\n  seed: " << seed;

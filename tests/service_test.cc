@@ -626,11 +626,6 @@ TEST_F(ServiceTest, SubmitsOfOtherSizesKeepTheServicePoolAlive) {
   ASSERT_TRUE(first.ok()) << first.message;
   EXPECT_EQ(first.hash, expect);
 
-  // A lone query on the intra-query path with 4 threads.
-  engine::RunOptions four;
-  four.threads = 4;
-  auto single = session_->Run(query, {/*optimize=*/false}, four);
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
   // A two-query batch on 2 lanes.
   engine::QueryRequest request;
   request.vql = query;

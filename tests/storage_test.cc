@@ -297,22 +297,6 @@ TEST_F(SegmentStoreTest, IngestRoundTripsLocals) {
     }
   }
   EXPECT_EQ(row, 250u);
-  // ReadOids is the same walk, pruned: `tracked < 100` keeps only the
-  // first segment.
-  PruneCounts counts;
-  auto all = segments->ReadOids(*version, {}, &counts);
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
-  EXPECT_EQ(all.value(), extent.value());
-  EXPECT_EQ(counts.scanned, 3u);
-  EXPECT_EQ(counts.skipped, 0u);
-  auto pruned = segments->ReadOids(
-      *version, {{0, BinOp::kLt, Value::Int(100)}}, &counts);
-  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
-  EXPECT_EQ(pruned.value(),
-            std::vector<Oid>(extent.value().begin(),
-                             extent.value().begin() + 100));
-  EXPECT_EQ(counts.scanned, 1u);
-  EXPECT_EQ(counts.skipped, 2u);
 }
 
 // The page file holds the OID columns and nothing else: one u32 per
