@@ -295,6 +295,12 @@ if ! grep -q "^## Paged storage & segment skipping" docs/ARCHITECTURE.md; then
        "skipping' chapter" >&2
   exit 1
 fi
+# The oracles chapter (both reference evaluators are row-at-a-time and
+# share no batch code with the executor; lint check 6 enforces it).
+if ! grep -q "^## The oracles" docs/ARCHITECTURE.md; then
+  echo "ci.sh: docs/ARCHITECTURE.md lost 'The oracles' chapter" >&2
+  exit 1
+fi
 
 : "${BUILD_DIR:=build}"
 echo "== tier-1: configure + build + ctest =="

@@ -39,6 +39,13 @@ contracts"):
 
 5. header-cycles — the `#include "..."` graph over src/ headers is
    acyclic (cycles compile by accident-of-order until they don't).
+
+6. oracle-independence — the two reference evaluators
+   (src/vql/interpreter.* and src/algebra/eval.*) name no batched
+   entry point (EvalBatch, EvalPredicateBatch, EvalClosed,
+   Invoke*Batch), no RowBatch, WorkerPool or Morsel, and include no
+   exec/ header. They check the batch path, so they must not share it
+   (docs/ARCHITECTURE.md §"The oracles").
 """
 
 import json
@@ -365,12 +372,40 @@ def check_header_cycles():
             dfs(node)
 
 
+# ------------------------------------------------ 6. oracle independence
+ORACLE_FILES = [os.path.join("vql", "interpreter.h"),
+                os.path.join("vql", "interpreter.cc"),
+                os.path.join("algebra", "eval.h"),
+                os.path.join("algebra", "eval.cc")]
+
+
+def check_oracle_independence():
+    name_re = re.compile(
+        r"\b(EvalBatch|EvalPredicateBatch|EvalClosed|Invoke\w*Batch|"
+        r"RowBatch|WorkerPool|Morsel\w*)\b")
+    include_re = re.compile(r'^\s*#include\s+"exec/[^"]*"', re.M)
+    for rel in ORACLE_FILES:
+        path = os.path.join(SRC, rel)
+        if not os.path.exists(path):
+            err(path, 1, "oracle source file is missing")
+            continue
+        code = strip_comments(read(path))
+        for m in name_re.finditer(code):
+            err(path, line_of(code, m.start()),
+                f"oracle names '{m.group(1)}': the reference evaluators "
+                "must stay row-at-a-time")
+        for m in include_re.finditer(code):
+            err(path, line_of(code, m.start()),
+                "oracle includes an exec/ header")
+
+
 def main():
     check_mutex_guards()
     check_atomic_orders()
     check_operator_contracts()
     check_bench_fields()
     check_header_cycles()
+    check_oracle_independence()
     if errors:
         for e in errors:
             print(e, file=sys.stderr)

@@ -1,16 +1,9 @@
 #include "algebra/eval.h"
 
-#include <algorithm>
-
 namespace vodak {
 namespace algebra {
 
 namespace {
-
-/// Chunk size for driving the naive evaluator's expression work through
-/// the batched entry points (mirrors exec::kDefaultBatchSize without a
-/// layering dependency on the physical executor).
-constexpr size_t kEvalChunk = 1024;
 
 Env EnvFromTuple(const Value& tuple) {
   Env env;
@@ -25,69 +18,6 @@ Result<Value> ExtendTuple(const Value& tuple, const std::string& ref,
   ValueTuple fields = tuple.AsTuple();
   fields.emplace_back(ref, std::move(value));
   return Value::Tuple(std::move(fields));
-}
-
-std::vector<std::string> SchemaRefs(const LogicalRef& node) {
-  std::vector<std::string> names;
-  names.reserve(node->schema().size());
-  for (const auto& [name, type] : node->schema()) names.push_back(name);
-  return names;  // map order = sorted, matching canonical tuple order
-}
-
-/// Splits the fields of tuples [begin, end) into per-reference columns.
-/// Canonical tuples (fields sorted by name) align positionally with the
-/// sorted schema reference list; misaligned tuples fall back to by-name
-/// field lookup.
-Status ColumnsFromTuples(const ValueSet& tuples, size_t begin, size_t end,
-                         const std::vector<std::string>& names,
-                         std::vector<ValueColumn>* cols);
-
-/// Drives `fn(env, begin, end)` over `input`'s tuples a chunk at a
-/// time, with the chunk's fields split into a BatchEnv over the refs of
-/// `schema_node`. Shared scaffolding of the batched kSelect / kMap /
-/// kFlat evaluation.
-template <typename Fn>
-Status ForEachChunk(const ValueSet& input, const LogicalRef& schema_node,
-                    Fn fn) {
-  std::vector<std::string> names = SchemaRefs(schema_node);
-  std::vector<ValueColumn> cols(names.size());
-  for (size_t begin = 0; begin < input.size(); begin += kEvalChunk) {
-    size_t end = std::min(begin + kEvalChunk, input.size());
-    VODAK_RETURN_IF_ERROR(
-        ColumnsFromTuples(input, begin, end, names, &cols));
-    BatchEnv env{&names, &cols, end - begin};
-    VODAK_RETURN_IF_ERROR(fn(env, begin, end));
-  }
-  return Status::OK();
-}
-
-Status ColumnsFromTuples(const ValueSet& tuples, size_t begin, size_t end,
-                         const std::vector<std::string>& names,
-                         std::vector<ValueColumn>* cols) {
-  for (auto& col : *cols) col.clear();
-  for (size_t i = begin; i < end; ++i) {
-    const ValueTuple& fields = tuples[i].AsTuple();
-    bool aligned = fields.size() == names.size();
-    if (aligned) {
-      for (size_t j = 0; j < names.size(); ++j) {
-        if (fields[j].first != names[j]) {
-          aligned = false;
-          break;
-        }
-      }
-    }
-    if (aligned) {
-      for (size_t j = 0; j < names.size(); ++j) {
-        (*cols)[j].push_back(fields[j].second);
-      }
-    } else {
-      for (size_t j = 0; j < names.size(); ++j) {
-        VODAK_ASSIGN_OR_RETURN(Value v, tuples[i].GetField(names[j]));
-        (*cols)[j].push_back(std::move(v));
-      }
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -130,19 +60,13 @@ Result<Value> EvalLogical(const LogicalRef& node,
     case LogicalOp::kSelect: {
       VODAK_ASSIGN_OR_RETURN(Value input,
                              EvalLogical(node->input(0), evaluator));
-      const ValueSet& input_set = input.AsSet();
-      std::vector<char> keep;
       std::vector<Value> tuples;
-      VODAK_RETURN_IF_ERROR(ForEachChunk(
-          input_set, node->input(0),
-          [&](const BatchEnv& env, size_t begin, size_t end) -> Status {
-            VODAK_RETURN_IF_ERROR(
-                evaluator.EvalPredicateBatch(node->expr(), env, &keep));
-            for (size_t i = begin; i < end; ++i) {
-              if (keep[i - begin]) tuples.push_back(input_set[i]);
-            }
-            return Status::OK();
-          }));
+      for (const Value& tuple : input.AsSet()) {
+        VODAK_ASSIGN_OR_RETURN(
+            bool keep,
+            evaluator.EvalPredicate(node->expr(), EnvFromTuple(tuple)));
+        if (keep) tuples.push_back(tuple);
+      }
       return Value::Set(std::move(tuples));
     }
     case LogicalOp::kJoin: {
@@ -205,70 +129,40 @@ Result<Value> EvalLogical(const LogicalRef& node,
       }
       return Value::Set(std::move(tuples));
     }
-    case LogicalOp::kUnion: {
-      VODAK_ASSIGN_OR_RETURN(Value left,
-                             EvalLogical(node->input(0), evaluator));
-      VODAK_ASSIGN_OR_RETURN(Value right,
-                             EvalLogical(node->input(1), evaluator));
-      return SetUnion(left, right);
-    }
-    case LogicalOp::kDiff: {
-      VODAK_ASSIGN_OR_RETURN(Value left,
-                             EvalLogical(node->input(0), evaluator));
-      VODAK_ASSIGN_OR_RETURN(Value right,
-                             EvalLogical(node->input(1), evaluator));
-      return SetDifference(left, right);
-    }
     case LogicalOp::kMap: {
       VODAK_ASSIGN_OR_RETURN(Value input,
                              EvalLogical(node->input(0), evaluator));
-      const ValueSet& input_set = input.AsSet();
       std::vector<Value> tuples;
-      tuples.reserve(input_set.size());
-      VODAK_RETURN_IF_ERROR(ForEachChunk(
-          input_set, node->input(0),
-          [&](const BatchEnv& env, size_t begin, size_t end) -> Status {
-            VODAK_ASSIGN_OR_RETURN(
-                ValueColumn computed,
-                evaluator.EvalBatch(node->expr(), env));
-            for (size_t i = begin; i < end; ++i) {
-              VODAK_ASSIGN_OR_RETURN(
-                  Value extended,
-                  ExtendTuple(input_set[i], node->ref(),
-                              std::move(computed[i - begin])));
-              tuples.push_back(std::move(extended));
-            }
-            return Status::OK();
-          }));
+      tuples.reserve(input.AsSet().size());
+      for (const Value& tuple : input.AsSet()) {
+        VODAK_ASSIGN_OR_RETURN(
+            Value computed,
+            evaluator.Eval(node->expr(), EnvFromTuple(tuple)));
+        VODAK_ASSIGN_OR_RETURN(
+            Value extended,
+            ExtendTuple(tuple, node->ref(), std::move(computed)));
+        tuples.push_back(std::move(extended));
+      }
       return Value::Set(std::move(tuples));
     }
     case LogicalOp::kFlat: {
       VODAK_ASSIGN_OR_RETURN(Value input,
                              EvalLogical(node->input(0), evaluator));
-      const ValueSet& input_set = input.AsSet();
       std::vector<Value> tuples;
-      VODAK_RETURN_IF_ERROR(ForEachChunk(
-          input_set, node->input(0),
-          [&](const BatchEnv& env, size_t begin, size_t end) -> Status {
-            VODAK_ASSIGN_OR_RETURN(
-                ValueColumn sets, evaluator.EvalBatch(node->expr(), env));
-            for (size_t i = begin; i < end; ++i) {
-              const Value& set = sets[i - begin];
-              if (set.is_null()) continue;
-              if (!set.is_set()) {
-                return Status::ExecError(
-                    "flat expression evaluated to non-set " +
-                    set.ToString());
-              }
-              for (const Value& v : set.AsSet()) {
-                VODAK_ASSIGN_OR_RETURN(
-                    Value extended,
-                    ExtendTuple(input_set[i], node->ref(), v));
-                tuples.push_back(std::move(extended));
-              }
-            }
-            return Status::OK();
-          }));
+      for (const Value& tuple : input.AsSet()) {
+        VODAK_ASSIGN_OR_RETURN(
+            Value set, evaluator.Eval(node->expr(), EnvFromTuple(tuple)));
+        if (set.is_null()) continue;
+        if (!set.is_set()) {
+          return Status::ExecError("flat expression evaluated to non-set " +
+                                   set.ToString());
+        }
+        for (const Value& v : set.AsSet()) {
+          VODAK_ASSIGN_OR_RETURN(Value extended,
+                                 ExtendTuple(tuple, node->ref(), v));
+          tuples.push_back(std::move(extended));
+        }
+      }
       return Value::Set(std::move(tuples));
     }
     case LogicalOp::kProject: {

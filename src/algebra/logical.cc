@@ -19,10 +19,6 @@ const char* LogicalOpName(LogicalOp op) {
       return "join";
     case LogicalOp::kNaturalJoin:
       return "natural_join";
-    case LogicalOp::kUnion:
-      return "union";
-    case LogicalOp::kDiff:
-      return "diff";
     case LogicalOp::kMap:
       return "map";
     case LogicalOp::kFlat:
@@ -262,48 +258,6 @@ Result<LogicalRef> AlgebraContext::NaturalJoin(LogicalRef left,
   return LogicalRef(node);
 }
 
-namespace {
-/// Structural schema equality (TypeRef pointers are not interned).
-bool SchemaEquals(const RefSchema& a, const RefSchema& b) {
-  if (a.size() != b.size()) return false;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  for (; ia != a.end(); ++ia, ++ib) {
-    if (ia->first != ib->first) return false;
-    if (!ia->second->Equals(*ib->second)) return false;
-  }
-  return true;
-}
-}  // namespace
-
-Result<LogicalRef> AlgebraContext::Union(LogicalRef left,
-                                         LogicalRef right) const {
-  if (!SchemaEquals(left->schema(), right->schema())) {
-    return Status::PlanError("union: input schemas differ");
-  }
-  auto node = std::shared_ptr<LogicalNode>(new LogicalNode());
-  node->op_ = LogicalOp::kUnion;
-  node->schema_ = left->schema();
-  node->inputs_.push_back(std::move(left));
-  node->inputs_.push_back(std::move(right));
-  node->ComputeHash();
-  return LogicalRef(node);
-}
-
-Result<LogicalRef> AlgebraContext::Diff(LogicalRef left,
-                                        LogicalRef right) const {
-  if (!SchemaEquals(left->schema(), right->schema())) {
-    return Status::PlanError("diff: input schemas differ");
-  }
-  auto node = std::shared_ptr<LogicalNode>(new LogicalNode());
-  node->op_ = LogicalOp::kDiff;
-  node->schema_ = left->schema();
-  node->inputs_.push_back(std::move(left));
-  node->inputs_.push_back(std::move(right));
-  node->ComputeHash();
-  return LogicalRef(node);
-}
-
 Result<LogicalRef> AlgebraContext::Map(const std::string& ref,
                                        const ExprRef& expr,
                                        LogicalRef input) const {
@@ -392,12 +346,6 @@ Result<LogicalRef> AlgebraContext::WithInputs(
     case LogicalOp::kNaturalJoin:
       VODAK_DCHECK(inputs.size() == 2);
       return NaturalJoin(std::move(inputs[0]), std::move(inputs[1]));
-    case LogicalOp::kUnion:
-      VODAK_DCHECK(inputs.size() == 2);
-      return Union(std::move(inputs[0]), std::move(inputs[1]));
-    case LogicalOp::kDiff:
-      VODAK_DCHECK(inputs.size() == 2);
-      return Diff(std::move(inputs[0]), std::move(inputs[1]));
     case LogicalOp::kMap:
       VODAK_DCHECK(inputs.size() == 1);
       return Map(node.ref(), node.expr(), std::move(inputs[0]));

@@ -28,8 +28,6 @@ enum class LogicalOp {
   kSelect,       ///< select<condition>(S)
   kJoin,         ///< join<condition>(S1, S2); condition TRUE = product
   kNaturalJoin,  ///< natural_join(S1, S2)
-  kUnion,        ///< union(S1, S2)
-  kDiff,         ///< diff(S1, S2)
   kMap,          ///< map<a, expression>(S)
   kFlat,         ///< flat<a, expression>(S)
   kProject,      ///< project<a1,...,ai>(S)
@@ -124,9 +122,6 @@ class AlgebraContext {
                           LogicalRef right) const;
 
   Result<LogicalRef> NaturalJoin(LogicalRef left, LogicalRef right) const;
-
-  Result<LogicalRef> Union(LogicalRef left, LogicalRef right) const;
-  Result<LogicalRef> Diff(LogicalRef left, LogicalRef right) const;
 
   /// map<ref, expr>(S): extends each tuple with ref = expr(tuple).
   Result<LogicalRef> Map(const std::string& ref, const ExprRef& expr,

@@ -311,12 +311,10 @@ std::vector<QueryOutcome> Database::Submit(
 }
 
 Result<QueryResult> Database::Run(const std::string& vql,
-                                  const PlanOptions& plan,
-                                  const RunOptions& run) {
+                                  const PlanOptions& plan) {
   QueryRequest request;
   request.vql = vql;
   request.plan = plan;
-  request.run = run;
   std::vector<QueryOutcome> outcomes = Submit({request});
   VODAK_RETURN_IF_ERROR(outcomes[0].status);
   return std::move(outcomes[0].result);
@@ -339,9 +337,8 @@ Result<Value> Database::RunNaive(
 }
 
 Result<std::string> Database::Explain(const std::string& vql,
-                                      const PlanOptions& plan,
-                                      const RunOptions& run) {
-  VODAK_ASSIGN_OR_RETURN(QueryResult result, Run(vql, plan, run));
+                                      const PlanOptions& plan) {
+  VODAK_ASSIGN_OR_RETURN(QueryResult result, Run(vql, plan));
   std::string out;
   out += "== VQL ==\n" + vql + "\n";
   out += "== algebra (translated, cost " +

@@ -79,25 +79,22 @@ class Database {
                                 const PlanOptions& options = {});
 
   /// Parses, binds, (optionally) optimizes and executes one VQL query:
-  /// a thin shim over Submit. The two-options split keeps the old
-  /// `Run(vql, {/*optimize=*/false})` call shape working (those braces
-  /// now initialize PlanOptions).
+  /// a thin shim over Submit. `Run(vql, {/*optimize=*/false})` runs
+  /// the unoptimized plan.
   Result<QueryResult> Run(const std::string& vql,
-                          const PlanOptions& plan = {},
-                          const RunOptions& run = {});
+                          const PlanOptions& plan = {});
 
   /// Ground-truth evaluation through the naive interpreter (S9); used by
   /// the correctness property tests and as the paper's "straightforward
-  /// evaluation" baseline. `options` selects the interpreter's row-mode
-  /// (fully independent oracle) or its morsel-parallel outer loop.
+  /// evaluation" baseline. Always row at a time and serial; `options`
+  /// only sets the snapshot epoch.
   Result<Value> RunNaive(const std::string& vql,
                          const vql::Interpreter::Options& options = {}) const;
 
   /// Human-readable optimization report: original plan, chosen plan,
   /// costs, and with `plan.trace` the full rewrite storyboard.
   Result<std::string> Explain(const std::string& vql,
-                              const PlanOptions& plan = {},
-                              const RunOptions& run = {});
+                              const PlanOptions& plan = {});
 
   const Catalog* catalog() const { return catalog_; }
   ObjectStore* store() const { return store_; }

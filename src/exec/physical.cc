@@ -980,112 +980,13 @@ class ProjectDedup : public PhysOperator {
   RowBatch child_batch_;
 };
 
-/// union / diff with set semantics; the right side is materialized into
-/// a set in Open. Density contract (operator-contract table,
-/// docs/ARCHITECTURE.md §"Selection vectors"): both inputs are read
-/// through their selection views; output batches are dense — first the
-/// new left rows that qualify (union: all, difference: those not in the
-/// right set), then, for a union, the right rows not yet emitted.
-class SetOp : public PhysOperator {
- public:
-  SetOp(PhysOpPtr left, PhysOpPtr right, bool is_union,
-        std::vector<std::string> refs)
-      : PhysOperator(std::move(refs)),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        is_union_(is_union) {
-    for (const std::string& r : refs_) {
-      left_index_.push_back(left_->RefIndex(r));
-      right_index_.push_back(right_->RefIndex(r));
-    }
-  }
-
-  Status Open() override {
-    right_set_.clear();
-    emitted_.clear();
-    VODAK_RETURN_IF_ERROR(right_->Open());
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&input_));
-      if (!more) break;
-      for (size_t i = 0; i < input_.active_rows(); ++i) {
-        right_set_.insert(Aligned(input_, input_.RowAt(i), right_index_));
-      }
-    }
-    right_->Close();
-    right_it_ = right_set_.begin();
-    left_done_ = false;
-    return left_->Open();
-  }
-
-  Result<bool> NextBatch(RowBatch* batch) override {
-    VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
-    batch->Reset(refs_.size());
-    while (!left_done_) {
-      VODAK_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&input_));
-      if (!more) {
-        left_done_ = true;
-        break;
-      }
-      for (size_t i = 0; i < input_.active_rows(); ++i) {
-        Row row = Aligned(input_, input_.RowAt(i), left_index_);
-        if (!is_union_ && right_set_.count(row) > 0) continue;
-        if (emitted_.insert(row).second) batch->AppendRow(row);
-      }
-      if (!batch->empty()) break;
-    }
-    while (left_done_ && is_union_ && right_it_ != right_set_.end() &&
-           batch->num_rows() < kDefaultBatchSize) {
-      if (emitted_.insert(*right_it_).second) batch->AppendRow(*right_it_);
-      ++right_it_;
-    }
-    rows_produced_ += batch->num_rows();
-    return !batch->empty();
-  }
-  void Close() override {
-    left_->Close();
-    right_set_.clear();
-    emitted_.clear();
-    input_.Reset(0);
-  }
-  std::string name() const override {
-    return is_union_ ? "Union" : "Difference";
-  }
-  const std::vector<const PhysOperator*> children() const override {
-    return {left_.get(), right_.get()};
-  }
-
- private:
-  /// Physical row `r` of `batch`, reordered into this operator's refs.
-  Row Aligned(const RowBatch& batch, size_t r,
-              const std::vector<int>& index) const {
-    Row row(refs_.size());
-    for (size_t c = 0; c < refs_.size(); ++c) {
-      row[c] = batch.column(index[c])[r];
-    }
-    return row;
-  }
-
-  PhysOpPtr left_;
-  PhysOpPtr right_;
-  bool is_union_;
-  std::vector<int> left_index_;
-  std::vector<int> right_index_;
-  std::unordered_set<Row, RowHash, RowEq> right_set_;
-  std::unordered_set<Row, RowHash, RowEq> emitted_;
-  std::unordered_set<Row, RowHash, RowEq>::iterator right_it_;
-  bool left_done_ = false;
-  RowBatch input_;
-};
-
 /// Sargable predicates visible at each scan leaf, keyed by leaf node
 /// identity: the kSelect conjuncts above the leaf on a pushdown-safe
 /// path, classified by exec/sargable.h against the leaf's scan
 /// variable. Pushing a single-variable compare below map/flat/project
-/// and to either side of join/natural-join/union is sound (a row the
+/// and to either side of join/natural-join is sound: a row the
 /// predicate refutes can only produce output rows the select above
-/// would drop); the right side of a difference is NOT — skipping rows
-/// there would *grow* the result — so it restarts with no pending
-/// predicates.
+/// would drop.
 using LeafPredMap =
     std::map<const LogicalNode*, std::vector<storage::SlotPredicate>>;
 
@@ -1103,13 +1004,8 @@ void CollectLeafPreds(const LogicalRef& plan, const Catalog& catalog,
       return;
     case LogicalOp::kJoin:
     case LogicalOp::kNaturalJoin:
-    case LogicalOp::kUnion:
       CollectLeafPreds(plan->input(0), catalog, pending, out);
       CollectLeafPreds(plan->input(1), catalog, std::move(pending), out);
-      return;
-    case LogicalOp::kDiff:
-      CollectLeafPreds(plan->input(0), catalog, std::move(pending), out);
-      CollectLeafPreds(plan->input(1), catalog, {}, out);
       return;
     case LogicalOp::kGet: {
       const ClassDef* cls = catalog.FindClass(plan->class_name());
@@ -1239,16 +1135,6 @@ Result<PhysOpPtr> BuildPhysicalImpl(const LogicalRef& plan,
       }
       return PhysOpPtr(new HashJoin(
           std::move(left), std::move(right), shared, shared, RefsOf(plan)));
-    }
-    case LogicalOp::kUnion:
-    case LogicalOp::kDiff: {
-      VODAK_ASSIGN_OR_RETURN(
-          PhysOpPtr left, BuildPhysicalImpl(plan->input(0), ctx, leaf_preds));
-      VODAK_ASSIGN_OR_RETURN(
-          PhysOpPtr right, BuildPhysicalImpl(plan->input(1), ctx, leaf_preds));
-      return PhysOpPtr(new SetOp(std::move(left), std::move(right),
-                                 plan->op() == LogicalOp::kUnion,
-                                 RefsOf(plan)));
     }
     case LogicalOp::kMap: {
       VODAK_ASSIGN_OR_RETURN(

@@ -1,5 +1,5 @@
-// Fixed worker pool behind Submit's batch lanes, the query service's
-// generations and the interpreter's parallel outer loop. Locking
+// Fixed worker pool behind Submit's batch lanes and the query service's
+// generations. Locking
 // discipline is a compile-time contract: every shared field is
 // GUARDED_BY its mutex and the clang CI legs build with
 // -Werror=thread-safety (docs/ARCHITECTURE.md §"Static analysis &
@@ -21,8 +21,8 @@ namespace exec {
 /// 0 → hardware concurrency (itself guarded: a libc that reports 0
 /// resolves to 1), otherwise `threads` itself. This is the single
 /// resolution point for every thread-count knob — the engine's
-/// SubmitOptions, the interpreter's Options, the query service's lanes
-/// and the WorkerPool constructor all route through it, so no call site
+/// SubmitOptions, the query service's lanes and the WorkerPool
+/// constructor all route through it, so no call site
 /// carries its own hardware_concurrency guard.
 inline size_t ResolveThreads(size_t threads) {
   if (threads != 0) return threads;

@@ -85,8 +85,9 @@ class ExprEvaluator {
   /// rows (AND/OR keep their per-row short-circuit via masked evaluation
   /// of the right operand), but amortizes environment setup and
   /// property-slot resolution across the batch. This is the entry point
-  /// the vectorized physical operators and the batched naive evaluators
-  /// share. Under a selection the needed variable columns are gathered
+  /// of the vectorized physical operators; the oracles (vql::Interpreter
+  /// and algebra::EvalLogical) never call it. Under a selection the
+  /// needed variable columns are gathered
   /// once into a dense sub-batch, so unselected rows are physically
   /// absent from all downstream evaluation (including method dispatch).
   Result<ValueColumn> EvalBatch(const ExprRef& e,

@@ -340,31 +340,6 @@ class IsInToNaturalJoin : public TransformationRule {
   }
 };
 
-/// natural_join(X, expr_source<a, E>) → select<a IS-IN E>(X): the
-/// reverse direction, re-opening plans for other rewrites.
-class NaturalJoinToIsIn : public TransformationRule {
- public:
-  std::string name() const override { return "natural-join-to-is-in"; }
-  const Pattern& pattern() const override {
-    static const Pattern kPattern = Pattern::Op(
-        LogicalOp::kNaturalJoin,
-        {Pattern::Any(), Pattern::Op(LogicalOp::kExprSource, {})});
-    return kPattern;
-  }
-  Status Apply(const AlgebraContext& ctx, const LogicalRef& binding,
-               std::vector<LogicalRef>* out) const override {
-    const LogicalRef& source = binding->input(1);
-    const LogicalRef& input = binding->input(0);
-    if (!input->HasRef(source->ref())) return Status::OK();
-    ExprRef cond = Expr::Binary(BinOp::kIsIn, Expr::Var(source->ref()),
-                                source->expr());
-    VODAK_ASSIGN_OR_RETURN(LogicalRef result,
-                           ctx.Select(std::move(cond), input));
-    out->push_back(std::move(result));
-    return Status::OK();
-  }
-};
-
 /// natural_join(X, get<a, C>) → X when X already carries reference `a`
 /// of class C: joining with the full extension adds nothing (referential
 /// integrity of the store guarantees every C-reference is in the
@@ -471,25 +446,6 @@ class DeadMapElimination : public TransformationRule {
   }
 };
 
-/// union(A, B) → union(B, A).
-class UnionCommute : public TransformationRule {
- public:
-  std::string name() const override { return "union-commute"; }
-  const Pattern& pattern() const override {
-    static const Pattern kPattern = Pattern::Op(
-        LogicalOp::kUnion, {Pattern::Any(), Pattern::Any()});
-    return kPattern;
-  }
-  Status Apply(const AlgebraContext& ctx, const LogicalRef& binding,
-               std::vector<LogicalRef>* out) const override {
-    VODAK_ASSIGN_OR_RETURN(
-        LogicalRef result,
-        ctx.Union(binding->input(1), binding->input(0)));
-    out->push_back(std::move(result));
-    return Status::OK();
-  }
-};
-
 }  // namespace
 
 std::vector<RulePtr> BuiltinRules() {
@@ -504,23 +460,12 @@ std::vector<RulePtr> BuiltinRules() {
   rules.push_back(std::make_shared<JoinAssociate>());
   rules.push_back(std::make_shared<NaturalJoinCommute>());
   rules.push_back(std::make_shared<NaturalJoinAssociate>());
-  // NaturalJoinToIsIn (the reverse of IsInToNaturalJoin) is
-  // intentionally NOT part of the default set: it re-opens every
-  // natural_join as a selection, which combined with the
-  // knowledge-derived rewrites pumps the exploration space without
-  // adding reachable winning plans. Volcano rule sets are curated the
-  // same way; MakeNaturalJoinToIsInRule() exposes it for experiments.
   rules.push_back(std::make_shared<IsInToNaturalJoin>());
   rules.push_back(std::make_shared<NaturalJoinGetElim>(true));
   rules.push_back(std::make_shared<NaturalJoinGetElim>(false));
   rules.push_back(std::make_shared<NaturalJoinSelectsAbsorb>());
   rules.push_back(std::make_shared<DeadMapElimination>());
-  rules.push_back(std::make_shared<UnionCommute>());
   return rules;
-}
-
-RulePtr MakeNaturalJoinToIsInRule() {
-  return std::make_shared<NaturalJoinToIsIn>();
 }
 
 }  // namespace opt

@@ -240,10 +240,6 @@ double CostModel::EstimateCardinality(
       return child_cards[0] * child_cards[1] * Selectivity(node.expr());
     case LogicalOp::kNaturalJoin:
       return 0.8 * std::min(child_cards[0], child_cards[1]);
-    case LogicalOp::kUnion:
-      return child_cards[0] + child_cards[1];
-    case LogicalOp::kDiff:
-      return child_cards[0];
     case LogicalOp::kMap:
       return child_cards[0];
     case LogicalOp::kFlat:
@@ -312,10 +308,6 @@ double CostModel::LocalCost(const LogicalNode& node,
              kCompactMoveCost * child_cards[1] +
              kBatchOverheadCost *
                  (BatchCount(child_cards[0]) + BatchCount(child_cards[1]));
-    case LogicalOp::kUnion:
-    case LogicalOp::kDiff:
-      // Set ops: per-row pricing.
-      return 1.2 * (child_cards[0] + child_cards[1]);
     case LogicalOp::kMap:
       // Scatter of the computed column + wholesale pass-through moves.
       return child_cards[0] * (ExprCost(node.expr()) + kOpCost) +

@@ -70,11 +70,6 @@ using RulePtr = std::shared_ptr<const TransformationRule>;
 /// transformations" in the Q⁗→PQ step of §2.3.
 std::vector<RulePtr> BuiltinRules();
 
-/// The reverse of the built-in is-in-to-natural-join rule. Not in the
-/// default set (it pumps exploration); exposed for the optimizer-scaling
-/// experiments and tests.
-RulePtr MakeNaturalJoinToIsInRule();
-
 }  // namespace opt
 }  // namespace vodak
 

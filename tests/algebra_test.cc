@@ -150,20 +150,6 @@ TEST_F(AlgebraTest, ExprSourceMustBeClosedAndSetValued) {
   EXPECT_FALSE(ctx_->ExprSource("p", vql::ParseExpr("1 + 2").value()).ok());
 }
 
-TEST_F(AlgebraTest, UnionDiffRequireSameSchema) {
-  auto a = ctx_->Get("d", "Document").value();
-  auto b = ctx_->Get("e", "Document").value();
-  EXPECT_FALSE(ctx_->Union(a, b).ok());
-  EXPECT_FALSE(ctx_->Diff(a, b).ok());
-  auto a2 = ctx_->Get("d", "Document").value();
-  auto u = ctx_->Union(a, a2);
-  ASSERT_TRUE(u.ok());
-  EXPECT_EQ(EvalLogical(u.value(), *eval_).value().AsSet().size(), 5u);
-  auto d = ctx_->Diff(a, a2);
-  ASSERT_TRUE(d.ok());
-  EXPECT_TRUE(EvalLogical(d.value(), *eval_).value().AsSet().empty());
-}
-
 TEST_F(AlgebraTest, ProjectDedups) {
   auto get = ctx_->Get("p", "Paragraph").value();
   auto map = ctx_->Map("n", vql::ParseExpr("p.number").value(), get).value();

@@ -33,9 +33,7 @@ class EngineSubmitTest : public ::testing::Test {
 
   /// The row-mode interpreter: the fully independent oracle.
   Value Oracle(const std::string& vql) {
-    vql::Interpreter::Options row_mode;
-    row_mode.row_mode = true;
-    auto result = session_->RunNaive(vql, row_mode);
+    auto result = session_->RunNaive(vql);
     EXPECT_TRUE(result.ok()) << vql << ": " << result.status().ToString();
     return result.ok() ? result.value() : Value();
   }

@@ -244,9 +244,7 @@ TEST_F(RangeInverseTest, Example2DrivesThePlanFromTheMethodScan) {
   EXPECT_EQ(physical.find("HashJoin"), std::string::npos) << physical;
   EXPECT_EQ(physical.find("ExtentScan"), std::string::npos) << physical;
 
-  vql::Interpreter::Options row_mode;
-  row_mode.row_mode = true;
-  auto oracle = session->RunNaive(kExample2Query, row_mode);
+  auto oracle = session->RunNaive(kExample2Query);
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   EXPECT_EQ(result.value().result, oracle.value());
 

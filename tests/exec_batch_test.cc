@@ -226,7 +226,7 @@ TEST_F(ExecBatchTest, PaperQueriesOracleParity) {
   }
 }
 
-TEST_F(ExecBatchTest, SetOperatorsOracleParity) {
+TEST_F(ExecBatchTest, ProjectOverNaturalJoinOracleParity) {
   auto low = ctx_->Select(vql::ParseExpr("p.number == 0").value(),
                           ctx_->Get("p", "Paragraph").value())
                  .value();
@@ -236,8 +236,6 @@ TEST_F(ExecBatchTest, SetOperatorsOracleParity) {
                   .value(),
               ctx_->Get("p", "Paragraph").value())
           .value();
-  CheckParity(ctx_->Union(low, impl).value(), "union");
-  CheckParity(ctx_->Diff(low, impl).value(), "diff");
   CheckParity(ctx_->Project({"p"}, ctx_->NaturalJoin(low, impl).value())
                   .value(),
               "project-over-natural-join");
@@ -301,15 +299,13 @@ TEST_F(ExecBatchTest, ColumnDrainMatchesRowModeInterpreter) {
   };
   vql::Interpreter interpreter(&db_->catalog(), &db_->store(),
                                &db_->methods());
-  vql::Interpreter::Options row_mode;
-  row_mode.row_mode = true;
   for (const std::string& query : queries) {
     SCOPED_TRACE(query);
     vql::BoundQuery bound;
     algebra::LogicalRef plan;
     CheckQueryParity(query, &bound, &plan);
     ASSERT_NE(plan, nullptr);
-    auto oracle = interpreter.Run(bound, row_mode);
+    auto oracle = interpreter.Run(bound);
     ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
     auto phys = BuildPhysical(plan, exec_ctx_);
     ASSERT_TRUE(phys.ok()) << phys.status().ToString();
@@ -475,48 +471,6 @@ TEST_F(ExecBatchTest, NestedLoopJoinPollsDeadlinePerOutputBatch) {
   EXPECT_EQ(next.status().code(), StatusCode::kDeadlineExceeded)
       << next.status().ToString();
   phys.value()->Close();
-}
-
-// ------------------------------------------------- set-operator batches
-
-TEST_F(ExecBatchTest, SetOperatorsOverSharedAndOverlappingRows) {
-  auto low = Select("p.number <= 1", Get("p", "Paragraph"));
-  auto high = Select("p.number >= 1", Get("p", "Paragraph"));
-  auto all = Get("p", "Paragraph");
-  const size_t paragraphs = 8u * 2u * 3u;
-  // Every right row duplicates a left row: the right tail adds nothing.
-  EXPECT_EQ(CheckParity(ctx_->Union(low, low).value(), "low u low"),
-            paragraphs * 2 / 3);
-  EXPECT_EQ(CheckParity(ctx_->Diff(low, low).value(), "low - low"), 0u);
-  // Overlap on p.number == 1: emitted once.
-  EXPECT_EQ(CheckParity(ctx_->Union(low, high).value(), "low u high"),
-            paragraphs);
-  EXPECT_EQ(CheckParity(ctx_->Diff(low, high).value(), "low - high"),
-            paragraphs / 3);
-  EXPECT_EQ(CheckParity(ctx_->Diff(all, high).value(), "all - high"),
-            paragraphs / 3);
-  // Empty sides.
-  auto none = Select("p.number == 99", Get("p", "Paragraph"));
-  EXPECT_EQ(CheckParity(ctx_->Union(none, high).value(), "0 u high"),
-            paragraphs * 2 / 3);
-  EXPECT_EQ(CheckParity(ctx_->Diff(high, none).value(), "high - 0"),
-            paragraphs * 2 / 3);
-}
-
-TEST_F(ExecBatchTest, SetOperatorsSpanSeveralBatches) {
-  Populate(200);  // 1200 paragraphs: both sides span two scan batches
-  auto low = Select("p.number <= 1", Get("p", "Paragraph"));
-  auto high = Select("p.number >= 1", Get("p", "Paragraph"));
-  auto top = Select("p.number == 2", Get("p", "Paragraph"));
-  EXPECT_EQ(CheckParity(ctx_->Union(low, high).value(), "low u high"),
-            1200u);
-  // The whole result comes from the right tail, over two batches.
-  auto none = Select("p.number == 99", Get("p", "Paragraph"));
-  EXPECT_EQ(CheckParity(ctx_->Union(none, Get("p", "Paragraph")).value(),
-                        "0 u all"),
-            1200u);
-  EXPECT_EQ(CheckParity(ctx_->Diff(high, top).value(), "high - top"),
-            400u);
 }
 
 }  // namespace

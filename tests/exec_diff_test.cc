@@ -96,9 +96,7 @@ class ExecDiffTest : public ::testing::Test {
     *reads_once = tree.value().physical_explain.find("[reads once: ") !=
                   std::string::npos;
 
-    vql::Interpreter::Options row;
-    row.row_mode = true;
-    auto oracle = session->RunNaive(query, row);
+    auto oracle = session->RunNaive(query);
     EXPECT_TRUE(oracle.ok()) << "oracle: " << oracle.status().ToString()
                              << "\n  query: " << query
                              << "\n  seed: " << seed;
@@ -213,7 +211,6 @@ TEST_F(ExecDiffTest, TreeAgreesWithOracleUnderConcurrentWrites) {
   for (int r = 0; r < kReaders; ++r) {
     for (const ReadRecord& record : records[r]) {
       vql::Interpreter::Options replay;
-      replay.row_mode = true;
       replay.snapshot_epoch = record.epoch;
       auto oracle = oracle_session.RunNaive(record.query, replay);
       ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();

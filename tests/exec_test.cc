@@ -142,18 +142,6 @@ TEST_F(ExecTest, ProjectDeduplicates) {
   CheckAgainstEval(proj);
 }
 
-TEST_F(ExecTest, UnionAndDiff) {
-  auto a = ctx_->Select(vql::ParseExpr("p.number == 0").value(),
-                        ctx_->Get("p", "Paragraph").value())
-               .value();
-  auto b = ctx_->Select(vql::ParseExpr("p.number == 1").value(),
-                        ctx_->Get("p", "Paragraph").value())
-               .value();
-  CheckAgainstEval(ctx_->Union(a, b).value());
-  CheckAgainstEval(ctx_->Diff(ctx_->Get("p", "Paragraph").value(), a)
-                       .value());
-}
-
 TEST_F(ExecTest, FullQueriesMatchAlgebraEvaluator) {
   for (const char* query : {
            "ACCESS p FROM p IN Paragraph WHERE "

@@ -2,12 +2,17 @@
 // method ABI"): batch-vs-scalar parity for every workload method, the
 // once-per-batch external-probe amortization the ABI exists for, and
 // the mask semantics — rows a row-at-a-time evaluation would have
-// short-circuited past must never reach a method body.
+// short-circuited past must never reach a method body — and that the
+// oracles never take the batch path at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
+#include "algebra/eval.h"
+#include "engine/database.h"
+#include "exec/physical.h"
 #include "expr/expr_eval.h"
+#include "vql/parser.h"
 #include "workload/document_db.h"
 
 namespace vodak {
@@ -331,6 +336,77 @@ TEST_F(MethodBatchTest, BatchErrorsWhenScalarErrors) {
       eval.EvalBatch(bad, BatchEnv{&names, &cols, paragraphs_.size()})
           .ok());
   EXPECT_FALSE(eval.Eval(bad, {{"p", paragraphs_.front()}}).ok());
+}
+
+TEST_F(MethodBatchTest, OraclesNeverDispatchBatchBodies) {
+  // Oracle independence (docs/ARCHITECTURE.md §"The oracles"): the
+  // interpreter and algebra::EvalLogical call a method through its
+  // scalar body only, so a bug in a native_batch body or in EvalBatch
+  // cannot cancel out of an oracle comparison. The operator tree over
+  // the same query is the batch path and must dispatch the batch body.
+  auto scalar_calls = std::make_shared<std::atomic<uint64_t>>(0);
+  const MethodSig sig{"tally", {}, Type::Int(), MethodLevel::kInstance};
+  ASSERT_TRUE(
+      db_.catalog().FindClassMutable("Paragraph")->AddMethod(sig).ok());
+  MethodImpl impl;
+  impl.native = [scalar_calls](MethodCallContext&, const Value& self,
+                               const std::vector<Value>&) -> Result<Value> {
+    scalar_calls->fetch_add(1);
+    return Value::Int(self.AsOid().local % 3);
+  };
+  impl.native_batch = [](MethodCallContext&, const ValueColumn& selves,
+                         size_t num_rows, const std::vector<ValueColumn>&,
+                         ValueColumn* out) -> Status {
+    for (size_t i = 0; i < num_rows; ++i) {
+      out->push_back(Value::Int(selves[i].AsOid().local % 3));
+    }
+    return Status::OK();
+  };
+  ASSERT_TRUE(
+      db_.methods().Register("Paragraph", sig, std::move(impl)).ok());
+  auto batches = [&] {
+    return db_.methods().batch_invocation_count("Paragraph", "tally",
+                                                MethodLevel::kInstance);
+  };
+
+  // The VQL interpreter against the operator tree.
+  const std::string query =
+      "ACCESS [p: p, t: p->tally()] FROM p IN Paragraph "
+      "WHERE p->tally() >= 1";
+  engine::Database session(&db_.catalog(), &db_.store(), &db_.methods());
+  db_.methods().ResetCounters();
+  auto naive = session.RunNaive(query);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(batches(), 0u) << "the interpreter dispatched a batch body";
+  EXPECT_GT(scalar_calls->load(), 0u);
+  auto tree = session.Run(query, {/*optimize=*/false});
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_GE(batches(), 1u) << "the operator tree skipped the batch body";
+  EXPECT_EQ(naive.value(), tree.value().result);
+  EXPECT_FALSE(naive.value().AsSet().empty());
+
+  // EvalLogical over select + map against the same plan's operator tree.
+  algebra::AlgebraContext ctx(&db_.catalog());
+  auto plan = ctx.Map("t", vql::ParseExpr("p->tally()").value(),
+                      ctx.Select(vql::ParseExpr("p->tally() >= 1").value(),
+                                 ctx.Get("p", "Paragraph").value())
+                          .value());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  db_.methods().ResetCounters();
+  ExprEvaluator eval = MakeEvaluator();
+  auto logical = algebra::EvalLogical(plan.value(), eval);
+  ASSERT_TRUE(logical.ok()) << logical.status().ToString();
+  EXPECT_EQ(batches(), 0u) << "EvalLogical dispatched a batch body";
+  exec::ExecContext exec_ctx;
+  exec_ctx.catalog = &db_.catalog();
+  exec_ctx.store = &db_.store();
+  exec_ctx.methods = &db_.methods();
+  auto phys = exec::BuildPhysical(plan.value(), exec_ctx);
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  auto drained = exec::ExecuteToSet(phys.value().get());
+  ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+  EXPECT_GE(batches(), 1u) << "the operator tree skipped the batch body";
+  EXPECT_EQ(logical.value(), drained.value());
 }
 
 }  // namespace

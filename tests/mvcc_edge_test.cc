@@ -275,7 +275,6 @@ TEST_F(MvccEdgeTest, VqlWriteStatementsRoundTrip) {
 
   vql::Interpreter interpreter(&catalog_, &store_, &methods_);
   vql::Interpreter::Options replay;
-  replay.row_mode = true;
   replay.snapshot_epoch = before;
   auto parsed = vql::ParseQuery("ACCESS a FROM a IN Account");
   ASSERT_TRUE(parsed.ok());

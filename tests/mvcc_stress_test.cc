@@ -331,7 +331,6 @@ TEST_F(MvccStressTest, DifferentialOracleReplay) {
     for (const ReadRecord& record : records[r]) {
       CheckRecordConsistency(record);
       vql::Interpreter::Options replay;
-      replay.row_mode = true;
       replay.snapshot_epoch = record.epoch;
       auto oracle = oracle_session.RunNaive(record.query, replay);
       ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
@@ -497,9 +496,7 @@ class DocumentWritesTest : public ::testing::Test {
   }
 
   Value Oracle(const std::string& query) {
-    vql::Interpreter::Options row_mode;
-    row_mode.row_mode = true;
-    auto oracle = with_r1_->RunNaive(query, row_mode);
+    auto oracle = with_r1_->RunNaive(query);
     EXPECT_TRUE(oracle.ok()) << query << ": " << oracle.status().ToString();
     return oracle.ok() ? oracle.value() : Value::Null();
   }

@@ -58,21 +58,20 @@ TEST_P(CorpusSweepTest, OptimizationPreservesSemanticsEverywhere) {
       "q IN Paragraph WHERE p->sameDocument(q) AND p.number == 0 "
       "AND q.number == 0",
   };
-  // The fully independent oracle: row_mode evaluates WHERE/ACCESS
-  // through per-row Eval/EvalPredicate only, sharing no batched
-  // evaluation (and no set-at-a-time method dispatch) with either of
-  // the other two pipelines — so a bug in EvalBatch or in a native
-  // batch method implementation cannot cancel out of this comparison.
-  vql::Interpreter::Options row_mode;
-  row_mode.row_mode = true;
+  // The fully independent oracle: the interpreter evaluates
+  // WHERE/ACCESS through per-row Eval/EvalPredicate only, sharing no
+  // batched evaluation (and no set-at-a-time method dispatch) with
+  // either operator tree — so a bug in EvalBatch or in a native batch
+  // method implementation cannot cancel out of this comparison.
   for (const std::string& query : queries) {
-    auto oracle = (*session)->RunNaive(query, row_mode);
+    auto oracle = (*session)->RunNaive(query);
     ASSERT_TRUE(oracle.ok()) << query << ": "
                              << oracle.status().ToString();
-    auto naive = (*session)->RunNaive(query);
-    ASSERT_TRUE(naive.ok()) << query << ": " << naive.status().ToString();
-    EXPECT_EQ(naive.value(), oracle.value())
-        << "batched interpreter diverged from the row-mode oracle; "
+    auto unoptimized = (*session)->Run(query, {/*optimize=*/false});
+    ASSERT_TRUE(unoptimized.ok())
+        << query << ": " << unoptimized.status().ToString();
+    EXPECT_EQ(unoptimized.value().result, oracle.value())
+        << "unoptimized operator tree diverged from the oracle; "
         << "seed " << corpus_case.seed << ", query: " << query;
     auto optimized = (*session)->Run(query, {/*optimize=*/true});
     ASSERT_TRUE(optimized.ok())

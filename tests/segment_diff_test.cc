@@ -126,9 +126,7 @@ class SegmentDiffTest : public ::testing::Test {
     engine::PlanOptions no_opt;
     no_opt.optimize = false;
 
-    vql::Interpreter::Options row;
-    row.row_mode = true;
-    auto oracle = seg_session->RunNaive(query, row);
+    auto oracle = seg_session->RunNaive(query);
     EXPECT_TRUE(oracle.ok()) << "oracle: " << oracle.status().ToString()
                              << "\n  query: " << query
                              << "\n  seed: " << seed;
@@ -173,10 +171,9 @@ TEST_F(SegmentDiffTest, ExplainReportsSourceKindAndPruning) {
   engine::Database ext_session(&catalog_, &store_, &methods_);
   engine::PlanOptions no_opt;
   no_opt.optimize = false;
-  const engine::RunOptions tree;
 
   const std::string query = "ACCESS a FROM a IN Item WHERE a.v1 < 64";
-  auto seg = seg_session->Run(query, no_opt, tree);
+  auto seg = seg_session->Run(query, no_opt);
   ASSERT_TRUE(seg.ok()) << seg.status().ToString();
   EXPECT_NE(seg.value().physical_explain.find("[source: segment]"),
             std::string::npos)
@@ -185,7 +182,7 @@ TEST_F(SegmentDiffTest, ExplainReportsSourceKindAndPruning) {
             std::string::npos)
       << seg.value().physical_explain;
 
-  auto ext = ext_session.Run(query, no_opt, tree);
+  auto ext = ext_session.Run(query, no_opt);
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   EXPECT_NE(ext.value().physical_explain.find("[source: extent]"),
             std::string::npos)
@@ -213,7 +210,6 @@ TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
 
   engine::PlanOptions no_opt;
   no_opt.optimize = false;
-  const engine::RunOptions tree;
   storage::SegmentStoreStats* stats = segments_->mutable_stats();
   auto expect_counts = [&](const char* drain, uint64_t leaves) {
     EXPECT_EQ(stats->segments_scanned.load(std::memory_order_relaxed),
@@ -226,7 +222,7 @@ TEST_F(SegmentDiffTest, PruningCountsOncePerOpenedLeaf) {
   };
 
   stats->Reset();
-  ASSERT_TRUE(seg_session->Run(query, no_opt, tree).ok());
+  ASSERT_TRUE(seg_session->Run(query, no_opt).ok());
   expect_counts("tree", 1);
 
   std::vector<engine::QueryRequest> requests(2);
@@ -276,18 +272,17 @@ TEST_F(SegmentDiffTest, SelectiveReRunsHitTheSmallCache) {
   auto seg_session = SegmentSession();
   engine::PlanOptions no_opt;
   no_opt.optimize = false;
-  const engine::RunOptions tree;
 
   // A full pass first drags every segment through the cache.
   storage::PagerStats* pager = segments_->pager()->mutable_stats();
   pager->Reset();
-  ASSERT_TRUE(seg_session->Run("ACCESS a FROM a IN Item", no_opt, tree).ok());
+  ASSERT_TRUE(seg_session->Run("ACCESS a FROM a IN Item", no_opt).ok());
   EXPECT_GT(pager->evictions.load(std::memory_order_relaxed), 0u)
       << "the full pass fit the cache: eviction is not exercised";
   pager->Reset();
   for (int rep = 0; rep < 4; ++rep) {
     auto got = seg_session->Run("ACCESS a FROM a IN Item WHERE a.v1 < 64",
-                                no_opt, tree);
+                                no_opt);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got.value().result.AsSet().size(), 64u);
   }
@@ -310,8 +305,6 @@ TEST_F(SegmentDiffTest, SubmitBatchesAgreeWithOracle) {
   no_opt.optimize = false;
   engine::SubmitOptions submit;
   submit.lanes = 3;
-  vql::Interpreter::Options row;
-  row.row_mode = true;
 
   for (int batch = 0; batch < kSubmitBatches; ++batch) {
     std::vector<std::string> queries;
@@ -330,7 +323,7 @@ TEST_F(SegmentDiffTest, SubmitBatchesAgreeWithOracle) {
           << seg[i].status.ToString() << "\n  seed: " << seed;
       ASSERT_TRUE(ext[i].status.ok())
           << ext[i].status.ToString() << "\n  seed: " << seed;
-      auto oracle = seg_session->RunNaive(queries[i], row);
+      auto oracle = seg_session->RunNaive(queries[i]);
       ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
       ASSERT_EQ(seg[i].result.result, oracle.value())
           << "segment batch member diverged from the oracle"
@@ -388,9 +381,8 @@ TEST_F(SegmentDiffTest, ReadsNeverCountFewerRowsThanTheirPin) {
       auto session = SegmentSession();
       engine::PlanOptions no_opt;
       no_opt.optimize = false;
-      const engine::RunOptions run;
       do {
-        auto got = session->Run("ACCESS i FROM i IN Item", no_opt, run);
+        auto got = session->Run("ACCESS i FROM i IN Item", no_opt);
         if (reads[r]++ == 0) readers_started.fetch_add(1);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         const Epoch epoch = got.value().snapshot_epoch;
@@ -503,7 +495,6 @@ TEST_F(SegmentDiffTest, SegmentReadsAgreeWithOracleUnderConcurrentWrites) {
   for (int r = 0; r < kReaders; ++r) {
     for (const ReadRecord& record : records[r]) {
       vql::Interpreter::Options replay;
-      replay.row_mode = true;
       replay.snapshot_epoch = record.epoch;
       auto oracle = oracle_session.RunNaive(record.query, replay);
       ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();

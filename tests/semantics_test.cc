@@ -283,13 +283,10 @@ TEST(RangeInverseDataTest, R1HoldsOnAPopulatedCorpus) {
   params.num_documents = 40;
   ASSERT_TRUE(db.Populate(params).ok());
   engine::Database session(&db.catalog(), &db.store(), &db.methods());
-  vql::Interpreter::Options row_mode;
-  row_mode.row_mode = true;
   auto range_side = session.RunNaive(
-      "ACCESS [d: d, p: p] FROM d IN Document, p IN d->paragraphs()",
-      row_mode);
+      "ACCESS [d: d, p: p] FROM d IN Document, p IN d->paragraphs()");
   auto inverse_side = session.RunNaive(
-      "ACCESS [d: p->document(), p: p] FROM p IN Paragraph", row_mode);
+      "ACCESS [d: p->document(), p: p] FROM p IN Paragraph");
   ASSERT_TRUE(range_side.ok()) << range_side.status().ToString();
   ASSERT_TRUE(inverse_side.ok()) << inverse_side.status().ToString();
   EXPECT_EQ(range_side.value().AsSet().size(),

@@ -214,9 +214,7 @@ class ServiceTest : public ::testing::Test {
   }
 
   Value Oracle(const std::string& vql) {
-    vql::Interpreter::Options row_mode;
-    row_mode.row_mode = true;
-    auto result = session_->RunNaive(vql, row_mode);
+    auto result = session_->RunNaive(vql);
     EXPECT_TRUE(result.ok()) << vql;
     return result.ok() ? result.value() : Value();
   }
