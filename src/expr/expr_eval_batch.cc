@@ -143,10 +143,10 @@ Result<ValueColumn> ExprEvaluator::EvalPropertyColumn(
   const PropertyDef* run_prop = nullptr;
   auto flush_run = [&]() -> Status {
     if (run.empty()) return Status::OK();
-    // Range-scoped read: one atomic stats bump for the whole run, so
+    // One column read: one atomic stats bump for the whole run, so
     // concurrent drains don't contend per row on the counter.
     VODAK_RETURN_IF_ERROR(store_->GetPropertyColumn(
-        run_class, run_prop->slot, run, 0, run.size(), &out, snapshot_));
+        run_class, run_prop->slot, run, &out, snapshot_));
     run.clear();
     return Status::OK();
   };

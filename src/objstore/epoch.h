@@ -10,13 +10,12 @@
 namespace vodak {
 
 /// Monotone commit stamp. Epoch 0 is the empty store; every committed
-/// mutation batch bumps it by one. A version chain entry covers the
+/// mutation batch bumps it by one. A superseded version covers the
 /// half-open epoch interval [begin, end).
 using Epoch = uint64_t;
 
 /// Sentinel passed to read APIs meaning "resolve to the newest
-/// committed epoch at the moment the read takes the store lock", and
-/// used as the `end` stamp of a chain's current (unsuperseded) version.
+/// committed epoch at the moment the read takes the store lock".
 inline constexpr Epoch kEpochLatest = ~static_cast<Epoch>(0);
 
 }  // namespace vodak

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 namespace vodak {
 
@@ -13,6 +14,7 @@ uint32_t ObjectStore::RegisterClass(std::string debug_name,
   ClassStorage storage;
   storage.debug_name = std::move(debug_name);
   storage.slot_count = slot_count;
+  storage.columns.resize(slot_count);
   classes_.push_back(std::move(storage));
   return static_cast<uint32_t>(classes_.size());
 }
@@ -33,16 +35,27 @@ ObjectStore::ClassStorage* ObjectStore::FindClassMutable(uint32_t class_id) {
   return &classes_[class_id - 1];
 }
 
-const ObjectStore::Version* ObjectStore::VisibleVersion(const Instance& inst,
-                                                        Epoch at) {
-  // Reverse scan: chains are short (reclaim trims them) and the newest
-  // entry is the common hit for latest-epoch reads.
-  for (auto it = inst.versions.rbegin(); it != inst.versions.rend(); ++it) {
-    if (it->begin <= at) {
-      return it->end > at ? &*it : nullptr;
-    }
+const ObjectStore::Version* ObjectStore::HistoryAt(const ClassStorage& cls,
+                                                   uint32_t row, Epoch at) {
+  auto it = cls.history.find(row);
+  if (it == cls.history.end()) return nullptr;
+  // Reverse scan: histories are short (reclaim trims them) and a reader
+  // pinned shortly before the last commit hits the newest entry.
+  const std::vector<Version>& versions = it->second;
+  for (auto v = versions.rbegin(); v != versions.rend(); ++v) {
+    if (v->begin <= at) return v->end > at ? &*v : nullptr;
   }
   return nullptr;
+}
+
+bool ObjectStore::LiveAt(const ClassStorage& cls, uint32_t local, Epoch at,
+                         const Version** old) {
+  *old = nullptr;
+  const uint32_t row = local - 1;  // local 0 wraps past every row
+  if (row >= cls.rows()) return false;
+  if (cls.head_begin[row] <= at) return cls.head_live[row] != 0;
+  *old = HistoryAt(cls, row, at);
+  return *old != nullptr;
 }
 
 bool ObjectStore::AnyPins() const {
@@ -50,19 +63,15 @@ bool ObjectStore::AnyPins() const {
   return !pins_.empty();
 }
 
-Status ObjectStore::CheckOid(Oid oid, uint32_t slot, const char* op,
-                             Epoch at) const {
+Status ObjectStore::CheckOid(Oid oid, uint32_t slot, const char* op, Epoch at,
+                             const Version** old) const {
   const ClassStorage* cls = FindClass(oid.class_id);
   if (cls == nullptr) {
     return Status::NotFound(std::string(op) + ": unknown class in oid " +
                             oid.ToString());
   }
-  if (oid.local == 0 || oid.local > cls->instances.size()) {
-    return Status::NotFound(std::string(op) + ": dangling oid " +
-                            oid.ToString());
-  }
-  const Version* v = VisibleVersion(cls->instances[oid.local - 1], at);
-  if (v == nullptr || !v->live) {
+  const Version* resolved = nullptr;
+  if (!LiveAt(*cls, oid.local, at, &resolved)) {
     return Status::NotFound(std::string(op) + ": dangling oid " +
                             oid.ToString());
   }
@@ -72,7 +81,19 @@ Status ObjectStore::CheckOid(Oid oid, uint32_t slot, const char* op,
                                    " out of range for class '" +
                                    cls->debug_name + "'");
   }
+  if (old != nullptr) *old = resolved;
   return Status::OK();
+}
+
+Oid ObjectStore::AppendRow(uint32_t class_id, ClassStorage* cls,
+                           Epoch begin) {
+  cls->head_begin.push_back(begin);
+  cls->head_live.push_back(1);
+  for (std::vector<Value>& column : cls->columns) column.emplace_back();
+  ++cls->live_count;
+  stats_.objects_created.fetch_add(1, std::memory_order_relaxed);
+  // local ids start at 1 so that Oid{0,0} stays the NIL reference.
+  return Oid(class_id, cls->rows());
 }
 
 Result<Oid> ObjectStore::CreateObject(uint32_t class_id) {
@@ -81,72 +102,59 @@ Result<Oid> ObjectStore::CreateObject(uint32_t class_id) {
   if (cls == nullptr) {
     return Status::NotFound("unknown class id " + std::to_string(class_id));
   }
-  Version v;
-  v.live = true;
-  v.slots.assign(cls->slot_count, Value::Null());
-  if (AnyPins()) {
-    // Readers hold snapshots: stamp the new object with a fresh epoch so
-    // no pinned reader's extent grows underneath it.
-    const Epoch commit = epoch_.load(std::memory_order_acquire) + 1;
-    v.begin = commit;
-    stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
-    stats_.epochs_committed.fetch_add(1, std::memory_order_relaxed);
-    epoch_.store(commit, std::memory_order_release);
-  } else {
+  if (!AnyPins()) {
     // Bulk-load fast path: no reader can observe an intermediate state,
     // so the object appears at the current epoch without a bump and
     // without version churn.
-    v.begin = epoch_.load(std::memory_order_acquire);
+    return AppendRow(class_id, cls, epoch_.load(std::memory_order_acquire));
   }
-  Instance inst;
-  inst.versions.push_back(std::move(v));
-  cls->instances.push_back(std::move(inst));
-  ++cls->live_count;
-  stats_.objects_created.fetch_add(1, std::memory_order_relaxed);
-  // local ids start at 1 so that Oid{0,0} stays the NIL reference.
-  return Oid(class_id, static_cast<uint32_t>(cls->instances.size()));
+  // Readers hold snapshots: stamp the new object with a fresh epoch so
+  // no pinned reader's extent grows underneath it.
+  const Epoch commit = epoch_.load(std::memory_order_acquire) + 1;
+  const Oid oid = AppendRow(class_id, cls, commit);
+  stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
+  stats_.epochs_committed.fetch_add(1, std::memory_order_relaxed);
+  epoch_.store(commit, std::memory_order_release);
+  return oid;
 }
 
-ObjectStore::Version* ObjectStore::MutableVersionAt(Instance* inst,
-                                                    Epoch commit) {
-  Version& head = inst->versions.back();
-  if (head.begin == commit) {
-    // Already copied for this commit (second touch within one batch):
-    // compose in place — the batch is atomic, intermediate states are
-    // never visible.
-    return &head;
+void ObjectStore::SupersedeHead(ClassStorage* cls, uint32_t row, Epoch commit,
+                                bool deleting) {
+  if (cls->head_begin[row] == commit) return;
+  Version old;
+  old.begin = cls->head_begin[row];
+  old.end = commit;
+  old.slots.reserve(cls->slot_count);
+  for (std::vector<Value>& column : cls->columns) {
+    old.slots.push_back(deleting ? std::move(column[row]) : column[row]);
   }
-  Version next = head;  // copy-on-write
-  next.begin = commit;
-  next.end = kEpochLatest;
-  head.end = commit;
-  inst->versions.push_back(std::move(next));
+  cls->history[row].push_back(std::move(old));
+  cls->head_begin[row] = commit;
   stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
-  return &inst->versions.back();
+}
+
+void ObjectStore::KillHead(ClassStorage* cls, uint32_t row) {
+  cls->head_live[row] = 0;
+  for (std::vector<Value>& column : cls->columns) column[row] = Value::Null();
+  --cls->live_count;
+  ++cls->deletes;
 }
 
 Status ObjectStore::DeleteObject(Oid oid) {
   WriterLock lock(data_mu_);
   VODAK_RETURN_IF_ERROR(
       CheckOid(oid, /*slot=*/0, "delete", ResolveEpoch(kEpochLatest)));
-  Instance& inst = classes_[oid.class_id - 1].instances[oid.local - 1];
+  ClassStorage* cls = FindClassMutable(oid.class_id);
+  const uint32_t row = oid.local - 1;
   if (AnyPins()) {
     const Epoch commit = epoch_.load(std::memory_order_acquire) + 1;
-    Version tomb;
-    tomb.begin = commit;
-    tomb.live = false;
-    inst.versions.back().end = commit;
-    inst.versions.push_back(std::move(tomb));
-    stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
+    SupersedeHead(cls, row, commit, /*deleting=*/true);
+    KillHead(cls, row);
     stats_.epochs_committed.fetch_add(1, std::memory_order_relaxed);
     epoch_.store(commit, std::memory_order_release);
   } else {
-    Version& head = inst.versions.back();
-    head.live = false;
-    head.slots.clear();
+    KillHead(cls, row);
   }
-  --classes_[oid.class_id - 1].live_count;
-  ++classes_[oid.class_id - 1].deletes;
   stats_.objects_deleted.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -155,10 +163,12 @@ bool ObjectStore::Exists(Oid oid, Epoch at) const {
   SharedLock lock(data_mu_);
   const ClassStorage* cls = FindClass(oid.class_id);
   if (cls == nullptr) return false;
-  if (oid.local == 0 || oid.local > cls->instances.size()) return false;
-  const Version* v =
-      VisibleVersion(cls->instances[oid.local - 1], ResolveEpoch(at));
-  return v != nullptr && v->live;
+  const Version* old = nullptr;
+  const bool live = LiveAt(*cls, oid.local, ResolveEpoch(at), &old);
+  if (old != nullptr) {
+    stats_.history_reads.fetch_add(1, std::memory_order_relaxed);
+  }
+  return live;
 }
 
 Status ObjectStore::RetainLive(uint32_t class_id, std::vector<Oid>* oids,
@@ -170,46 +180,41 @@ Status ObjectStore::RetainLive(uint32_t class_id, std::vector<Oid>* oids,
   }
   if (cls->deletes == 0) return Status::OK();
   const Epoch epoch = ResolveEpoch(at);
-  auto dead = [cls, class_id, epoch](Oid oid) {
-    if (oid.class_id != class_id || oid.local == 0 ||
-        oid.local > cls->instances.size()) {
-      return true;
-    }
-    const Version* v = VisibleVersion(cls->instances[oid.local - 1], epoch);
-    return v == nullptr || !v->live;
+  uint64_t from_history = 0;
+  auto dead = [cls, class_id, epoch, &from_history](Oid oid) {
+    if (oid.class_id != class_id) return true;
+    const Version* old = nullptr;
+    const bool live = LiveAt(*cls, oid.local, epoch, &old);
+    if (old != nullptr) ++from_history;
+    return !live;
   };
   oids->erase(std::remove_if(oids->begin(), oids->end(), dead), oids->end());
+  stats_.history_reads.fetch_add(from_history, std::memory_order_relaxed);
   return Status::OK();
 }
 
 Result<Value> ObjectStore::GetProperty(Oid oid, uint32_t slot,
                                        Epoch at) const {
   SharedLock lock(data_mu_);
-  const Epoch epoch = ResolveEpoch(at);
-  VODAK_RETURN_IF_ERROR(CheckOid(oid, slot, "get", epoch));
+  const Version* old = nullptr;
+  VODAK_RETURN_IF_ERROR(CheckOid(oid, slot, "get", ResolveEpoch(at), &old));
   // Relaxed: per-row reads happen from parallel workers; a seq_cst RMW
   // here would ping-pong the stats cache line across cores.
   stats_.property_reads.fetch_add(1, std::memory_order_relaxed);
   if (at != kEpochLatest) {
     stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
   }
-  return VisibleVersion(classes_[oid.class_id - 1].instances[oid.local - 1],
-                        epoch)
-      ->slots[slot];
+  if (old != nullptr) {
+    stats_.history_reads.fetch_add(1, std::memory_order_relaxed);
+    return old->slots[slot];
+  }
+  return classes_[oid.class_id - 1].columns[slot][oid.local - 1];
 }
 
-Status ObjectStore::GetPropertyColumn(uint32_t class_id, uint32_t slot,
-                                      const std::vector<uint32_t>& locals,
-                                      std::vector<Value>* out,
-                                      Epoch at) const {
-  return GetPropertyColumn(class_id, slot, locals, 0, locals.size(), out, at);
-}
-
-Status ObjectStore::GetPropertyColumn(uint32_t class_id, uint32_t slot,
-                                      const std::vector<uint32_t>& locals,
-                                      size_t begin, size_t end,
-                                      std::vector<Value>* out,
-                                      Epoch at) const {
+template <typename OidAt>
+Status ObjectStore::GatherColumn(uint32_t class_id, uint32_t slot, size_t n,
+                                 OidAt oid_at, std::vector<Value>* out,
+                                 Epoch at) const {
   SharedLock lock(data_mu_);
   const ClassStorage* cls = FindClass(class_id);
   if (cls == nullptr) {
@@ -221,35 +226,50 @@ Status ObjectStore::GetPropertyColumn(uint32_t class_id, uint32_t slot,
         "get: slot " + std::to_string(slot) +
         " out of range for class '" + cls->debug_name + "'");
   }
-  if (begin > end || end > locals.size()) {
-    return Status::InvalidArgument(
-        "get: column range [" + std::to_string(begin) + ", " +
-        std::to_string(end) + ") out of bounds for " +
-        std::to_string(locals.size()) + " locals");
-  }
   const Epoch epoch = ResolveEpoch(at);
+  const uint32_t rows = cls->rows();
+  const Epoch* head_begin = cls->head_begin.data();
+  const uint8_t* head_live = cls->head_live.data();
+  const Value* column = cls->columns[slot].data();
+  Status status;
   size_t emitted = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const uint32_t local = locals[i];
-    const Version* v =
-        (local == 0 || local > cls->instances.size())
-            ? nullptr
-            : VisibleVersion(cls->instances[local - 1], epoch);
-    if (v == nullptr || !v->live) {
-      // Counted per object, like GetProperty: charge what was read
-      // before the dangling reference stopped the column.
-      stats_.property_reads.fetch_add(emitted, std::memory_order_relaxed);
-      return Status::NotFound("get: dangling oid " +
-                              Oid(class_id, local).ToString());
+  uint64_t from_history = 0;
+  for (; emitted < n; ++emitted) {
+    const Oid oid = oid_at(emitted);
+    const uint32_t row = oid.local - 1;  // local 0 wraps past every row
+    if (oid.class_id == class_id && row < rows) {
+      if (head_begin[row] <= epoch) {
+        if (head_live[row] != 0) {
+          out->push_back(column[row]);
+          continue;
+        }
+      } else if (const Version* old = HistoryAt(*cls, row, epoch)) {
+        out->push_back(old->slots[slot]);
+        ++from_history;
+        continue;
+      }
     }
-    out->push_back(v->slots[slot]);
-    ++emitted;
+    status = Status::NotFound("get: dangling oid " + oid.ToString());
+    break;
   }
+  // Counted per object, like GetProperty: a dangling reference charges
+  // what was read before it stopped the column.
   stats_.property_reads.fetch_add(emitted, std::memory_order_relaxed);
-  if (at != kEpochLatest) {
+  stats_.history_reads.fetch_add(from_history, std::memory_order_relaxed);
+  if (status.ok() && at != kEpochLatest) {
     stats_.snapshot_reads.fetch_add(emitted, std::memory_order_relaxed);
   }
-  return Status::OK();
+  return status;
+}
+
+Status ObjectStore::GetPropertyColumn(uint32_t class_id, uint32_t slot,
+                                      const std::vector<uint32_t>& locals,
+                                      std::vector<Value>* out,
+                                      Epoch at) const {
+  return GatherColumn(
+      class_id, slot, locals.size(),
+      [&locals, class_id](size_t i) { return Oid(class_id, locals[i]); },
+      out, at);
 }
 
 Status ObjectStore::GetPropertyColumn(uint32_t class_id, uint32_t slot,
@@ -257,46 +277,15 @@ Status ObjectStore::GetPropertyColumn(uint32_t class_id, uint32_t slot,
                                       size_t begin, size_t end,
                                       std::vector<Value>* out,
                                       Epoch at) const {
-  SharedLock lock(data_mu_);
-  const ClassStorage* cls = FindClass(class_id);
-  if (cls == nullptr) {
-    return Status::NotFound("get: unknown class id " +
-                            std::to_string(class_id));
-  }
-  if (slot >= cls->slot_count) {
-    return Status::InvalidArgument(
-        "get: slot " + std::to_string(slot) +
-        " out of range for class '" + cls->debug_name + "'");
-  }
   if (begin > end || end > oids.size()) {
     return Status::InvalidArgument(
         "get: column range [" + std::to_string(begin) + ", " +
         std::to_string(end) + ") out of bounds for " +
         std::to_string(oids.size()) + " oids");
   }
-  const Epoch epoch = ResolveEpoch(at);
-  size_t emitted = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const Oid oid = oids[i];
-    const Version* v =
-        (oid.class_id != class_id || oid.local == 0 ||
-         oid.local > cls->instances.size())
-            ? nullptr
-            : VisibleVersion(cls->instances[oid.local - 1], epoch);
-    if (v == nullptr || !v->live) {
-      // Counted per object, like GetProperty: charge what was read
-      // before the dangling reference stopped the column.
-      stats_.property_reads.fetch_add(emitted, std::memory_order_relaxed);
-      return Status::NotFound("get: dangling oid " + oid.ToString());
-    }
-    out->push_back(v->slots[slot]);
-    ++emitted;
-  }
-  stats_.property_reads.fetch_add(emitted, std::memory_order_relaxed);
-  if (at != kEpochLatest) {
-    stats_.snapshot_reads.fetch_add(emitted, std::memory_order_relaxed);
-  }
-  return Status::OK();
+  return GatherColumn(
+      class_id, slot, end - begin,
+      [&oids, begin](size_t i) { return oids[begin + i]; }, out, at);
 }
 
 Status ObjectStore::SetProperty(Oid oid, uint32_t slot, Value value) {
@@ -304,14 +293,16 @@ Status ObjectStore::SetProperty(Oid oid, uint32_t slot, Value value) {
   VODAK_RETURN_IF_ERROR(
       CheckOid(oid, slot, "set", ResolveEpoch(kEpochLatest)));
   stats_.property_writes.fetch_add(1, std::memory_order_relaxed);
-  Instance& inst = classes_[oid.class_id - 1].instances[oid.local - 1];
+  ClassStorage* cls = FindClassMutable(oid.class_id);
+  const uint32_t row = oid.local - 1;
   if (AnyPins()) {
     const Epoch commit = epoch_.load(std::memory_order_acquire) + 1;
-    MutableVersionAt(&inst, commit)->slots[slot] = std::move(value);
+    SupersedeHead(cls, row, commit, /*deleting=*/false);
+    cls->columns[slot][row] = std::move(value);
     stats_.epochs_committed.fetch_add(1, std::memory_order_relaxed);
     epoch_.store(commit, std::memory_order_release);
   } else {
-    inst.versions.back().slots[slot] = std::move(value);
+    cls->columns[slot][row] = std::move(value);
   }
   return Status::OK();
 }
@@ -330,10 +321,13 @@ Result<std::vector<Oid>> ObjectStore::Extent(uint32_t class_id,
   const Epoch epoch = ResolveEpoch(at);
   std::vector<Oid> out;
   out.reserve(cls->live_count);
-  for (uint32_t i = 0; i < cls->instances.size(); ++i) {
-    const Version* v = VisibleVersion(cls->instances[i], epoch);
-    if (v != nullptr && v->live) out.emplace_back(class_id, i + 1);
+  uint64_t from_history = 0;
+  for (uint32_t row = 0; row < cls->rows(); ++row) {
+    const Version* old = nullptr;
+    if (LiveAt(*cls, row + 1, epoch, &old)) out.emplace_back(class_id, row + 1);
+    if (old != nullptr) ++from_history;
   }
+  stats_.history_reads.fetch_add(from_history, std::memory_order_relaxed);
   return out;
 }
 
@@ -344,12 +338,14 @@ Result<uint64_t> ObjectStore::ExtentSize(uint32_t class_id, Epoch at) const {
     return Status::NotFound("unknown class id " + std::to_string(class_id));
   }
   if (at == kEpochLatest) return cls->live_count;
-  const Epoch epoch = ResolveEpoch(at);
   uint64_t count = 0;
-  for (const Instance& inst : cls->instances) {
-    const Version* v = VisibleVersion(inst, epoch);
-    if (v != nullptr && v->live) ++count;
+  uint64_t from_history = 0;
+  for (uint32_t row = 0; row < cls->rows(); ++row) {
+    const Version* old = nullptr;
+    if (LiveAt(*cls, row + 1, at, &old)) ++count;
+    if (old != nullptr) ++from_history;
   }
+  stats_.history_reads.fetch_add(from_history, std::memory_order_relaxed);
   return count;
 }
 
@@ -423,53 +419,34 @@ Result<MutationResult> ObjectStore::Apply(const std::vector<Mutation>& batch) {
     switch (m.kind) {
       case Mutation::Kind::kInsert: {
         ClassStorage* cls = FindClassMutable(m.class_id);
-        Version v;
-        v.begin = commit;
-        v.live = true;
-        v.slots.assign(cls->slot_count, Value::Null());
-        for (const auto& [slot, value] : m.sets) v.slots[slot] = value;
-        Instance inst;
-        inst.versions.push_back(std::move(v));
-        cls->instances.push_back(std::move(inst));
-        ++cls->live_count;
-        result.created.emplace_back(
-            m.class_id, static_cast<uint32_t>(cls->instances.size()));
-        stats_.objects_created.fetch_add(1, std::memory_order_relaxed);
+        const Oid oid = AppendRow(m.class_id, cls, commit);
+        for (const auto& [slot, value] : m.sets) {
+          cls->columns[slot][oid.local - 1] = value;
+        }
+        result.created.push_back(oid);
         stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
         stats_.property_writes.fetch_add(m.sets.size(),
                                          std::memory_order_relaxed);
         break;
       }
       case Mutation::Kind::kUpdate: {
-        Instance& inst =
-            classes_[m.oid.class_id - 1].instances[m.oid.local - 1];
-        Version* v = MutableVersionAt(&inst, commit);
-        for (const auto& [slot, value] : m.sets) v->slots[slot] = value;
+        ClassStorage* cls = FindClassMutable(m.oid.class_id);
+        const uint32_t row = m.oid.local - 1;
+        SupersedeHead(cls, row, commit, /*deleting=*/false);
+        for (const auto& [slot, value] : m.sets) cls->columns[slot][row] = value;
         ++result.updated;
         stats_.property_writes.fetch_add(m.sets.size(),
                                          std::memory_order_relaxed);
         break;
       }
       case Mutation::Kind::kDelete: {
-        Instance& inst =
-            classes_[m.oid.class_id - 1].instances[m.oid.local - 1];
-        Version& head = inst.versions.back();
-        if (head.begin == commit) {
-          // Inserted or updated earlier in this same batch: the batch is
-          // atomic, so the intermediate version collapses into the
-          // tombstone.
-          head.live = false;
-          head.slots.clear();
-        } else {
-          Version tomb;
-          tomb.begin = commit;
-          tomb.live = false;
-          head.end = commit;
-          inst.versions.push_back(std::move(tomb));
-          stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
-        }
-        --classes_[m.oid.class_id - 1].live_count;
-        ++classes_[m.oid.class_id - 1].deletes;
+        // Inserted or updated earlier in this same batch, the head
+        // already carries `commit`: the batch is atomic, so that
+        // intermediate version collapses into the tombstone.
+        ClassStorage* cls = FindClassMutable(m.oid.class_id);
+        const uint32_t row = m.oid.local - 1;
+        SupersedeHead(cls, row, commit, /*deleting=*/true);
+        KillHead(cls, row);
         ++result.deleted;
         stats_.objects_deleted.fetch_add(1, std::memory_order_relaxed);
         break;
@@ -526,22 +503,17 @@ size_t ObjectStore::Reclaim() {
   const Epoch horizon = MinPinnedEpoch();
   size_t freed = 0;
   for (ClassStorage& cls : classes_) {
-    for (Instance& inst : cls.instances) {
-      auto& versions = inst.versions;
-      if (versions.size() <= 1) continue;
-      size_t kept = 0;
-      for (size_t i = 0; i < versions.size(); ++i) {
-        // A version with end <= horizon is superseded at every epoch a
-        // pinned or future reader can resolve: drop it. The current
-        // version (end == kEpochLatest) always survives.
-        if (versions[i].end != kEpochLatest && versions[i].end <= horizon) {
-          ++freed;
-          continue;
-        }
-        if (kept != i) versions[kept] = std::move(versions[i]);
-        ++kept;
-      }
-      versions.resize(kept);
+    for (auto it = cls.history.begin(); it != cls.history.end();) {
+      // Ends ascend with begins, so the versions superseded at or before
+      // the horizon — invisible at every epoch a pinned or future reader
+      // can resolve — are a prefix.
+      std::vector<Version>& versions = it->second;
+      auto keep = std::find_if(
+          versions.begin(), versions.end(),
+          [horizon](const Version& v) { return v.end > horizon; });
+      freed += static_cast<size_t>(keep - versions.begin());
+      versions.erase(versions.begin(), keep);
+      it = versions.empty() ? cls.history.erase(it) : std::next(it);
     }
   }
   stats_.versions_reclaimed.fetch_add(freed, std::memory_order_relaxed);

@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,6 +43,11 @@ struct StoreStats {
   std::atomic<uint64_t> versions_reclaimed{0};
   /// Epoch bumps committed (one per Apply batch, not per mutation).
   std::atomic<uint64_t> epochs_committed{0};
+  /// Row reads resolved from a superseded version in the history map
+  /// rather than from the head columns: the slow path of a reader pinned
+  /// before a commit that touched the row. Latest-epoch reads never
+  /// take it.
+  std::atomic<uint64_t> history_reads{0};
 
   /// Relaxed, like every bump: resets run while no query is in flight,
   /// and an implicit assignment would pay a seq_cst fence for ordering
@@ -56,6 +62,7 @@ struct StoreStats {
     versions_created.store(0, std::memory_order_relaxed);
     versions_reclaimed.store(0, std::memory_order_relaxed);
     epochs_committed.store(0, std::memory_order_relaxed);
+    history_reads.store(0, std::memory_order_relaxed);
   }
 };
 
@@ -105,27 +112,34 @@ struct MutationResult {
 };
 
 /// In-memory object store: the VODAK-kernel substitute (DESIGN.md S3),
-/// now multi-version (docs/ARCHITECTURE.md §"Writes, epochs & snapshot
+/// multi-version (docs/ARCHITECTURE.md §"Writes, epochs & snapshot
 /// isolation").
 ///
-/// A class is registered with a number of property slots; instances are
-/// version chains of Value-slot rows addressed by Oid {class_id, local}.
-/// Each chain entry covers the half-open epoch interval [begin, end):
-/// a read at epoch E sees the entry with begin <= E < end, and sees the
-/// object at all only if that entry is live (deletes append a dead
-/// tombstone entry rather than reclaiming the local id, so Oids stay
-/// stable). Writers commit through Apply() under the exclusive side of
-/// a reader/writer lock and bump the global epoch once per batch;
-/// readers pin an epoch (PinEpoch/UnpinEpoch, or the EpochPin RAII
-/// helper) and pass it to every read, so a query observes one
-/// consistent snapshot no matter how many batches commit while it
-/// drains. Reclaim() — callable directly or via the opt-in background
-/// thread — frees superseded versions no pinned (or future) reader can
-/// ever see.
+/// A class is registered with a number of property slots; its instances
+/// are rows addressed by Oid {class_id, local}, row = local - 1. The
+/// layout is column-major: each class keeps the newest ("head") version
+/// of every row in contiguous arrays — the epoch whose commit wrote it,
+/// a live flag (0 is a delete tombstone) and one Value column per slot —
+/// and a side history map holds, for the rows that have them only, the
+/// superseded versions, each visible at epochs in [begin, end). A read at
+/// epoch E uses the head when it began at or before E (visible iff
+/// live); otherwise the history entry with begin <= E < end, and without
+/// one the row did not exist at E. Deletes leave a tombstone head rather
+/// than reclaiming the local id, so Oids stay stable.
+///
+/// Writers commit through Apply() under the exclusive side of a
+/// reader/writer lock and bump the global epoch once per batch; a batch
+/// copies a row's head into history once, then writes the columns in
+/// place. Readers pin an epoch (PinEpoch/UnpinEpoch, or the EpochPin RAII
+/// helper) and pass it to every read, so a query observes one consistent
+/// snapshot no matter how many batches commit while it drains. Reclaim()
+/// — callable directly or via the opt-in background thread — walks the
+/// history map and frees superseded versions no pinned (or future)
+/// reader can ever see.
 ///
 /// The single-object CreateObject/SetProperty/DeleteObject calls remain
-/// for loaders and tests; while no reader holds a pin they mutate in
-/// place without versioning or an epoch bump (bulk load stays cheap),
+/// for loaders and tests; while no reader holds a pin they write the head
+/// in place without versioning or an epoch bump (bulk load stays cheap),
 /// and the moment any pin exists they switch to the same copy-on-write
 /// path as Apply.
 class ObjectStore {
@@ -164,28 +178,16 @@ class ObjectStore {
   /// value of `slot` for instance `local` of `class_id`, for every local
   /// in `locals`, to `out` (in order). Resolves the class storage and
   /// checks the slot once for the whole column instead of once per
-  /// object. Counts locals.size() property reads.
+  /// object, and bumps the stats once: locals.size() property reads.
   Status GetPropertyColumn(uint32_t class_id, uint32_t slot,
                            const std::vector<uint32_t>& locals,
                            std::vector<Value>* out,
                            Epoch at = kEpochLatest) const;
 
-  /// Range-scoped variant reading locals[begin, end): concurrent
-  /// callers can share one locals vector and each read a disjoint slice
-  /// without coordination — each slice takes the reader side of the
-  /// store lock and resolves against the same epoch, and the stats
-  /// counter is bumped once, atomically, for the whole slice.
-  Status GetPropertyColumn(uint32_t class_id, uint32_t slot,
-                           const std::vector<uint32_t>& locals,
-                           size_t begin, size_t end,
-                           std::vector<Value>* out,
-                           Epoch at = kEpochLatest) const;
-
-  /// Oid-vector variant of the range-scoped column read, for callers
-  /// that already hold a materialized extent (the segment ingester):
-  /// reads oids[begin, end) directly, so no caller ever copies an
-  /// extent into a separate locals index vector just to satisfy the
-  /// column API. Every oid must belong to `class_id`.
+  /// Oid-vector variant reading oids[begin, end), for callers that
+  /// already hold a materialized extent (the segment ingester), so no
+  /// caller copies an extent into a separate locals vector just to
+  /// satisfy the column API. Every oid must belong to `class_id`.
   Status GetPropertyColumn(uint32_t class_id, uint32_t slot,
                            const std::vector<Oid>& oids,
                            size_t begin, size_t end,
@@ -199,7 +201,7 @@ class ObjectStore {
 
   /// Number of visible instances (cardinality statistic for the
   /// optimizer; at the latest epoch this is O(1) off the maintained
-  /// live count, at a pinned epoch it scans the chains).
+  /// live count, at a pinned epoch it passes over the head arrays).
   Result<uint64_t> ExtentSize(uint32_t class_id,
                               Epoch at = kEpochLatest) const;
 
@@ -226,10 +228,10 @@ class ObjectStore {
   /// the reclaim horizon.
   Epoch MinPinnedEpoch() const EXCLUDES(pin_mu_);
 
-  /// Frees version-chain entries superseded at or before the reclaim
-  /// horizon (entry.end <= MinPinnedEpoch()): no pinned reader can see
-  /// them, and future readers pin epochs >= the horizon. Returns the
-  /// number of versions freed.
+  /// Frees history entries superseded at or before the reclaim horizon
+  /// (entry.end <= MinPinnedEpoch()): no pinned reader can see them, and
+  /// future readers pin epochs >= the horizon. Walks only the rows that
+  /// have history. Returns the number of versions freed.
   size_t Reclaim() EXCLUDES(data_mu_);
 
   /// Opt-in background reclaim: a thread that runs Reclaim() whenever a
@@ -243,28 +245,42 @@ class ObjectStore {
   StoreStats* mutable_stats() { return &stats_; }
 
  private:
-  /// One copy-on-write entry of an instance's chain, visible at epochs
-  /// in [begin, end). `live == false` is a delete tombstone.
+  /// A superseded version of one row, visible at epochs in [begin, end).
+  /// Only a live head is ever superseded (a tombstone takes no further
+  /// write), so every history entry is live.
   struct Version {
     Epoch begin = 0;
-    Epoch end = kEpochLatest;
-    bool live = false;
+    Epoch end = 0;
     std::vector<Value> slots;
-  };
-  struct Instance {
-    /// Ascending by begin; the last entry is the current one
-    /// (end == kEpochLatest).
-    std::vector<Version> versions;
   };
   struct ClassStorage {
     std::string debug_name;
     uint32_t slot_count = 0;
     uint64_t live_count = 0;  // at the latest epoch
     uint64_t deletes = 0;     // deletes ever committed (RetainLive)
-    std::vector<Instance> instances;
+    /// The head version of every row, indexed by row = local - 1: the
+    /// epoch of the commit that wrote it, whether it is live, and its
+    /// value in each slot's column (NULL in a tombstone).
+    std::vector<Epoch> head_begin;
+    std::vector<uint8_t> head_live;
+    std::vector<std::vector<Value>> columns;
+    /// row -> its superseded versions, ascending by begin; the last one
+    /// ends where the head begins. Rows without history have no entry.
+    std::unordered_map<uint32_t, std::vector<Version>> history;
+
+    uint32_t rows() const { return static_cast<uint32_t>(head_begin.size()); }
   };
 
-  static const Version* VisibleVersion(const Instance& inst, Epoch at);
+  /// The superseded version of `row` visible at `at`, or null when the
+  /// row did not exist at `at`. Only for rows whose head began after
+  /// `at`.
+  static const Version* HistoryAt(const ClassStorage& cls, uint32_t row,
+                                  Epoch at);
+  /// Whether instance `local` is live at `at`. `*old` is the history
+  /// entry the read resolved to, or null when it resolved to the head
+  /// (or to nothing).
+  static bool LiveAt(const ClassStorage& cls, uint32_t local, Epoch at,
+                     const Version** old);
 
   /// Resolves kEpochLatest to the current epoch. Callers hold at least
   /// the shared side of data_mu_, under which epoch_ cannot advance
@@ -273,7 +289,10 @@ class ObjectStore {
     return at == kEpochLatest ? epoch_.load(std::memory_order_acquire) : at;
   }
 
-  Status CheckOid(Oid oid, uint32_t slot, const char* op, Epoch at) const
+  /// Checks that `oid` is live at `at` and `slot` exists in its class;
+  /// `old`, when given, receives what LiveAt resolved to.
+  Status CheckOid(Oid oid, uint32_t slot, const char* op, Epoch at,
+                  const Version** old = nullptr) const
       REQUIRES_SHARED(data_mu_);
   const ClassStorage* FindClass(uint32_t class_id) const
       REQUIRES_SHARED(data_mu_);
@@ -288,16 +307,33 @@ class ObjectStore {
   /// serialization with the writer first.
   bool AnyPins() const EXCLUDES(pin_mu_);
 
-  /// Appends (or in-place-extends, when the chain head already carries
-  /// epoch `commit`) a copy-on-write successor of inst's current
-  /// version and returns it.
-  Version* MutableVersionAt(Instance* inst, Epoch commit)
+  /// Appends a live row of NULLs whose head begins at `begin`; returns
+  /// its Oid.
+  Oid AppendRow(uint32_t class_id, ClassStorage* cls, Epoch begin)
       REQUIRES(data_mu_);
+
+  /// Makes `row`'s head the version of commit `commit`: the first touch
+  /// in a commit copies the head into history (moving its values out
+  /// when `deleting`, since the tombstone drops them); a later touch in
+  /// the same commit composes in place, because the batch is atomic and
+  /// intermediate states are never visible.
+  void SupersedeHead(ClassStorage* cls, uint32_t row, Epoch commit,
+                     bool deleting) REQUIRES(data_mu_);
+
+  /// Turns `row`'s head into a tombstone and NULLs its values.
+  static void KillHead(ClassStorage* cls, uint32_t row);
+
+  /// The column gather behind both GetPropertyColumn overloads: reads
+  /// `slot` of oid_at(0) .. oid_at(n - 1).
+  template <typename OidAt>
+  Status GatherColumn(uint32_t class_id, uint32_t slot, size_t n,
+                      OidAt oid_at, std::vector<Value>* out, Epoch at) const
+      EXCLUDES(data_mu_);
 
   void ReclaimLoop();
 
-  /// Reader/writer lock over all chain + class storage. Readers resolve
-  /// their epoch and walk chains under the shared side; Apply and the
+  /// Reader/writer lock over all class storage. Readers resolve their
+  /// epoch and read heads and history under the shared side; Apply and the
   /// legacy writes hold the exclusive side. Acquired before pin_mu_
   /// everywhere both are held (Apply/Reclaim take data_mu_ then consult
   /// the pin table).

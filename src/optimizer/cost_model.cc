@@ -36,7 +36,7 @@ double CostModel::ExtentCardinality(const std::string& class_name) const {
   // Deliberately the latest epoch, not a query's pinned snapshot: a
   // cardinality statistic steers plan choice, it never touches result
   // correctness, and the live count is O(1) where a snapshot count
-  // would walk every version chain at planning time.
+  // would pass over every row at planning time.
   auto size = store_->ExtentSize(cls->class_id(), kEpochLatest);
   return size.ok() ? static_cast<double>(size.value()) : 1.0;
 }

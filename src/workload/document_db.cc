@@ -28,7 +28,7 @@ constexpr uint32_t kParSection = 1;
 constexpr uint32_t kParContent = 2;
 
 /// Reads property `prop` of every receiver in `selves` as one
-/// range-scoped store column read (one slot resolution, one stats bump
+/// store column read (one slot resolution, one stats bump
 /// for the whole batch). The batch ABI guarantees `selves` holds
 /// same-class, non-NULL Oid values, and — because the batched evaluator
 /// gathers only the live rows of a selection vector before dispatch
