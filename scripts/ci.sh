@@ -148,9 +148,9 @@ if [[ -n "$SANITIZE" ]]; then
         --target exec_batch_test exec_parallel_test exec_selvec_test \
                  engine_submit_test service_test mvcc_edge_test \
                  mvcc_stress_test exec_diff_test storage_test \
-                 segment_diff_test objstore_test
+                 segment_diff_test objstore_test value_test exec_test
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
-        -R 'exec_batch_test|exec_parallel_test|exec_selvec_test|engine_submit_test|service_test|mvcc_edge_test|mvcc_stress_test|exec_diff_test|storage_test|segment_diff_test|objstore_test'
+        -R 'exec_batch_test|exec_parallel_test|exec_selvec_test|engine_submit_test|service_test|mvcc_edge_test|mvcc_stress_test|exec_diff_test|storage_test|segment_diff_test|objstore_test|value_test|exec_test'
   echo "== ci.sh ($SANITIZE): all green =="
   exit 0
 fi

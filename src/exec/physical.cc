@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -923,8 +924,8 @@ class FlatOp : public PhysOperator {
 
 /// Physical project with set-semantics duplicate elimination. Density
 /// contract (operator-contract table, docs/ARCHITECTURE.md §"Selection
-/// vectors"): only the child's selected rows are projected into the
-/// dedup set; the output batch is dense by construction.
+/// vectors"): only the child's selected rows are checked against the
+/// dedup sets; the output batch is dense by construction.
 class ProjectDedup : public PhysOperator {
  public:
   ProjectDedup(PhysOpPtr child, std::vector<std::string> refs)
@@ -935,12 +936,11 @@ class ProjectDedup : public PhysOperator {
   }
 
   Status Open() override {
-    seen_.clear();
+    ClearSeen();
     return child_->Open();
   }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
-    Row projected;
     for (;;) {
       VODAK_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&child_batch_));
       if (!more) return false;
@@ -948,16 +948,14 @@ class ProjectDedup : public PhysOperator {
       size_t out_rows = 0;
       for (size_t i = 0; i < child_batch_.active_rows(); ++i) {
         const size_t r = child_batch_.RowAt(i);
-        projected.resize(refs_.size());
+        if (!FirstSighting(r)) continue;
         for (size_t c = 0; c < refs_.size(); ++c) {
-          projected[c] = child_batch_.column(child_index_[c])[r];
+          batch->column(c).push_back(child_batch_.column(child_index_[c])[r]);
         }
-        if (seen_.insert(projected).second) {
-          batch->AppendRow(projected);
-          ++out_rows;
-        }
+        ++out_rows;
       }
       if (out_rows > 0) {
+        batch->set_num_rows(out_rows);
         rows_produced_ += out_rows;
         return true;
       }
@@ -965,7 +963,7 @@ class ProjectDedup : public PhysOperator {
   }
   void Close() override {
     child_->Close();
-    seen_.clear();
+    ClearSeen();
   }
   std::string name() const override { return "Project"; }
   std::string params() const override { return Join(refs_, ", "); }
@@ -974,9 +972,54 @@ class ProjectDedup : public PhysOperator {
   }
 
  private:
+  /// True the first time the projection of child row `r` is seen. A
+  /// one-column OID, INT or STRING is keyed on its machine value: the
+  /// OID's 64 bits, the int64_t, or the string's bytes through a view
+  /// into a copy of the Value kept in `strings_` (never into the output
+  /// batch, whose values ExecuteColumn moves out). Every other row,
+  /// including NIL, BOOL and REAL (where -0.0 == 0.0), goes through
+  /// Value::Hash/Compare.
+  bool FirstSighting(size_t r) {
+    if (refs_.size() == 1) {
+      const Value& v = child_batch_.column(child_index_[0])[r];
+      switch (v.kind()) {
+        case Value::Kind::kOid:
+          return seen_oids_.insert(v.AsOid().Hash()).second;
+        case Value::Kind::kInt:
+          return seen_ints_.insert(v.AsInt()).second;
+        case Value::Kind::kString: {
+          const bool fresh = seen_strings_.insert(v.AsString()).second;
+          if (fresh) strings_.push_back(v);
+          return fresh;
+        }
+        default:
+          break;
+      }
+    }
+    projected_.resize(refs_.size());
+    for (size_t c = 0; c < refs_.size(); ++c) {
+      projected_[c] = child_batch_.column(child_index_[c])[r];
+    }
+    return seen_rows_.insert(projected_).second;
+  }
+  void ClearSeen() {
+    seen_oids_.clear();
+    seen_ints_.clear();
+    seen_strings_.clear();
+    strings_.clear();
+    seen_rows_.clear();
+  }
+
   PhysOpPtr child_;
   std::vector<int> child_index_;
-  std::unordered_set<Row, RowHash, RowEq> seen_;
+  std::unordered_set<uint64_t> seen_oids_;
+  std::unordered_set<int64_t> seen_ints_;
+  std::unordered_set<std::string_view> seen_strings_;
+  /// Owners of the bytes `seen_strings_` views into.
+  std::vector<Value> strings_;
+  std::unordered_set<Row, RowHash, RowEq> seen_rows_;
+  /// Scratch row for the seen_rows_ lookup; copied in only when new.
+  Row projected_;
   RowBatch child_batch_;
 };
 
@@ -1207,7 +1250,9 @@ Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref) {
     VODAK_ASSIGN_OR_RETURN(bool more, root->NextBatch(&batch));
     if (!more) break;
     // Single-column extraction reads through the selection view — no
-    // reason to compact every column to consume one.
+    // reason to compact every column to consume one. The values move
+    // out of the batch, so no operator may keep a view into it; the
+    // ProjectDedup root keeps its own copies of the strings it keys.
     auto& col = batch.column(index);
     for (size_t i = 0; i < batch.active_rows(); ++i) {
       values.push_back(std::move(col[batch.RowAt(i)]));

@@ -100,6 +100,8 @@ Result<PhysOpPtr> BuildPhysical(const algebra::LogicalRef& plan,
 Result<Value> ExecuteToSet(PhysOperator* root);
 
 /// Drains the tree and projects one reference, returning a value set.
+/// Values move out of each output batch into Value::Set, which sorts
+/// all-OID, all-INT and all-STRING results on their raw keys.
 Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref);
 
 /// Indented physical EXPLAIN with the restricted-algebra decomposition

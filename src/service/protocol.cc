@@ -122,23 +122,45 @@ std::string StatusToken(const Status& status) {
 uint64_t ResultDigest(const Value& value) {
   constexpr uint64_t kBasis = 1469598103934665603ull;
   constexpr uint64_t kPrime = 1099511628211ull;
-  auto mix = [](uint64_t h, const std::string& s) {
+  // Little-endian byte by byte, so the digest is the same on any host.
+  auto mix_u64 = [](uint64_t h, uint64_t k) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (k >> (8 * i)) & 0xff;
+      h *= kPrime;
+    }
+    return h;
+  };
+  // Length first, so {'ab','c'} and {'a','bc'} digest differently.
+  auto mix_string = [&mix_u64](uint64_t h, const std::string& s) {
+    h = mix_u64(h, s.size());
     for (char c : s) {
       h ^= static_cast<unsigned char>(c);
       h *= kPrime;
     }
-    // Separator byte so {"ab","c"} and {"a","bc"} digest differently.
-    h ^= 0x1f;
-    h *= kPrime;
     return h;
+  };
+  // A kind tag, then the raw key: the OID's 64 bits, the INT's 8 bytes
+  // or the STRING itself. Other kinds hash their rendering.
+  auto mix_element = [&](uint64_t h, const Value& v) {
+    h = mix_u64(h, static_cast<uint64_t>(v.kind()));
+    switch (v.kind()) {
+      case Value::Kind::kOid:
+        return mix_u64(h, v.AsOid().Hash());
+      case Value::Kind::kInt:
+        return mix_u64(h, static_cast<uint64_t>(v.AsInt()));
+      case Value::Kind::kString:
+        return mix_string(h, v.AsString());
+      default:
+        return mix_string(h, v.ToString());
+    }
   };
   uint64_t h = kBasis;
   if (value.is_set()) {
     // Sets are canonical (sorted, deduplicated), so element order is
     // deterministic across threads and runs.
-    for (const Value& v : value.AsSet()) h = mix(h, v.ToString());
+    for (const Value& v : value.AsSet()) h = mix_element(h, v);
   } else {
-    h = mix(h, value.ToString());
+    h = mix_element(h, value);
   }
   return h;
 }

@@ -103,11 +103,13 @@ Result<ServiceStats> ParseStatsLine(const std::string& line);
 /// tokens so clients can tell a trip deadline from a server fault.
 std::string StatusToken(const Status& status);
 
-/// Order-independent 64-bit FNV-1a digest of a result value set.
-/// Value sets are canonical (sorted, deduplicated) and ToString is
-/// deterministic, so equal results digest equally on any thread of any
-/// run — the wire-size-friendly correctness check the load harness
-/// compares against the row-mode oracle.
+/// Order-independent 64-bit FNV-1a digest of a result value set. Each
+/// element contributes its kind and its raw key (an OID's 64 bits, an
+/// INT's 8 bytes, a STRING's length and bytes; the ToString rendering
+/// for other kinds). Value sets are canonical (sorted, deduplicated),
+/// so equal results digest equally on any thread of any run — the
+/// wire-size-friendly correctness check the load harness compares
+/// against the row-mode oracle.
 uint64_t ResultDigest(const Value& value);
 
 /// `hash=` rendering of a digest: exactly 16 lowercase hex digits.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -11,20 +13,82 @@ Value Value::String(std::string s) {
   return Value(Repr(std::make_shared<const std::string>(std::move(s))));
 }
 
+namespace {
+
+template <typename T, typename Less>
+bool StrictlyAscending(const std::vector<T>& v, Less less) {
+  return std::adjacent_find(v.begin(), v.end(),
+                            [&less](const T& a, const T& b) {
+                              return !less(a, b);
+                            }) == v.end();
+}
+
+template <typename T, typename Less>
+void SortUnique(std::vector<T>* v, Less less) {
+  std::sort(v->begin(), v->end(), less);
+  v->erase(std::unique(v->begin(), v->end(),
+                       [&less](const T& a, const T& b) {
+                         return !less(a, b);
+                       }),
+           v->end());
+}
+
+/// Canonicalizes elements that all hold one kind on their raw keys.
+/// Unless they are already strictly ascending, sorts (key, position)
+/// pairs, which move far more cheaply than Values, then moves the
+/// surviving Values into key order.
+template <typename KeyOf>
+void CanonicalizeOnKeys(std::vector<Value>* elements, KeyOf key_of) {
+  if (StrictlyAscending(*elements, [&key_of](const Value& a,
+                                             const Value& b) {
+        return key_of(a) < key_of(b);
+      })) {
+    return;
+  }
+  using Key = decltype(key_of(Value()));
+  std::vector<std::pair<Key, size_t>> keyed;
+  keyed.reserve(elements->size());
+  for (size_t i = 0; i < elements->size(); ++i) {
+    keyed.emplace_back(key_of((*elements)[i]), i);
+  }
+  SortUnique(&keyed, [](const std::pair<Key, size_t>& a,
+                        const std::pair<Key, size_t>& b) {
+    return a.first < b.first;
+  });
+  std::vector<Value> sorted;
+  sorted.reserve(keyed.size());
+  for (const auto& entry : keyed) {
+    sorted.push_back(std::move((*elements)[entry.second]));
+  }
+  elements->swap(sorted);
+}
+
+}  // namespace
+
 Value Value::Set(std::vector<Value> elements) {
-  // One linear pass first: inputs drained in extent order are often
+  // All-OID, all-INT and all-STRING inputs sort on their machine keys,
+  // whose order is Compare's order for that kind (Oid::operator<,
+  // int64_t, std::string::compare). Any other or mixed kind sorts by
+  // Compare, which also collapses INT 1 with REAL 1.0. Either way one
+  // linear pass comes first: inputs drained in extent order are often
   // already strictly ascending, and then there is nothing to sort.
-  auto less = [](const Value& a, const Value& b) { return Compare(a, b) < 0; };
-  if (std::adjacent_find(elements.begin(), elements.end(),
-                         [&less](const Value& a, const Value& b) {
-                           return !less(a, b);
-                         }) != elements.end()) {
-    std::sort(elements.begin(), elements.end(), less);
-    elements.erase(std::unique(elements.begin(), elements.end(),
-                               [](const Value& a, const Value& b) {
-                                 return Compare(a, b) == 0;
-                               }),
-                   elements.end());
+  const Kind kind = elements.empty() ? Kind::kNull : elements[0].kind();
+  const bool uniform =
+      std::all_of(elements.begin(), elements.end(),
+                  [kind](const Value& v) { return v.kind() == kind; });
+  if (uniform && kind == Kind::kOid) {
+    CanonicalizeOnKeys(&elements, [](const Value& v) { return v.AsOid(); });
+  } else if (uniform && kind == Kind::kInt) {
+    CanonicalizeOnKeys(&elements, [](const Value& v) { return v.AsInt(); });
+  } else if (uniform && kind == Kind::kString) {
+    CanonicalizeOnKeys(&elements, [](const Value& v) {
+      return std::string_view(v.AsString());
+    });
+  } else {
+    auto less = [](const Value& a, const Value& b) {
+      return Compare(a, b) < 0;
+    };
+    if (!StrictlyAscending(elements, less)) SortUnique(&elements, less);
   }
   return Value(
       Repr(std::make_shared<const SetBox>(SetBox{std::move(elements)})));
@@ -229,10 +293,8 @@ uint64_t Value::Hash() const {
       return HashCombine(0xabcddcbaULL, HashBytes(&d, sizeof(d)));
     }
     case Kind::kReal: {
-      double d = AsReal();
-      if (d == static_cast<double>(static_cast<int64_t>(d))) {
-        return HashCombine(0xabcddcbaULL, HashBytes(&d, sizeof(d)));
-      }
+      // -0.0 == 0.0 under Compare, so it hashes as 0.0.
+      double d = AsReal() == 0.0 ? 0.0 : AsReal();
       return HashCombine(0xabcddcbaULL, HashBytes(&d, sizeof(d)));
     }
     case Kind::kString:
@@ -358,14 +420,10 @@ TypeRef Value::RuntimeType() const {
 }
 
 Value MakeOidSet(std::vector<Oid> oids) {
-  // Oid::operator< orders exactly as Value::Compare orders OID values,
-  // so sorting the raw ids yields the canonical set order.
-  std::sort(oids.begin(), oids.end());
-  oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
   std::vector<Value> vals;
   vals.reserve(oids.size());
   for (Oid o : oids) vals.push_back(Value::OfOid(o));
-  return Value::SetCanonical(std::move(vals));
+  return Value::Set(std::move(vals));
 }
 
 Value SetUnion(const Value& a, const Value& b) {

@@ -58,7 +58,9 @@ class Value {
   static Value String(std::string s);
   static Value OfOid(Oid oid) { return Value(Repr(oid)); }
   /// Builds a canonical set: sorts and dedups `elements` (no sort when
-  /// they are already strictly ascending).
+  /// they are already strictly ascending). All-OID, all-INT and
+  /// all-STRING elements sort on their raw keys; other kinds, and any
+  /// mix of kinds, sort by Compare.
   static Value Set(std::vector<Value> elements);
   /// Set that is already sorted and unique (checked in debug builds).
   static Value SetCanonical(std::vector<Value> elements);
@@ -150,7 +152,7 @@ class Value {
 };
 
 /// Convenience: set of OIDs from a vector (any order, duplicates
-/// allowed); sorts the raw ids, not Values.
+/// allowed).
 Value MakeOidSet(std::vector<Oid> oids);
 
 /// Set union / intersection / difference on canonical sets.

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "algebra/eval.h"
 #include "algebra/translate.h"
+#include "engine/database.h"
 #include "exec/physical.h"
 #include "vql/parser.h"
 #include "workload/document_db.h"
+
+#include "drain_util.h"
 
 namespace vodak {
 namespace exec {
@@ -213,6 +219,136 @@ TEST_F(ExecTest, RestrictedAlgebraDecomposition) {
             "method_get<t1, Document, select_by_index, 'T'>");
 
   EXPECT_EQ(DecomposeToRestrictedOps(Expr::Var("p")), "atom p");
+}
+
+// ------------------------------------------ typed ProjectDedup keys
+
+/// A corpus whose projected columns exercise each of ProjectDedup's
+/// keys: INT and REAL that compare equal, equal strings in distinct
+/// allocations, OIDs of two classes, and the NIL and set-valued columns
+/// that take the Row fallback. kItems spans three batches, and every
+/// column repeats its values across them.
+class TypedDedupTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kItems = 2 * kDefaultBatchSize + 500;
+  static constexpr uint32_t kIds = kDefaultBatchSize + 300;
+
+  void SetUp() override {
+    auto other = catalog_.DefineClass("Other");
+    ASSERT_TRUE(other.ok());
+    const uint32_t other_id = other.value()->class_id();
+    ASSERT_EQ(store_.RegisterClass("Other", 0), other_id);
+    auto item = catalog_.DefineClass("Item");
+    ASSERT_TRUE(item.ok());
+    for (const char* prop : {"num", "str", "ref", "nil", "bag", "id"}) {
+      ASSERT_TRUE(item.value()->AddProperty(prop, Type::Any()).ok());
+    }
+    const uint32_t item_id = item.value()->class_id();
+    ASSERT_EQ(store_.RegisterClass("Item", 6), item_id);
+
+    std::vector<Oid> others;
+    for (int i = 0; i < 5; ++i) {
+      others.push_back(store_.CreateObject(other_id).value());
+    }
+    std::vector<Oid> items;
+    for (uint32_t i = 0; i < kItems; ++i) {
+      items.push_back(store_.CreateObject(item_id).value());
+    }
+    for (uint32_t i = 0; i < kItems; ++i) {
+      const Oid oid = items[i];
+      // num: k in 0..3 as INT in one run of four rows and as REAL in
+      // the next, plus -0.0 against 0.0 and INT 0.
+      const int k = static_cast<int>(i % 4);
+      Value num = (i / 4) % 2 == 0 ? Value::Int(k) : Value::Real(k);
+      if (i % 9 == 0) num = Value::Real(-0.0);
+      ASSERT_TRUE(store_.SetProperty(oid, 0, num).ok());
+      const std::string str = i % 5 == 0 ? "" : "s" + std::to_string(i % 6);
+      ASSERT_TRUE(store_.SetProperty(oid, 1, Value::String(str)).ok());
+      const Oid ref = i % 2 == 0 ? items[i % 7] : others[i % 5];
+      ASSERT_TRUE(store_.SetProperty(oid, 2, Value::OfOid(ref)).ok());
+      // Slot 3 (nil) stays unset.
+      ASSERT_TRUE(store_.SetProperty(
+          oid, 4, Value::Set({Value::Int(i % 3), Value::Int(i % 2)})).ok());
+      ASSERT_TRUE(store_.SetProperty(oid, 5, Value::Int(i % kIds)).ok());
+    }
+  }
+
+  /// The tree's answer, which must equal the row-mode interpreter's.
+  Value TreeMatchingOracle(const std::string& query) {
+    engine::Database session(&catalog_, &store_, &methods_);
+    engine::PlanOptions no_opt;
+    no_opt.optimize = false;
+    auto tree = session.Run(query, no_opt);
+    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+    auto naive = session.RunNaive(query);
+    EXPECT_TRUE(naive.ok()) << naive.status().ToString();
+    if (!tree.ok() || !naive.ok()) return Value();
+    EXPECT_EQ(tree.value().result, naive.value())
+        << "tree " << tree.value().result.ToString() << "\n  naive "
+        << naive.value().ToString();
+    return tree.value().result;
+  }
+
+  /// Rows the Project root emits for `query` (no Value::Set after it).
+  std::vector<Row> ProjectRows(const std::string& query) {
+    algebra::AlgebraContext ctx(&catalog_);
+    auto q = vql::ParseQuery(query);
+    EXPECT_TRUE(q.ok());
+    vql::Binder binder(&catalog_);
+    auto bound = binder.Bind(q.value());
+    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+    auto plan = TranslateQuery(ctx, bound.value());
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    ExecContext exec_ctx;
+    exec_ctx.catalog = &catalog_;
+    exec_ctx.store = &store_;
+    exec_ctx.methods = &methods_;
+    auto phys = BuildPhysical(plan.value(), exec_ctx);
+    EXPECT_TRUE(phys.ok()) << phys.status().ToString();
+    return vodak::testing::BatchDrainSorted(phys.value().get());
+  }
+
+  Catalog catalog_;
+  ObjectStore store_;
+  MethodRegistry methods_;
+};
+
+TEST_F(TypedDedupTest, IntAndRealThatCompareEqualGiveOneElement) {
+  // The project keys INT k and REAL k apart (the REALs, -0.0 with
+  // them, go through the Row set); Value::Set collapses each pair.
+  Value got = TreeMatchingOracle("ACCESS x.num FROM x IN Item");
+  EXPECT_EQ(got.AsSet().size(), 4u) << got.ToString();
+  EXPECT_EQ(ProjectRows("ACCESS x.num FROM x IN Item").size(), 8u);
+}
+
+TEST_F(TypedDedupTest, EqualStringsFromDistinctAllocationsDedup) {
+  Value got = TreeMatchingOracle("ACCESS x.str FROM x IN Item");
+  EXPECT_EQ(got.ToString(), "{'', 's0', 's1', 's2', 's3', 's4', 's5'}");
+  EXPECT_EQ(ProjectRows("ACCESS x.str FROM x IN Item").size(), 7u);
+}
+
+TEST_F(TypedDedupTest, OidsOfTwoClassesDedup) {
+  Value got = TreeMatchingOracle("ACCESS x.ref FROM x IN Item");
+  EXPECT_EQ(got.AsSet().size(), 7u + 5u);
+  EXPECT_EQ(ProjectRows("ACCESS x.ref FROM x IN Item").size(), 12u);
+}
+
+TEST_F(TypedDedupTest, DuplicatesStraddlingBatchesDedup) {
+  // Item i and item i + kIds share an id and sit in different batches.
+  Value got = TreeMatchingOracle("ACCESS x.id FROM x IN Item");
+  EXPECT_EQ(got.AsSet().size(), kIds);
+  std::vector<Row> rows = ProjectRows("ACCESS x.id FROM x IN Item");
+  ASSERT_EQ(rows.size(), kIds);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i][0].AsInt(), static_cast<int64_t>(i));
+  }
+}
+
+TEST_F(TypedDedupTest, NilAndSetValuedColumnsTakeTheRowPath) {
+  EXPECT_EQ(TreeMatchingOracle("ACCESS x.nil FROM x IN Item").ToString(),
+            "{NIL}");
+  EXPECT_EQ(TreeMatchingOracle("ACCESS x.bag FROM x IN Item").ToString(),
+            "{{0}, {0, 1}, {0, 2}, {1}, {1, 2}}");
 }
 
 }  // namespace

@@ -125,6 +125,21 @@ TEST(ProtocolTest, DigestIsOrderInsensitiveViaCanonicalSets) {
   EXPECT_EQ(DigestHex(ResultDigest(a)).size(), 16u);
 }
 
+TEST(ProtocolTest, DigestTellsKindsAndStringBoundariesApart) {
+  // Elements hash as a kind tag plus a raw key, so an INT, a STRING and
+  // an OID that render alike still digest differently...
+  const uint64_t as_int = ResultDigest(Value::Set({Value::Int(1)}));
+  const uint64_t as_string = ResultDigest(Value::Set({Value::String("1")}));
+  const uint64_t as_oid = ResultDigest(Value::Set({Value::OfOid(Oid(1, 1))}));
+  EXPECT_NE(as_int, as_string);
+  EXPECT_NE(as_int, as_oid);
+  EXPECT_NE(as_string, as_oid);
+  // ...and a string's length keeps the boundary between elements.
+  EXPECT_NE(
+      ResultDigest(Value::Set({Value::String("ab"), Value::String("c")})),
+      ResultDigest(Value::Set({Value::String("a"), Value::String("bc")})));
+}
+
 // ---------------------------------------------------- socket client
 
 /// A minimal blocking line client for the tests.

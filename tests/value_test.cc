@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "types/type.h"
 #include "types/value.h"
+
+#include "test_seed.h"
 
 namespace vodak {
 namespace {
@@ -28,6 +38,10 @@ TEST(ValueTest, NumericCrossKindEquality) {
   EXPECT_EQ(Value::Int(1), Value::Real(1.0));
   EXPECT_LT(Value::Int(1), Value::Real(1.5));
   EXPECT_EQ(Value::Int(1).Hash(), Value::Real(1.0).Hash());
+  // -0.0 equals 0.0 and INT 0, so it must hash like them.
+  EXPECT_EQ(Value::Real(-0.0), Value::Int(0));
+  EXPECT_EQ(Value::Real(-0.0).Hash(), Value::Real(0.0).Hash());
+  EXPECT_EQ(Value::Real(-0.0).Hash(), Value::Int(0).Hash());
 }
 
 TEST(ValueTest, SetCanonicalization) {
@@ -142,6 +156,158 @@ TEST(ValueTest, SetOfOrderedInputStaysCanonical) {
   EXPECT_EQ(MakeOidSet(oids).AsSet().size(), 3u);
 }
 
+// ------------------------------------------- Value::Set property test
+
+/// The canonical form Value::Set must produce, computed without its
+/// typed paths: std::sort plus std::unique under Value::Compare.
+std::vector<Value> ReferenceSet(std::vector<Value> v) {
+  std::sort(v.begin(), v.end(), [](const Value& a, const Value& b) {
+    return Value::Compare(a, b) < 0;
+  });
+  v.erase(std::unique(v.begin(), v.end(),
+                      [](const Value& a, const Value& b) {
+                        return Value::Compare(a, b) == 0;
+                      }),
+          v.end());
+  return v;
+}
+
+/// Draws element vectors of one family each: OIDs over 2-3 classes,
+/// INTs with the int64 extremes, STRINGs with empty, shared-prefix and
+/// embedded-NUL contents, mixed INT/REAL, NIL, BOOL, set-valued, and a
+/// mix of kinds. Values are drawn from small pools so duplicates are
+/// common; every draw builds a fresh Value, so equal strings live in
+/// distinct allocations.
+class ElementDraw {
+ public:
+  explicit ElementDraw(uint64_t seed) : rng_(seed) {}
+
+  static constexpr int kFamilies = 8;
+
+  std::vector<Value> Draw(int family) {
+    std::vector<Value> out(Pick(40));
+    std::vector<uint32_t> classes = {1, 2, 7};
+    classes.resize(2 + Pick(2));
+    for (Value& v : out) {
+      switch (family) {
+        case 0:
+          v = Value::OfOid(
+              Oid(classes[Pick(classes.size())],
+                  Pick(2) == 0 ? Pick(6) : 0xfffffff0u + Pick(16)));
+          break;
+        case 1:
+          v = Value::Int(Int());
+          break;
+        case 2:
+          v = Value::String(String());
+          break;
+        case 3:
+          v = MixedNumber();
+          break;
+        case 4:
+          v = Value::Null();
+          break;
+        case 5:
+          v = Value::Bool(Pick(2) == 0);
+          break;
+        case 6:
+          v = Value::Set({Value::Int(Pick(3)), Value::Int(Pick(3))});
+          break;
+        default:
+          v = Pick(3) == 0   ? Value::Int(Int())
+              : Pick(2) == 0 ? Value::String(String())
+                             : Value::OfOid(Oid(1 + Pick(2), Pick(4)));
+          break;
+      }
+    }
+    // A third of the vectors arrive strictly ascending (the no-sort
+    // pass), a third sorted with their duplicates, a third shuffled.
+    switch (Pick(3)) {
+      case 0:
+        out = ReferenceSet(std::move(out));
+        break;
+      case 1:
+        std::stable_sort(out.begin(), out.end(),
+                         [](const Value& a, const Value& b) {
+                           return Value::Compare(a, b) < 0;
+                         });
+        break;
+      default:
+        std::shuffle(out.begin(), out.end(), rng_);
+        break;
+    }
+    return out;
+  }
+
+ private:
+  size_t Pick(size_t n) { return static_cast<size_t>(rng_() % n); }
+
+  int64_t Int() {
+    static const int64_t kPool[] = {std::numeric_limits<int64_t>::min(),
+                                    std::numeric_limits<int64_t>::max(),
+                                    -1, 0, 1, 2, 255, 256, -256};
+    if (Pick(3) == 0) return static_cast<int64_t>(rng_());
+    return kPool[Pick(sizeof(kPool) / sizeof(kPool[0]))];
+  }
+
+  std::string String() {
+    static const std::string kPool[] = {
+        "", "a", "ab", "abc", "aa", "b", "ba", std::string("a\0b", 3),
+        std::string("a\0", 2), std::string("\0", 1), "\xff", "A"};
+    if (Pick(3) == 0) {
+      // Short strings over a tiny alphabet: many shared prefixes.
+      std::string s(Pick(5), 'a');
+      for (char& c : s) c = "ab\0\xff"[Pick(4)];
+      return s;
+    }
+    return kPool[Pick(sizeof(kPool) / sizeof(kPool[0]))];
+  }
+
+  Value MixedNumber() {
+    switch (Pick(6)) {
+      case 0:
+        return Value::Int(1);
+      case 1:
+        return Value::Real(1.0);
+      case 2:
+        return Value::Real(-0.0);
+      case 3:
+        return Value::Int(0);
+      case 4:
+        return Value::Real(0.5);
+      default:
+        return Value::Int(-1);
+    }
+  }
+
+  std::mt19937_64 rng_;
+};
+
+TEST(ValueSetPropertyTest, MatchesSortUniqueUnderCompare) {
+  const uint64_t seed = vodak::testing::TestSeed();
+  ElementDraw draw(seed);
+  for (int round = 0; round < 3000; ++round) {
+    const int family = round % ElementDraw::kFamilies;
+    std::vector<Value> input = draw.Draw(family);
+    const std::vector<Value> want = ReferenceSet(input);
+    const Value got = Value::Set(input);
+    const ValueSet& elems = got.AsSet();
+    ASSERT_EQ(elems.size(), want.size())
+        << "seed " << seed << " family " << family << ": " << got.ToString();
+    for (size_t i = 0; i < want.size(); ++i) {
+      // Compare == 0 lets INT 1 stand for REAL 1.0 (either may survive
+      // the unstable sort); within one kind it is exact equality.
+      ASSERT_EQ(Value::Compare(elems[i], want[i]), 0)
+          << "seed " << seed << " family " << family << " element " << i
+          << ": got " << got.ToString() << ", want "
+          << Value::SetCanonical(want).ToString();
+      if (family != 3) {
+        ASSERT_EQ(elems[i].kind(), want[i].kind());
+      }
+    }
+  }
+}
+
 TEST(ValueTest, NestedValues) {
   Value inner = Value::Set({Value::Int(1)});
   Value t = Value::Tuple({{"s", inner}});
@@ -188,3 +354,8 @@ TEST(TypeTest, RuntimeTypeOfValues) {
 
 }  // namespace
 }  // namespace vodak
+
+int main(int argc, char** argv) {
+  return vodak::testing::RunAllTestsWithSeed(argc, argv,
+                                             /*fallback=*/20261020);
+}
